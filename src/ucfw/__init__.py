@@ -69,6 +69,7 @@ from .solver import (
     RunTrace,
     StepRule,
     exact_line_search,
+    fw_gap_at,
     reference_optimum,
     run_fw,
     short_step,

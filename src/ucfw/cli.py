@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments as ex
 from . import verify as vf
 from .errors import ConfigError, UCFWError

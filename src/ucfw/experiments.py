@@ -9,7 +9,7 @@ output directory; reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +28,13 @@ from .geometry import (
 )
 from .objectives import (
     QuadraticObjective,
-    SmoothObjective,
-    dual_floor_factor,
     grad_floor_quadratic,
     lp_smoothness_from_l2,
     objective_from_json,
     quadratic_from_descriptor,
 )
-from .online import LossStream, adversarial_stream, run_ftl, stream_from_json, theorem4_bound
-from .solver import StepRule, reference_optimum, run_fw
+from .online import adversarial_stream, run_ftl, stream_from_json
+from .solver import StepRule, fw_gap_at, reference_optimum, run_fw
 from .svg import line_plot_svg
 
 __all__ = [
@@ -215,6 +213,7 @@ def run_solve(config: dict, out_dir) -> dict:
     csv_path = out_dir / "trace.csv"
     trace.to_csv(csv_path, extra_columns=extra)
     trace.metadata["config"] = config
+    trace.metadata["f_star_certificate"] = fw_gap_at(feasible, objective, x_star)
     trace.write_sidecar(out_dir / "trace.json")
     manifest = {
         "files": ["trace.csv", "trace.json"],
@@ -237,19 +236,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for p in cfg.p_grid:
         feasible, objective = build_problem(cfg, p)
         x_init = x_init_for(feasible, cfg.seed)
-        references[p] = reference_optimum(
+        x_star, f_star = reference_optimum(
             feasible, objective, x_init, cfg.reference_multiplier * cfg.horizon, stop_gap=1e-13
         )
+        references[p] = x_star, f_star, fw_gap_at(feasible, objective, x_star)
 
     for rule_name in cfg.step_rules:
         series = []
         for p in cfg.p_grid:
             feasible, objective = build_problem(cfg, p)
-            x_star, f_star = references[p]
+            x_star, f_star, certificate = references[p]
             trace, extra = run_single(
                 feasible, objective, rule_name, cfg.horizon, cfg.seed,
                 x_star=x_star, f_star=f_star,
             )
+            trace.metadata["f_star_certificate"] = certificate
             name = f"{cfg.optimum_location}_{rule_name}_p{p:g}"
             csv_name = f"{name}.csv"
             trace.to_csv(out_dir / csv_name, extra_columns=extra)
@@ -265,6 +266,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
                     "stopped_at": trace.metadata["stopped_at"],
                     "final_min_fw_gap": float(min_gap[-1]),
                     "min_gap_slope": fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon),
+                    "f_star_certificate": certificate,
                     "csv": csv_name,
                 }
             )

@@ -203,6 +203,11 @@ def levelset_uc_params(mu: float, r_exp: float, L: float, w: float) -> UCParams:
 # ---------------------------------------------------------------------------
 
 
+def _check_radius(radius: float) -> None:
+    if not 0.0 < radius < np.inf:  # also rejects NaN
+        raise InvalidParams(f"radius must be positive and finite, got {radius}")
+
+
 class FeasibleSet:
     """A compact convex body exposing an LMO, a membership oracle, and its
     declared uniform-convexity parameters.
@@ -266,10 +271,11 @@ class LpBall(FeasibleSet):
     dim: int
 
     def __post_init__(self) -> None:
-        if self.p <= 1.0:
+        if not self.p > 1.0:
             raise InvalidParams("LpBall requires p > 1; p = 1 is L1Ball")
-        if self.radius <= 0.0 or self.dim < 1:
-            raise InvalidParams("radius must be positive and dim >= 1")
+        _check_radius(self.radius)
+        if self.dim < 1:
+            raise InvalidParams("dim must be >= 1")
 
     def uc_params(self) -> UCParams:
         return lp_ball_uc_params(self.p, self.radius, norm_tag=f"lp:{self.p}")
@@ -304,8 +310,9 @@ class L1Ball(FeasibleSet):
     dim: int
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0 or self.dim < 1:
-            raise InvalidParams("radius must be positive and dim >= 1")
+        _check_radius(self.radius)
+        if self.dim < 1:
+            raise InvalidParams("dim must be >= 1")
 
     def norm(self, x):
         return lp_norm(x, 1.0)
@@ -339,10 +346,11 @@ class SchattenBall(FeasibleSet):
     radius: float
 
     def __post_init__(self) -> None:
-        if self.p <= 1.0:
+        if not self.p > 1.0:
             raise InvalidParams("SchattenBall requires p > 1")
-        if self.radius <= 0.0 or self.rows < 1 or self.cols < 1:
-            raise InvalidParams("radius must be positive and shape nonempty")
+        _check_radius(self.radius)
+        if self.rows < 1 or self.cols < 1:
+            raise InvalidParams("shape must be nonempty")
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -406,8 +414,8 @@ class LevelSet(FeasibleSet):
     batch_value_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.w <= 0.0:
-            raise InvalidParams("LevelSet requires w > 0")
+        if not 0.0 < self.w < np.inf:
+            raise InvalidParams(f"LevelSet requires a finite w > 0, got {self.w}")
 
     @property
     def radius(self) -> float:  # type: ignore[override]

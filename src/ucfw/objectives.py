@@ -192,8 +192,12 @@ def quadratic_from_descriptor(
 
     ``x0_direction`` is either "ones", "e1", or an explicit vector.
     """
-    if dim < 1 or cond < 1.0 or x0_scale <= 0.0:
-        raise ConfigError("need dim >= 1, cond >= 1, x0_scale > 0")
+    # the negated comparisons also reject NaN
+    if dim < 1 or not 1.0 <= cond < np.inf or not 0.0 < x0_scale < np.inf:
+        raise ConfigError(
+            f"need dim >= 1, finite cond >= 1 and finite x0_scale > 0; "
+            f"got dim={dim}, cond={cond}, x0_scale={x0_scale}"
+        )
     diag = np.logspace(0.0, np.log10(cond), dim)
     rng = np.random.default_rng(_A_SHUFFLE_SEED)
     rng.shuffle(diag)
@@ -207,8 +211,8 @@ def quadratic_from_descriptor(
             raise ConfigError(f"unknown x0_direction {x0_direction!r}")
     else:
         direction = np.asarray(x0_direction, dtype=float)
-        if direction.shape != (dim,) or not np.any(direction):
-            raise ConfigError("explicit x0_direction must be a nonzero dim-vector")
+        if direction.shape != (dim,) or not np.any(direction) or not np.all(np.isfinite(direction)):
+            raise ConfigError("explicit x0_direction must be a finite nonzero dim-vector")
     x0 = direction * (x0_scale / np.linalg.norm(direction))
     return QuadraticObjective(A=diag, x0=x0)
 

@@ -10,14 +10,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import InfeasibleStart, UCFWError, ZeroDirection
-from .geometry import FeasibleSet
+from .errors import InfeasibleStart, InvalidParams, UCFWError, ZeroDirection
+from .geometry import FeasibleSet, LpBall
 from .objectives import QuadraticObjective, SmoothObjective
 
 __all__ = [
@@ -27,6 +25,7 @@ __all__ = [
     "exact_line_search",
     "run_fw",
     "reference_optimum",
+    "fw_gap_at",
 ]
 
 FEASIBILITY_TOL = 1e-9
@@ -87,6 +86,8 @@ def exact_line_search(f: SmoothObjective, x: np.ndarray, d: np.ndarray) -> float
         if curv <= 0.0:
             return 1.0 if slope > 0.0 else 0.0
         return float(np.clip(slope / curv, 0.0, 1.0))
+    from scipy.optimize import minimize_scalar  # deferred: costly to import
+
     res = minimize_scalar(
         lambda g: f.value(x + g * d), bounds=(0.0, 1.0), method="bounded",
         options={"xatol": 1e-10},
@@ -181,14 +182,7 @@ def run_fw(
     xs, vs = [], []
     for t in range(T + 1):
         g = f.gradient(x)
-        try:
-            v = feasible.lmo(-g)
-            fw_gap = float(np.dot(g, x - v))
-        except ZeroDirection:
-            v = x.copy()
-            fw_gap = 0.0
-        # LMO optimality makes the gap non-negative; clip roundoff only
-        fw_gap = max(fw_gap, 0.0)
+        v, fw_gap = _fw_vertex(feasible, g, x)
         d = v - x
         ts.append(t)
         gaps.append(fw_gap)
@@ -243,11 +237,17 @@ def reference_optimum(
     horizon: int,
     stop_gap: float = 0.0,
 ) -> tuple[np.ndarray, float]:
-    """High-accuracy solution: Frank-Wolfe with exact line search for an
-    extended horizon, returning the best iterate seen.
+    """High-accuracy solution of min f over the set.
 
-    The experiment driver calls this with 50x the plotted horizon.
+    A diagonal quadratic over an lp ball is solved exactly from its KKT
+    system (:func:`_lp_ball_quadratic_optimum`).  Every other problem falls
+    back to Frank-Wolfe with exact line search from ``x_init`` for
+    ``horizon`` steps (or until the gap drops to ``stop_gap``), returning
+    the best iterate seen; the experiment driver gives it 50x the plotted
+    horizon.
     """
+    if isinstance(f, QuadraticObjective) and f.diagonal and isinstance(feasible, LpBall):
+        return _lp_ball_quadratic_optimum(feasible, f)
     x = np.array(x_init, dtype=float)
     best_x, best_f = x.copy(), f.value(x)
     for _ in range(horizon):
@@ -268,3 +268,116 @@ def reference_optimum(
         if fx < best_f:
             best_f, best_x = fx, x.copy()
     return best_x, best_f
+
+
+def _fw_vertex(feasible: FeasibleSet, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The LMO vertex for gradient g at x and the Frank-Wolfe gap; a zero
+    gradient gives (x, 0)."""
+    try:
+        v = feasible.lmo(-g)
+    except ZeroDirection:
+        return x.copy(), 0.0
+    # LMO optimality makes the gap non-negative; clip roundoff only
+    return v, max(float(np.dot(g, x - v)), 0.0)
+
+
+def fw_gap_at(feasible: FeasibleSet, f: SmoothObjective, x: np.ndarray) -> float:
+    """Frank-Wolfe gap max_v <grad f(x), x - v> as the traced runs record
+    it.  For a feasible x it bounds f(x) - min f from above, so at a
+    reference optimum it certifies f_star (Jaggi, ICML 2013)."""
+    return _fw_vertex(feasible, f.gradient(x), x)[1]
+
+
+_EPS = np.finfo(float).eps
+
+
+def _lp_ball_quadratic_optimum(ball: LpBall, f: QuadraticObjective) -> tuple[np.ndarray, float]:
+    """Minimiser of f(x) = 1/2 sum a_i (x_i - x0_i)^2 over ||x||_p <= r.
+
+    x* = x0 when x0 is inside the ball, and r sign(x0_i) e_i when x0 lies
+    on one axis.  Otherwise, with b = |x0| and y = |x*|, the KKT conditions
+    are a_i (b_i - y_i) = mu y_i^(p-1) and sum y_i^p = r^p; coordinates with
+    b_i = 0 stay 0.  In u = y / r the target is sum u^p = 1, which keeps the
+    powers in range; see :func:`_kkt_magnitudes`.
+    """
+    a, x0, p, r = f.A, f.x0, ball.p, ball.radius
+    if not (np.isfinite(p) and np.isfinite(r) and np.all(np.isfinite(a)) and np.all(np.isfinite(x0))):
+        raise InvalidParams("reference optimum needs finite p, radius, A and x0")
+    if ball.norm(x0) <= r:
+        return x0.copy(), 0.0
+    support = np.flatnonzero(x0)
+    x = np.zeros_like(x0)
+    if len(support) == 1:
+        i = support[0]
+        x[i] = r * np.sign(x0[i])
+        return x, f.value(x)
+    u = _kkt_magnitudes(a[support], np.abs(x0[support]) / r, p)
+    x[support] = r * np.sign(x0[support]) * u
+    # rounding can leave x a few ulps outside the ball
+    for _ in range(8):
+        n = ball.norm(x)
+        if n <= r:
+            break
+        x *= min(r / n, 1.0 - _EPS)
+    return x, f.value(x)
+
+
+def _kkt_magnitudes(a: np.ndarray, beta: np.ndarray, p: float) -> np.ndarray:
+    """Solve a_i (beta_i - u_i) = nu u_i^(p-1), sum u_i^p = 1 for u in
+    [0, beta] (all beta_i > 0, ||beta||_p > 1).
+
+    Inner: for a fixed nu each coordinate is a root of a concave decreasing
+    residual, solved in s = u for p >= 2 and in s = u^(p-1) for p < 2:
+    psi(s) = a (beta - s^k) - nu s^m with (k, m) = (1, p-1) or (1/(p-1), 1).
+    The residual's root lies below s0 = min(beta^(1/k), (a beta / nu)^(1/m)),
+    and Newton from a point right of the root of a concave decreasing
+    function descends monotonically onto it.
+
+    Outer: log sum u(nu)^p falls monotonically in t = log nu; bracketed
+    Newton on t, starting from nu0 = ||(a beta)||_{p/(p-1)}, where
+    u <= (a beta / nu0)^(1/(p-1)) puts the sum at or below 1.
+    """
+    la = np.log(a * beta)
+    if p >= 2.0:
+        k, m = 1.0, p - 1.0
+    else:
+        k, m = 1.0 / (p - 1.0), 1.0
+    s_top = beta ** (1.0 / k)
+
+    def magnitudes(t: float) -> np.ndarray:
+        s = np.minimum(s_top, np.exp((la - t) / m))
+        nu = np.exp(t)
+        for _ in range(100):
+            resid = a * (beta - s**k) - nu * s**m
+            slope = a * k * s ** (k - 1.0) + nu * m * s ** (m - 1.0)
+            s_new = np.maximum(s + resid / slope, 0.0)
+            settled = np.all(s - s_new <= 4.0 * _EPS * s)
+            s = s_new
+            if settled:
+                break
+        return s**k
+
+    w = la * (p / (p - 1.0))
+    wmax = float(w.max())
+    t = (p - 1.0) / p * (wmax + float(np.log(np.sum(np.exp(w - wmax)))))
+    t_lo, t_hi = -np.inf, t
+    for _ in range(200):
+        u = magnitudes(t)
+        up = u**p
+        total = float(np.sum(up))
+        h = float(np.log(total))
+        if h == 0.0:
+            break
+        if h > 0.0:
+            t_lo = t
+        else:
+            t_hi = t
+        # d log(sum u^p) / dt, from implicit differentiation of the residual
+        dh = -p * float(np.sum((beta - u) * up / (u + (p - 1.0) * (beta - u)))) / total
+        t_new = t - h / dh if dh < 0.0 else np.nan
+        if not t_lo <= t_new <= t_hi:  # also catches NaN
+            t_new = 0.5 * (t_lo + t_hi) if np.isfinite(t_lo) else t_hi - 1.0
+        if abs(t_new - t) <= 4.0 * _EPS * max(1.0, abs(t)):
+            break
+        t = t_new
+    return u

@@ -128,3 +128,48 @@ class TestEnvSeed:
         monkeypatch.setenv("UCFW_SEED", "abc")
         code = main(["verify", "--set", L3_SET, "--check", "definition1"])
         assert code == EXIT_ERROR
+
+
+class TestNonFiniteDescriptors:
+    """NaN and infinite descriptor values are config errors: exit 2 with a
+    one-line message naming the field, and no trace written."""
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("objective", "x0_scale", float("nan")),
+            ("objective", "x0_scale", float("inf")),
+            ("objective", "cond", float("nan")),
+            ("objective", "cond", float("inf")),
+            ("set", "radius", float("nan")),
+            ("set", "radius", float("inf")),
+        ],
+    )
+    def test_solve_rejects(self, tmp_path, capsys, section, field, value):
+        config = json.loads(json.dumps(TestSolveVerb.CONFIG))
+        config[section][field] = value
+        out = tmp_path / "run"
+        code = main(["solve", "--config", json.dumps(config), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert field in err and err.count("\n") == 1
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "desc, field",
+        [
+            ({"family": "lp", "p": 3.0, "radius": float("nan"), "dim": 3}, "radius"),
+            ({"family": "l1", "radius": float("nan"), "dim": 3}, "radius"),
+            ({"family": "l1", "radius": float("inf"), "dim": 3}, "radius"),
+            ({"family": "schatten", "p": 2.5, "rows": 2, "cols": 2, "radius": float("inf")}, "radius"),
+            ({"family": "levelset", "kind": "sqnorm", "w": float("nan"), "dim": 3}, "w"),
+        ],
+    )
+    def test_verify_rejects_set(self, capsys, desc, field):
+        code = main(
+            ["verify", "--set", json.dumps(desc), "--check", "definition1",
+             "--alpha", "0.1", "--q", "2.0", "--pairs", "20", "--directions", "5"]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert field in err and err.count("\n") == 1

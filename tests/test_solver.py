@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 
 from ucfw import (
     InfeasibleStart,
+    InvalidParams,
     L1Ball,
     LpBall,
     QuadraticObjective,
     StepRule,
     exact_line_search,
+    fw_gap_at,
     grad_floor_quadratic,
     reference_optimum,
     run_fw,
     short_step,
 )
+from ucfw import solver
 from ucfw.experiments import fit_loglog_slope, problem_constants, x_init_for
+from ucfw.geometry import lp_norm
 
 
 class TestShortStep:
@@ -209,3 +213,91 @@ class TestReferenceOptimum:
         x_star, f_star = reference_optimum(ball, f, np.array([0.0, 1.0]), 10_000)
         assert np.linalg.norm(x_star - [1.0, 0.0]) <= 1e-5
         assert f_star == pytest.approx(0.5, abs=1e-9)
+
+
+def _bisection_optimum(a, x0, p, r):
+    """min 1/2 sum a_i (x_i - x0_i)^2 over ||x||_p <= r by nested bisection:
+    for a multiplier mu each |x_i| solves a_i (|x0_i| - y) = mu y^(p-1);
+    sum y(mu)^p falls in mu, so bisect log mu until sum y^p = r^p."""
+    b = np.abs(x0)
+
+    def magnitudes(mu):
+        lo, hi = np.zeros_like(b), b.copy()
+        while True:
+            mid = 0.5 * (lo + hi)
+            if np.all((hi - lo <= 4e-16 * hi) | (mid == lo) | (mid == hi)):
+                return lo
+            pos = a * (b - mid) > mu * mid ** (p - 1.0)
+            lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
+
+    t_lo, t_hi = -100.0, 100.0
+    while t_hi - t_lo > 1e-13:
+        t = 0.5 * (t_lo + t_hi)
+        if np.sum((magnitudes(np.exp(t)) / r) ** p) > 1.0:
+            t_lo = t
+        else:
+            t_hi = t
+    x = np.sign(x0) * magnitudes(np.exp(t_hi))
+    return x, 0.5 * float(np.dot(a, (x - x0) ** 2))
+
+
+class TestKKTReference:
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 3.0, 10.0, 20.0])
+    @pytest.mark.parametrize("d", [2, 8, 100, 1000])
+    def test_matches_bisection(self, p, d):
+        rng = np.random.default_rng([int(10 * p), d])
+        a = np.exp(rng.uniform(0.0, np.log(100.0), d))
+        x0 = rng.standard_normal(d)
+        x0[2:][rng.random(d - 2) < 0.2] = 0.0  # zero coordinates stay zero
+        r = rng.uniform(0.5, 2.0)
+        x0 *= rng.uniform(1.5, 4.0) * r / lp_norm(x0, p)
+        ball = LpBall(p=p, radius=r, dim=d)
+        f = QuadraticObjective(A=a, x0=x0)
+        x_star, f_star = reference_optimum(ball, f, x_init_for(ball, 0), 10)
+        _, f_bis = _bisection_optimum(a, x0, p, r)
+        assert abs(f_star - f_bis) <= 1e-12 * f_bis
+        assert f_star == f.value(x_star)
+        assert ball.membership_excess(x_star) <= 0.0
+        assert np.all(x_star[x0 == 0.0] == 0.0)
+        assert fw_gap_at(ball, f, x_star) <= 1e-12 * f_star
+
+    def test_interior_returns_x0(self):
+        ball = LpBall(p=3.0, radius=2.0, dim=3)
+        f = QuadraticObjective(A=np.array([1.0, 2.0, 3.0]), x0=np.array([0.5, -1.0, 0.0]))
+        x_star, f_star = reference_optimum(ball, f, np.array([2.0, 0.0, 0.0]), 10)
+        np.testing.assert_array_equal(x_star, f.x0)
+        assert f_star == 0.0
+        assert fw_gap_at(ball, f, x_star) == 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
+    def test_single_axis_closed_form(self, p):
+        ball = LpBall(p=p, radius=5.0, dim=4)
+        f = QuadraticObjective(A=np.array([2.0, 1.0, 3.0, 4.0]), x0=np.array([0.0, -15.0, 0.0, 0.0]))
+        x_star, f_star = reference_optimum(ball, f, x_init_for(ball, 0), 10)
+        np.testing.assert_array_equal(x_star, [0.0, -5.0, 0.0, 0.0])
+        assert f_star == 0.5 * 1.0 * 10.0**2
+        assert fw_gap_at(ball, f, x_star) == 0.0
+
+    def test_non_finite_input_refused(self):
+        ball = LpBall(p=3.0, radius=1.0, dim=2)
+        f = QuadraticObjective(A=np.ones(2), x0=np.array([np.nan, 2.0]))
+        with pytest.raises(InvalidParams):
+            reference_optimum(ball, f, np.array([1.0, 0.0]), 10)
+
+    def test_l1_ball_and_full_matrix_use_fw_fallback(self, monkeypatch):
+        def no_kkt(*args):
+            raise AssertionError("KKT path taken")
+
+        monkeypatch.setattr(solver, "_lp_ball_quadratic_optimum", no_kkt)
+        diamond = L1Ball(radius=1.0, dim=2)
+        f = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 1.0]))
+        x_star, f_star = reference_optimum(diamond, f, np.array([1.0, 0.0]), 10_000)
+        np.testing.assert_allclose(x_star, [1.0, 0.0], atol=1e-9)
+        assert f_star == pytest.approx(1.0, abs=1e-9)
+
+        ball = LpBall(p=3.0, radius=1.0, dim=3)
+        x0 = np.array([2.0, -1.0, 0.5])
+        full = QuadraticObjective(A=np.diag([1.0, 2.0, 3.0]), x0=x0)
+        _, f_full = reference_optimum(ball, full, x_init_for(ball, 0), 10_000)
+        _, f_exact = _bisection_optimum(np.array([1.0, 2.0, 3.0]), x0, 3.0, 1.0)
+        assert f_full == pytest.approx(f_exact, rel=1e-6)
