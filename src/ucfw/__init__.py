@@ -61,7 +61,6 @@ from .online import (
     adversarial_stream,
     drifting_mean_stream,
     fixed_stream,
-    ftl_step,
     run_ftl,
     theorem4_bound,
 )

@@ -3,7 +3,7 @@
 Verbs: ``solve --config``, ``suite <tag>``, ``verify --set --check``,
 ``online --config``.  The environment variable ``UCFW_SEED`` overrides every
 config seed.  Exit codes: 0 all checks pass, 1 a check reported a violation,
-2 config or runtime error.
+2 config or runtime error, reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -184,6 +184,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # any other failure is a runtime error too: exit 1 means a violation
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

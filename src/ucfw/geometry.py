@@ -89,7 +89,8 @@ def _batch_lp_norm(X: np.ndarray, p: float) -> np.ndarray:
 
 
 def lmo_lp(p: float, r: float, phi: np.ndarray) -> np.ndarray:
-    """Maximize ``<phi, v>`` over the lp ball of radius ``r`` (p > 1).
+    """Maximize ``<phi, v>`` over the lp ball of radius ``r`` (p > 1), for
+    each vector along the last axis of ``phi``.
 
     Closed form from Hoelder equality:
     ``v_i = r sign(phi_i) |phi_i|^(p*-1) / ||phi||_{p*}^(p*-1)``, which
@@ -99,30 +100,42 @@ def lmo_lp(p: float, r: float, phi: np.ndarray) -> np.ndarray:
         raise InvalidParams(f"lmo_lp requires p > 1, got {p}")
     phi = np.asarray(phi, dtype=float)
     a = np.abs(phi)
-    m = a.max(initial=0.0)
-    if m == 0.0:
+    m = a.max(axis=-1, keepdims=True, initial=0.0)
+    if np.count_nonzero(m) < m.size:
         raise ZeroDirection("lmo_lp called with phi = 0")
     pstar = dual_exponent(p)
     # the formula is scale-invariant in phi; normalizing by the max entry
     # keeps the exponentials in range for extreme p
     w = (a / m) ** (pstar - 1.0)
-    denom = float(np.sum(w**p) ** (1.0 / p))
-    return (r / denom) * _sign(phi) * w
+    sums = (w**p).sum(axis=-1)
+    # numpy's array power may be a SIMD routine that differs in the last bit
+    # from the C library's pow, which a numpy scalar and a Python float use;
+    # a batch takes its roots one at a time so each row equals the
+    # single-vector result exactly
+    if sums.ndim == 0:
+        scale = r / float(sums ** (1.0 / p))
+    else:
+        roots = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()])
+        scale = r / roots.reshape(sums.shape + (1,))
+    return scale * _sign(phi) * w
 
 
 def lmo_l1(r: float, phi: np.ndarray) -> np.ndarray:
-    """Maximize ``<phi, v>`` over the l1 ball: a signed scaled basis vector.
+    """Maximize ``<phi, v>`` over the l1 ball, for each vector along the
+    last axis of ``phi``: a signed scaled basis vector.
 
     Ties on ``|phi_i|`` break to the lowest index.
     """
     phi = np.asarray(phi, dtype=float)
-    a = np.abs(phi)
-    if a.max(initial=0.0) == 0.0:
+    rows = phi.reshape(-1, phi.shape[-1])
+    k = np.arange(len(rows))
+    i = np.argmax(np.abs(rows), axis=1)  # argmax returns the first maximizer
+    top = rows[k, i]
+    if np.count_nonzero(top) < top.size:
         raise ZeroDirection("lmo_l1 called with phi = 0")
-    i = int(np.argmax(a))  # argmax returns the first maximizer
-    v = np.zeros_like(phi)
-    v[i] = r * _sign(phi[i])
-    return v
+    v = np.zeros_like(rows)
+    v[k, i] = r * _sign(top)
+    return v.reshape(phi.shape)
 
 
 def lmo_schatten(p: float, r: float, G: np.ndarray) -> np.ndarray:
@@ -175,7 +188,8 @@ def lp_ball_uc_params(p: float, r: float, norm_tag: str) -> UCParams:
     continuous with the q = 2 branch at p = 2 and survives adversarial
     search for violations; larger folklore constants such as 1/p do not.)
     """
-    if p <= 1.0:
+    if p <= 1.0 or np.isinf(p):
+        # p = 1 and p = inf balls are polytopes
         raise NotUniformlyConvex(f"p = {p} ball is not uniformly convex")
     if p <= 2.0:
         return UCParams(alpha=(p - 1.0) / (2.0 * r), q=2.0, norm_tag=norm_tag)
@@ -241,6 +255,17 @@ class FeasibleSet:
     def lmo(self, phi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def batch_dual_norm(self, Phi: np.ndarray) -> np.ndarray:
+        """Dual norms of the rows of a 2-D array."""
+        return np.array([self.dual_norm(phi) for phi in Phi], dtype=float)
+
+    def batch_lmo(self, Phi: np.ndarray) -> np.ndarray:
+        """The LMO applied to each row of a 2-D array, rows stacked."""
+        out = np.empty(np.shape(Phi))
+        for i, phi in enumerate(Phi):
+            out[i] = self.lmo(phi)
+        return out
+
     def membership_excess(self, x: np.ndarray) -> float:
         """How far the defining inequality is exceeded (<= 0 means inside)."""
         raise NotImplementedError
@@ -289,8 +314,14 @@ class LpBall(FeasibleSet):
     def dual_norm(self, phi):
         return lp_norm(phi, dual_exponent(self.p))
 
+    def batch_dual_norm(self, Phi):
+        return _batch_lp_norm(Phi, dual_exponent(self.p))
+
     def lmo(self, phi):
         return lmo_lp(self.p, self.radius, phi)
+
+    def batch_lmo(self, Phi):
+        return lmo_lp(self.p, self.radius, Phi)
 
     def membership_excess(self, x):
         return self.norm(x) - self.radius
@@ -323,8 +354,14 @@ class L1Ball(FeasibleSet):
     def dual_norm(self, phi):
         return lp_norm(phi, np.inf)
 
+    def batch_dual_norm(self, Phi):
+        return _batch_lp_norm(Phi, np.inf)
+
     def lmo(self, phi):
         return lmo_l1(self.radius, phi)
+
+    def batch_lmo(self, Phi):
+        return lmo_l1(self.radius, Phi)
 
     def membership_excess(self, x):
         return self.norm(x) - self.radius

@@ -1,9 +1,11 @@
 """Follow-The-Leader for online linear optimization over uniformly convex
 decision sets, with exact regret accounting and regret bound curves.
 
-Each round plays the minimizer of the cumulative past losses, one LMO call
-per round; the best-in-hindsight comparator is likewise exact via a single
-LMO on the negated cumulative loss vector.
+Each round plays the minimizer of the cumulative past losses.  That
+minimizer, one LMO on the negated cumulative loss vector, is also the
+best fixed action in hindsight for the rounds so far, so one LMO per round
+gives both the next action and the exact regret.  Rounds are computed in
+blocks of rows with batched oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParams, ZeroDirection
+from .errors import ConfigError, InvalidParams
 from .geometry import FeasibleSet
 
 __all__ = [
@@ -22,13 +24,16 @@ __all__ = [
     "drifting_mean_stream",
     "adversarial_stream",
     "OnlineTrace",
-    "ftl_step",
     "run_ftl",
     "theorem4_bound",
     "stream_from_json",
 ]
 
 _X1_SEED = 71521  # first-action direction; FTL's x1 is unspecified, any O(1) choice works
+# rows per block in run_ftl and OnlineTrace.to_csv: large enough to amortise
+# numpy's per-call cost, small enough (16 KiB per scratch array at d = 8) that
+# the scratch arrays do not raise the process's peak memory
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -101,31 +106,6 @@ def stream_from_json(desc: dict) -> LossStream:
     raise ConfigError(f"unknown stream tag {desc.get('tag')!r}")
 
 
-def ftl_step(
-    feasible: FeasibleSet,
-    cumulative: np.ndarray,
-    t: int,
-    x1_policy: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, bool]:
-    """The FTL action for round t given the cumulative loss vector of the
-    previous rounds.
-
-    Returns (action, fallback) where fallback marks a zero cumulative vector
-    at t >= 2, resolved by the first-action policy.
-    """
-    if t < 1:
-        raise InvalidParams("rounds start at t = 1")
-    if x1_policy is None:
-        rng = np.random.default_rng(_X1_SEED)
-        x1_policy = feasible.lmo(rng.standard_normal(feasible.dim))
-    if t == 1:
-        return np.asarray(x1_policy, dtype=float), False
-    try:
-        return feasible.lmo(-np.asarray(cumulative, dtype=float)), False
-    except ZeroDirection:
-        return np.asarray(x1_policy, dtype=float), True
-
-
 @dataclass
 class OnlineTrace:
     """Per-round FTL record with exact running regret.
@@ -155,22 +135,24 @@ class OnlineTrace:
         return theorem4_bound(alpha, q, self.M_loss, self.L_T, self.t)
 
     def to_csv(self, path, bound: Optional[np.ndarray] = None) -> None:
-        import csv
-
-        header = ["t", "loss", "cum_grad_dual_norm", "regret"]
+        columns = [self.t, self.loss, self.cum_grad_dual_norm, self.regret]
+        header = "t,loss,cum_grad_dual_norm,regret"
         if bound is not None:
-            header.append("bound")
+            columns.append(bound)
+            header += ",bound"
+        # "%r" of a float is its repr, and no such field needs csv quoting
+        row = "%d" + ",%r" * (len(columns) - 1) + "\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = [
-                    int(self.t[i]), repr(float(self.loss[i])),
-                    repr(float(self.cum_grad_dual_norm[i])), repr(float(self.regret[i])),
-                ]
-                if bound is not None:
-                    row.append(repr(float(bound[i])))
-                writer.writerow(row)
+            fh.write(header + "\n")
+            for lo in range(0, len(self), _BLOCK):
+                block = zip(*(c[lo : lo + _BLOCK].tolist() for c in columns))
+                fh.write("".join(row % r for r in block))
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<A_i, B_i> for each row i, each summed as ``np.dot`` sums one pair of
+    vectors, so batched rounds add up exactly like single ones."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def run_ftl(
@@ -180,12 +162,18 @@ def run_ftl(
     x1_policy: Optional[np.ndarray] = None,
 ) -> OnlineTrace:
     """Play FTL for T rounds, recording losses, L_T, and exact regret at
-    every round."""
+    every round.
+
+    With S_t the cumulative loss vector after round t, V_t = lmo(-S_t) is
+    both round t+1's action and the hindsight optimum of rounds 1..t, so
+    regret_t = sum_{s<=t} <c_s, x_s> - <S_t, V_t>.  A zero S_t makes round
+    t+1 play ``x1_policy`` and is listed in ``fallback_rounds``.
+    """
     if T < 1:
         raise InvalidParams("T must be >= 1")
+    if stream.dim != feasible.dim:
+        raise ConfigError(f"stream dim {stream.dim} does not match set dim {feasible.dim}")
     C = stream.materialize(T)
-    dual_norms = np.array([feasible.dual_norm(c) for c in C])
-    M_loss = float(dual_norms.max())
 
     if x1_policy is None:
         rng = np.random.default_rng(_X1_SEED)
@@ -193,44 +181,44 @@ def run_ftl(
     x1_policy = np.asarray(x1_policy, dtype=float)
 
     actions = np.empty_like(C)
+    actions[0] = x1_policy
     losses = np.empty(T)
     avg_dual = np.empty(T)
-    regret = np.empty(T)
+    hindsight = np.empty(T)
+    loss_dual = np.empty(T)
     fallback_rounds: list[int] = []
 
-    cumulative = np.zeros(stream.dim)
-    cum_loss = 0.0
-    for i in range(T):
-        t = i + 1
-        if t == 1:
-            x = x1_policy
-        else:
-            try:
-                x = feasible.lmo(-cumulative)
-            except ZeroDirection:
-                x = x1_policy
-                fallback_rounds.append(t)
-        c = C[i]
-        actions[i] = x
-        losses[i] = np.dot(c, x)
-        cum_loss += losses[i]
-        cumulative = cumulative + c
-        avg_dual[i] = feasible.dual_norm(cumulative / t)
-        try:
-            hindsight = float(np.dot(cumulative, feasible.lmo(-cumulative)))
-        except ZeroDirection:
-            hindsight = 0.0
-        regret[i] = cum_loss - hindsight
+    carry = np.zeros(stream.dim)
+    for lo in range(0, T, _BLOCK):
+        hi = min(lo + _BLOCK, T)
+        # S[i] = S_{lo+i+1}, summed in the same order as a running sum
+        S = C[lo:hi].copy()
+        S[0] += carry
+        np.cumsum(S, axis=0, out=S)
+        carry = S[-1].copy()
+
+        nonzero = S.any(axis=1)
+        V = np.empty_like(S)
+        V[nonzero] = feasible.batch_lmo(-S[nonzero])
+        V[~nonzero] = x1_policy  # S = 0 there, so the hindsight term is 0
+        hindsight[lo:hi] = _row_dots(S, V)
+        n_next = min(hi, T - 1) - lo  # rows whose next round exists
+        actions[lo + 1 : lo + 1 + n_next] = V[:n_next]
+        fallback_rounds.extend((lo + 2 + np.flatnonzero(~nonzero[:n_next])).tolist())
+
+        losses[lo:hi] = _row_dots(C[lo:hi], actions[lo:hi])
+        avg_dual[lo:hi] = feasible.batch_dual_norm(S / np.arange(lo + 1, hi + 1)[:, None])
+        loss_dual[lo:hi] = feasible.batch_dual_norm(C[lo:hi])
 
     L_T = float(avg_dual.min())
     return OnlineTrace(
         t=np.arange(1, T + 1),
         loss=losses,
         cum_grad_dual_norm=avg_dual,
-        regret=regret,
+        regret=np.cumsum(losses) - hindsight,
         actions=actions,
         losses_vectors=C,
-        M_loss=M_loss,
+        M_loss=float(loss_dual.max()),
         L_T=L_T,
         degenerate=L_T <= 0.0,
         fallback_rounds=fallback_rounds,

@@ -102,6 +102,41 @@ class TestOnlineVerb:
         assert manifest["regret_ok"] is True
         assert (out / "online.csv").exists()
 
+    def test_stream_dim_mismatch_is_config_error(self, tmp_path, capsys):
+        config = dict(self.CONFIG, set={"family": "lp", "p": 2.0, "radius": 1.0, "dim": 3},
+                      stream=dict(self.CONFIG["stream"], base=[1.0, 0.0]))
+        code = main(["online", "--config", json.dumps(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "dim 2" in err and "dim 3" in err
+
+    @pytest.mark.parametrize(
+        "set_desc",
+        [
+            {"family": "levelset", "kind": "sqnorm", "w": 1.0, "dim": 4},  # no LMO
+            {"family": "lp", "p": 2000, "radius": 1.0, "dim": 4},  # alpha overflows
+        ],
+        ids=["levelset", "p2000"],
+    )
+    def test_runtime_error_exits_2_without_traceback(self, tmp_path, capsys, set_desc):
+        config = dict(self.CONFIG, set=set_desc)
+        code = main(["online", "--config", json.dumps(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_linf_ball_runs_without_bound(self, tmp_path, capsys):
+        config = dict(self.CONFIG, set={"family": "lp", "p": "inf", "radius": 1.0, "dim": 4})
+        out = tmp_path / "o"
+        code = main(["online", "--config", json.dumps(config), "--out", str(out)])
+        assert code == EXIT_OK
+        manifest = json.loads(capsys.readouterr().out)
+        assert "regret_ok" not in manifest
+        header = (out / "online.csv").read_text().splitlines()[0]
+        assert header == "t,loss,cum_grad_dual_norm,regret"
+
 
 class TestEnvSeed:
     def test_overrides_verify_seed(self, capsys, monkeypatch):

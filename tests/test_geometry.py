@@ -165,6 +165,12 @@ class TestCatalog:
             L1Ball(radius=1.0, dim=3).uc_params()
         assert L1Ball(radius=1.0, dim=3).uc is None
 
+    def test_linf_not_uniformly_convex(self):
+        # the l-infinity ball is a polytope (a cube)
+        with pytest.raises(NotUniformlyConvex):
+            lp_ball_uc_params(np.inf, 1.0, "lp:inf")
+        assert LpBall(p=np.inf, radius=1.0, dim=3).uc is None
+
     def test_levelset_params(self):
         uc = levelset_uc_params(mu=2.0, r_exp=2.0, L=2.0, w=2.0)
         assert uc.alpha == pytest.approx(2.0 / (2.0 * np.sqrt(8.0)))

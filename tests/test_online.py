@@ -1,49 +1,198 @@
 """Follow-The-Leader: actions, exact regret, and regret bound curves."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from ucfw import (
+    ConfigError,
+    FeasibleSet,
     InvalidParams,
+    L1Ball,
     LpBall,
+    ZeroDirection,
     adversarial_stream,
     drifting_mean_stream,
     fixed_stream,
-    ftl_step,
     run_ftl,
     theorem4_bound,
 )
 from ucfw.experiments import fit_loglog_slope
 from ucfw.geometry import dual_exponent, lp_norm
-from ucfw.online import stream_from_json
+from ucfw.online import _BLOCK, OnlineTrace, stream_from_json
+
+
+class OraclesOnly(FeasibleSet):
+    """A set with only the single-vector oracles, so batched callers go
+    through the base class's row loops."""
+
+    def __init__(self, ball):
+        self.ball, self.dim, self.radius = ball, ball.dim, ball.radius
+
+    def lmo(self, phi):
+        return self.ball.lmo(phi)
+
+    def dual_norm(self, phi):
+        return self.ball.dual_norm(phi)
+
+    def descriptor(self):
+        return {"family": "oracles-only"}
+
+
+def per_round_ftl(feasible, C, x1):
+    """Reference FTL, one round at a time: two LMO calls per round."""
+    T = len(C)
+    actions, loss = np.empty_like(C), np.empty(T)
+    avg_dual, regret = np.empty(T), np.empty(T)
+    fallback_rounds = []
+    cumulative, cum_loss = np.zeros(C.shape[1]), 0.0
+    for i in range(T):
+        t = i + 1
+        x = x1
+        if t > 1:
+            try:
+                x = feasible.lmo(-cumulative)
+            except ZeroDirection:
+                fallback_rounds.append(t)
+        actions[i] = x
+        loss[i] = np.dot(C[i], x)
+        cum_loss += loss[i]
+        cumulative = cumulative + C[i]
+        avg_dual[i] = feasible.dual_norm(cumulative / t)
+        try:
+            hindsight = float(np.dot(cumulative, feasible.lmo(-cumulative)))
+        except ZeroDirection:
+            hindsight = 0.0
+        regret[i] = cum_loss - hindsight
+    M_loss = max(feasible.dual_norm(c) for c in C)
+    return actions, loss, avg_dual, regret, M_loss, fallback_rounds
+
+
+def assert_matches_per_round(feasible, C):
+    x1 = feasible.lmo(np.linspace(1.0, -0.5, feasible.dim))
+    trace = run_ftl(feasible, fixed_stream(C), len(C), x1_policy=x1)
+    actions, loss, avg_dual, regret, M_loss, fallback_rounds = per_round_ftl(feasible, C, x1)
+    for got, ref in [
+        (trace.actions, actions), (trace.loss, loss), (trace.cum_grad_dual_norm, avg_dual),
+        (trace.regret, regret), (trace.M_loss, M_loss), (trace.L_T, avg_dual.min()),
+    ]:
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert trace.fallback_rounds == fallback_rounds
+    return trace
+
+
+FTL_SETS = {
+    "p1.5": LpBall(p=1.5, radius=1.0, dim=5),
+    "p2": LpBall(p=2.0, radius=1.0, dim=5),
+    "p3": LpBall(p=3.0, radius=2.0, dim=5),
+    "p5": LpBall(p=5.0, radius=1.0, dim=5),
+    "pinf": LpBall(p=np.inf, radius=1.0, dim=5),
+    "l1": L1Ball(radius=1.0, dim=5),
+    "oracles-only": OraclesOnly(LpBall(p=3.0, radius=1.0, dim=5)),
+}
+LMO_SETS = dict(
+    FTL_SETS, p50=LpBall(p=50.0, radius=3.0, dim=5), p1_01=LpBall(p=1.01, radius=1.0, dim=5)
+)
 
 
 class TestFtlStep:
+    """The action FTL plays in a given round."""
+
     def test_locks_onto_constant_stream(self):
         ball = LpBall(p=2.0, radius=1.0, dim=3)
         c = np.array([1.0, 2.0, -1.0])
         best = ball.lmo(-c)
+        trace = run_ftl(ball, fixed_stream(np.tile(c, (50, 1))), 50)
         for t in (2, 5, 50):
-            action, fallback = ftl_step(ball, (t - 1) * c, t)
-            assert not fallback
-            np.testing.assert_allclose(action, best, atol=1e-12)
+            assert t not in trace.fallback_rounds
+            np.testing.assert_allclose(trace.actions[t - 1], best, atol=1e-12)
 
     def test_two_round_euclidean(self):
         ball = LpBall(p=2.0, radius=1.0, dim=2)
-        cumulative = np.array([1.0, 0.0]) + np.array([0.0, 1.0])
-        action, _ = ftl_step(ball, cumulative, 3)
-        np.testing.assert_allclose(action, [-1 / np.sqrt(2)] * 2, rtol=1e-12)
+        losses = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        trace = run_ftl(ball, fixed_stream(losses), 3)
+        np.testing.assert_allclose(trace.actions[2], [-1 / np.sqrt(2)] * 2, rtol=1e-12)
 
     def test_zero_cumulative_falls_back(self):
         ball = LpBall(p=2.0, radius=1.0, dim=2)
         x1 = np.array([0.0, 1.0])
-        action, fallback = ftl_step(ball, np.zeros(2), 4, x1_policy=x1)
-        assert fallback
-        np.testing.assert_allclose(action, x1)
+        losses = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [2.0, 3.0]])
+        trace = run_ftl(ball, fixed_stream(losses), 4, x1_policy=x1)
+        assert trace.fallback_rounds == [4]
+        np.testing.assert_allclose(trace.actions[3], x1)
 
     def test_rounds_start_at_one(self):
         with pytest.raises(InvalidParams):
-            ftl_step(LpBall(p=2.0, radius=1.0, dim=2), np.zeros(2), 0)
+            run_ftl(LpBall(p=2.0, radius=1.0, dim=2), fixed_stream(np.zeros((1, 2))), 0)
+
+
+class TestBatchedFtl:
+    """run_ftl's blocked pass against the per-round loop above."""
+
+    @pytest.mark.parametrize("T", [1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("name", list(FTL_SETS))
+    def test_matches_per_round(self, name, T):
+        base = np.array([1.0, 0.3, 0.0, -0.2, 0.0])
+        C = adversarial_stream(base, 0.5, seed=T).materialize(T)
+        assert_matches_per_round(FTL_SETS[name], C)
+
+    @pytest.mark.parametrize("name", list(FTL_SETS))
+    def test_fallback_across_block_edge(self, name):
+        # the cumulative loss vector is zero after rounds 1023 and 1024, and
+        # round 1024 ends a block, so the second fallback crosses a block edge
+        assert 1024 % _BLOCK == 0
+        rng = np.random.default_rng(8)
+        C = rng.integers(-2, 3, size=(1500, 5)).astype(float)
+        C[0] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        C[1022] = -C[:1022].sum(axis=0)
+        C[1023] = 0.0
+        trace = assert_matches_per_round(FTL_SETS[name], C)
+        assert trace.fallback_rounds == [1024, 1025]
+
+    def test_stream_dim_must_match_set(self):
+        with pytest.raises(ConfigError, match="2.*3"):
+            run_ftl(LpBall(p=2.0, radius=1.0, dim=3), fixed_stream(np.ones((4, 2))), 4)
+
+    @pytest.mark.parametrize("name", list(LMO_SETS))
+    def test_batch_lmo_is_lmo_per_row(self, name):
+        feasible = LMO_SETS[name]
+        rng = np.random.default_rng(3)
+        Phi = rng.standard_normal((400, 5)) * rng.choice([1e-150, 1e-3, 1.0, 1e4, 1e150], (400, 1))
+        Phi[::3, 1] = 0.0
+        Phi[::5] = np.round(Phi[::5] * 1e-150) + 1.0  # ties
+        V = feasible.batch_lmo(Phi)
+        rows = np.array([feasible.lmo(phi) for phi in Phi])
+        assert V.view(np.uint64).tolist() == rows.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("name", ["p3", "l1", "oracles-only"])
+    def test_batch_lmo_zero_row(self, name):
+        Phi = np.array([[1.0, 0.0, 0.0, 0.0, 2.0], [0.0] * 5])
+        with pytest.raises(ZeroDirection):
+            FTL_SETS[name].batch_lmo(Phi)
+
+
+class TestToCsv:
+    @pytest.mark.parametrize("with_bound", [False, True])
+    def test_bytes_match_csv_writer(self, tmp_path, with_bound):
+        T = 2500
+        rng = np.random.default_rng(4)
+        cols = rng.standard_normal((4, T)) * 10.0 ** rng.integers(-300, 300, (4, T))
+        cols[:, :6] = [[0.0, -0.0, np.inf, -np.inf, np.nan, 1e22]] * 4
+        trace = OnlineTrace(
+            t=np.arange(1, T + 1), loss=cols[0], cum_grad_dual_norm=cols[1], regret=cols[2],
+            actions=np.zeros((T, 1)), losses_vectors=np.zeros((T, 1)),
+            M_loss=1.0, L_T=1.0, degenerate=False,
+        )
+        bound = cols[3] if with_bound else None
+        trace.to_csv(tmp_path / "got.csv", bound=bound)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["t", "loss", "cum_grad_dual_norm", "regret"] + (["bound"] if with_bound else []))
+            for i in range(T):
+                row = [int(trace.t[i])] + [repr(float(c[i])) for c in cols[: 4 if with_bound else 3]]
+                writer.writerow(row)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestRunFtl:
