@@ -18,7 +18,6 @@ from . import experiments as ex
 from . import verify as vf
 from .errors import ConfigError, UCFWError
 from .geometry import LpBall, set_from_json
-from .objectives import grad_floor_quadratic
 from .solver import StepRule, reference_optimum, run_fw
 
 EXIT_OK = 0
@@ -106,7 +105,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = vf.check_lemma1(feasible, uc, f, cfg)
     elif args.check in ("local_scaling", "lemma3"):
         f = _verify_objective(feasible)
-        f.grad_floor = grad_floor_quadratic(f, feasible)
         x_init = ex.x_init_for(feasible, seed)
         x_star, f_star = reference_optimum(feasible, f, x_init, 50_000, stop_gap=1e-13)
         if args.check == "local_scaling":

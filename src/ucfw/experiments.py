@@ -399,10 +399,12 @@ def catalog_sets() -> list[tuple[str, FeasibleSet]]:
 
 
 def _ball_quadratic(feasible: FeasibleSet) -> QuadraticObjective:
+    """1/2 ||x - x0||^2 with x0 three radii out along the ones direction,
+    declaring its analytic gradient floor over the lp ball."""
     dim = feasible.dim
-    scale = 3.0 * getattr(feasible, "radius", 1.0)
-    x0 = np.ones(dim) * (scale / np.sqrt(dim))
-    return QuadraticObjective(A=np.ones(dim), x0=x0)
+    x0 = np.ones(dim) * (3.0 * feasible.radius / np.sqrt(dim))
+    plain = QuadraticObjective(A=np.ones(dim), x0=x0)
+    return QuadraticObjective(A=plain.A, x0=x0, grad_floor=grad_floor_quadratic(plain, feasible))
 
 
 def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: int = 50) -> dict:
@@ -430,7 +432,6 @@ def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: in
     # local scaling + distance control on a curved-optimum l3 problem
     ball3 = LpBall(p=3.0, radius=1.0, dim=8)
     f3 = _ball_quadratic(ball3)
-    f3.grad_floor = grad_floor_quadratic(f3, ball3)
     x_init = x_init_for(ball3, seed)
     x_star, f_star = reference_optimum(ball3, f3, x_init, 50_000, stop_gap=1e-13)
     uc3 = ball3.uc_params()

@@ -12,6 +12,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,6 +36,19 @@ __all__ = [
     "levelset_uc_params",
     "set_from_json",
 ]
+
+
+# rows per block wherever a per-row loop is batched (run_fw's bookkeeping,
+# run_ftl, the CSV writers): large enough to amortise numpy's per-call cost,
+# small enough (16 KiB per scratch array at d = 8) that the scratch arrays do
+# not raise the process's peak memory
+_BLOCK = 256
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<A_i, B_i> for each row i, each summed as ``np.dot`` sums one pair of
+    vectors, so batched rows add up exactly like single ones."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -161,6 +175,9 @@ def lmo_schatten(p: float, r: float, G: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_LOG_TINY = math.log(np.finfo(float).tiny)  # smallest normal double
+
+
 @dataclass(frozen=True)
 class UCParams:
     """(alpha, q) uniform-convexity parameters, stated against ``norm_tag``."""
@@ -193,9 +210,20 @@ def lp_ball_uc_params(p: float, r: float, norm_tag: str) -> UCParams:
         raise NotUniformlyConvex(f"p = {p} ball is not uniformly convex")
     if p <= 2.0:
         return UCParams(alpha=(p - 1.0) / (2.0 * r), q=2.0, norm_tag=norm_tag)
-    return UCParams(
-        alpha=1.0 / (p * 2.0 ** (p - 2.0) * r ** (p - 1.0)), q=p, norm_tag=norm_tag
-    )
+    log_two, log_r = (p - 2.0) * math.log(2.0), (p - 1.0) * math.log(r)
+    log_alpha = -(math.log(p) + log_two + log_r)
+    if not _LOG_TINY <= log_alpha <= -_LOG_TINY:
+        raise InvalidParams(
+            f"alpha = exp({log_alpha:.6g}) of the p = {p}, radius {r} ball is outside the double range"
+        )
+    if max(log_two, abs(log_r)) < 700.0:
+        # every factor and partial product is a normal double (700 leaves
+        # room for the factor p): the direct product, which rounds like the
+        # constants published so far
+        alpha = 1.0 / (p * 2.0 ** (p - 2.0) * r ** (p - 1.0))
+    else:
+        alpha = math.exp(log_alpha)
+    return UCParams(alpha=alpha, q=p, norm_tag=norm_tag)
 
 
 def levelset_uc_params(mu: float, r_exp: float, L: float, w: float) -> UCParams:
@@ -246,8 +274,9 @@ class FeasibleSet:
         raise NotImplementedError
 
     def batch_norm(self, X: np.ndarray) -> np.ndarray:
-        """Norms of points stacked along the first axes."""
-        raise NotImplementedError
+        """Norms of points stacked along the first axes; the base class
+        takes the rows of a 2-D array one at a time."""
+        return np.array([self.norm(x) for x in X], dtype=float)
 
     def dual_norm(self, phi: np.ndarray) -> float:
         raise NotImplementedError
@@ -271,7 +300,9 @@ class FeasibleSet:
         raise NotImplementedError
 
     def batch_membership_excess(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Membership excess of points stacked along the first axes; the
+        base class takes the rows of a 2-D array one at a time."""
+        return np.array([self.membership_excess(x) for x in X], dtype=float)
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         return self.membership_excess(x) <= tol

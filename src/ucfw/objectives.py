@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import FeasibleSet, L1Ball, LpBall, dual_exponent
+from .geometry import FeasibleSet, L1Ball, LpBall, _row_dots, dual_exponent
 
 __all__ = [
     "HEBDescriptor",
@@ -69,6 +69,11 @@ class SmoothObjective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def batch_value(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of a 2-D array; the base class evaluates them
+        one at a time."""
+        return np.array([self.value(x) for x in X], dtype=float)
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -77,10 +82,12 @@ class QuadraticObjective(SmoothObjective):
     """f(x) = 1/2 (x - x0)^T A (x - x0) with symmetric positive definite A.
 
     ``A`` may be given as a 1-D array (diagonal) or a full matrix; ``x0`` is
-    the unconstrained minimizer.
+    the unconstrained minimizer.  ``grad_floor`` is a declared lower bound on
+    the dual gradient norm over the feasible set (see
+    :func:`grad_floor_quadratic`), or None.
     """
 
-    def __init__(self, A: np.ndarray, x0: np.ndarray):
+    def __init__(self, A: np.ndarray, x0: np.ndarray, grad_floor: Optional[float] = None):
         A = np.asarray(A, dtype=float)
         self.x0 = np.asarray(x0, dtype=float)
         self.diagonal = A.ndim == 1
@@ -98,7 +105,7 @@ class QuadraticObjective(SmoothObjective):
         self.L = float(self._eigs[-1])
         self.mu_sc = float(self._eigs[0])
         self.heb = heb_from_uniform_convexity(self.mu_sc, 2.0)
-        self.grad_floor = None
+        self.grad_floor = grad_floor
 
     @property
     def lambda_min(self) -> float:
@@ -117,6 +124,13 @@ class QuadraticObjective(SmoothObjective):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._apply(np.asarray(x, dtype=float) - self.x0)
+
+    def batch_value(self, X: np.ndarray) -> np.ndarray:
+        if not self.diagonal:
+            return super().batch_value(X)
+        D = np.asarray(X, dtype=float) - self.x0
+        # summed row by row as value's np.dot sums, so the results are equal
+        return 0.5 * _row_dots(D, self.A * D)
 
     def curvature_along(self, d: np.ndarray) -> float:
         """d^T A d, used by the analytic exact line search."""

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import FeasibleSet
+from .geometry import _BLOCK, FeasibleSet, _row_dots
 
 __all__ = [
     "LossStream",
@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 _X1_SEED = 71521  # first-action direction; FTL's x1 is unspecified, any O(1) choice works
-# rows per block in run_ftl and OnlineTrace.to_csv: large enough to amortise
-# numpy's per-call cost, small enough (16 KiB per scratch array at d = 8) that
-# the scratch arrays do not raise the process's peak memory
-_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -78,17 +74,29 @@ class LossStream:
 
 
 def fixed_stream(losses: np.ndarray) -> LossStream:
+    """A stream that replays the rows of a (T, dim) array of finite losses."""
     losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 2 or losses.shape[1] < 1:
+        raise ConfigError(f"fixed losses must be a (T, dim) array of rows, got shape {losses.shape}")
+    if not np.all(np.isfinite(losses)):
+        raise ConfigError(f"fixed losses must be finite, got {np.count_nonzero(~np.isfinite(losses))} non-finite entries")
     return LossStream(tag="fixed", dim=losses.shape[1], losses=losses)
 
 
-def drifting_mean_stream(base, noise_scale: float, seed: int) -> LossStream:
+def _finite_base(base, scale: float) -> np.ndarray:
     base = np.asarray(base, dtype=float)
+    if base.ndim != 1 or base.size < 1 or not np.all(np.isfinite(base)) or not np.isfinite(scale):
+        raise ConfigError(f"a stream needs a finite 1-D base and a finite scale, got base shape {base.shape}, scale {scale}")
+    return base
+
+
+def drifting_mean_stream(base, noise_scale: float, seed: int) -> LossStream:
+    base = _finite_base(base, noise_scale)
     return LossStream(tag="drifting", dim=base.shape[0], base=base, noise_scale=noise_scale, seed=seed)
 
 
 def adversarial_stream(base, flip_scale: float, seed: int) -> LossStream:
-    base = np.asarray(base, dtype=float)
+    base = _finite_base(base, flip_scale)
     return LossStream(tag="adversarial", dim=base.shape[0], base=base, noise_scale=flip_scale, seed=seed)
 
 
@@ -147,12 +155,6 @@ class OnlineTrace:
             for lo in range(0, len(self), _BLOCK):
                 block = zip(*(c[lo : lo + _BLOCK].tolist() for c in columns))
                 fh.write("".join(row % r for r in block))
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """<A_i, B_i> for each row i, each summed as ``np.dot`` sums one pair of
-    vectors, so batched rounds add up exactly like single ones."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def run_ftl(

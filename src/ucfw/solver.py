@@ -1,5 +1,5 @@
 """The Frank-Wolfe loop with pluggable step-size strategies and full
-per-iteration tracing.
+per-iteration tracing, recorded in blocks of rows.
 
 One run is sequential; traces are value-semantic, so independent runs can
 execute concurrently without shared state.
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleStart, InvalidParams, UCFWError, ZeroDirection
-from .geometry import FeasibleSet, LpBall
+from .geometry import _BLOCK, FeasibleSet, LpBall
 from .objectives import QuadraticObjective, SmoothObjective
 
 __all__ = [
@@ -129,24 +129,21 @@ class RunTrace:
     def to_csv(self, path, extra_columns: Optional[dict] = None) -> None:
         """Write the canonical CSV; float cells use repr for byte stability."""
         extra = extra_columns or {}
-        header = [
-            "t", "gamma", "fw_gap", "min_fw_gap", "primal_gap",
-            "dist_to_vertex", "grad_dual_norm", *extra.keys(),
+        columns = [
+            self.t, self.gamma, self.fw_gap, self.min_fw_gap, self.primal_gap,
+            self.dist_to_vertex, self.grad_dual_norm,
+            *(np.asarray(col, dtype=float) for col in extra.values()),
         ]
-        min_gap = self.min_fw_gap
+        # "%r" of a float is its repr, and no such field needs csv quoting
+        row = "%d" + ",%r" * (len(columns) - 1) + "\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = [
-                    int(self.t[i]), repr(float(self.gamma[i])),
-                    repr(float(self.fw_gap[i])), repr(float(min_gap[i])),
-                    repr(float(self.primal_gap[i])),
-                    repr(float(self.dist_to_vertex[i])),
-                    repr(float(self.grad_dual_norm[i])),
-                ]
-                row.extend(repr(float(col[i])) for col in extra.values())
-                writer.writerow(row)
+            csv.writer(fh, lineterminator="\n").writerow([
+                "t", "gamma", "fw_gap", "min_fw_gap", "primal_gap",
+                "dist_to_vertex", "grad_dual_norm", *extra.keys(),
+            ])
+            for lo in range(0, len(self), _BLOCK):
+                block = zip(*(c[lo : lo + _BLOCK].tolist() for c in columns))
+                fh.write("".join(row % r for r in block))
 
     def write_sidecar(self, path) -> None:
         with open(path, "w") as fh:
@@ -169,53 +166,80 @@ def run_fw(
     Stops after T iterations or as soon as the Frank-Wolfe gap drops to
     ``stop_gap``.  When ``x_star``/``f_star`` are given the trace carries
     primal gaps.
+
+    Each iteration makes one gradient call, one LMO call and the step rule.
+    Everything else a trace row records (the feasibility guard, primal gap,
+    distance to the vertex and dual gradient norm) is computed in one
+    batched pass per block of ``_BLOCK`` rows, and at the stop, before the
+    trace is returned.  A NaN gap raises at once.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     x = np.array(x_init, dtype=float)
-    if feasible.membership_excess(x) > FEASIBILITY_TOL:
-        raise InfeasibleStart(f"x_init violates membership by {feasible.membership_excess(x):g}")
+    excess = feasible.membership_excess(x)
+    if not excess <= FEASIBILITY_TOL:  # also catches NaN
+        raise InfeasibleStart(f"x_init violates membership by {excess:g}")
     if f_star is None and x_star is not None:
         f_star = f.value(x_star)
 
-    ts, gammas, gaps, primals, dists, gnorms = [], [], [], [], [], []
-    xs, vs = [], []
+    # rows t = 0..T; an early stop leaves the tail of X and V untouched
+    X = np.empty((T + 1, *x.shape))
+    V = np.empty_like(X)
+    G = np.empty((_BLOCK, *x.shape))
+    gammas = np.zeros(T + 1)
+    gaps = np.empty(T + 1)
+    primals = np.full(T + 1, np.nan)
+    dists = np.empty(T + 1)
+    gnorms = np.empty(T + 1)
+
+    def settle(lo: int, hi: int) -> None:
+        """The batched part of rows lo..hi-1, whose gradients are G[:hi-lo]."""
+        _check_iterates(feasible, X[lo:hi], lo)
+        dists[lo:hi] = feasible.batch_norm(V[lo:hi] - X[lo:hi])
+        gnorms[lo:hi] = feasible.batch_dual_norm(G[: hi - lo])
+        if f_star is not None:
+            primals[lo:hi] = f.batch_value(X[lo:hi]) - f_star
+
+    X[0] = x
+    lo = 0
     for t in range(T + 1):
-        g = f.gradient(x)
+        x = X[t]
+        g = G[t - lo]
+        g[...] = f.gradient(x)
         v, fw_gap = _fw_vertex(feasible, g, x)
-        d = v - x
-        ts.append(t)
-        gaps.append(fw_gap)
-        primals.append(f.value(x) - f_star if f_star is not None else np.nan)
-        dists.append(feasible.norm(d))
-        gnorms.append(feasible.dual_norm(g))
-        xs.append(x.copy())
-        vs.append(v.copy())
+        V[t] = v
+        gaps[t] = fw_gap
+        if not fw_gap >= 0.0:
+            _check_iterates(feasible, X[lo : t + 1], lo)
+            raise UCFWError(f"Frank-Wolfe gap is {fw_gap} at t = {t}; numerical breakdown")
 
         if fw_gap <= stop_gap or t == T:
-            gammas.append(0.0)
             break
 
         if rule.tag == "deterministic":
             gamma = 2.0 / (t + 2.0) if rule.classic_schedule else 1.0 / (t + 1.0)
         elif rule.tag == "short":
+            d = v - x
             gamma = short_step(fw_gap, f.L, float(np.dot(d, d)))
         else:
-            gamma = exact_line_search(f, x, d)
-        gammas.append(gamma)
-        x = (1.0 - gamma) * x + gamma * v
-        if feasible.membership_excess(x) > FEASIBILITY_TOL:
-            raise UCFWError("iterate left the feasible set; numerical breakdown")
+            gamma = exact_line_search(f, x, v - x)
+        gammas[t] = gamma
+        X[t + 1] = (1.0 - gamma) * x + gamma * v
+        if t + 1 - lo == _BLOCK:
+            settle(lo, t + 1)
+            lo = t + 1
 
-    trace = RunTrace(
-        t=np.array(ts, dtype=int),
-        gamma=np.array(gammas, dtype=float),
-        fw_gap=np.array(gaps, dtype=float),
-        primal_gap=np.array(primals, dtype=float),
-        dist_to_vertex=np.array(dists, dtype=float),
-        grad_dual_norm=np.array(gnorms, dtype=float),
-        iterates=np.array(xs, dtype=float),
-        vertices=np.array(vs, dtype=float),
+    n = t + 1
+    settle(lo, n)
+    return RunTrace(
+        t=np.arange(n),
+        gamma=gammas[:n],
+        fw_gap=gaps[:n],
+        primal_gap=primals[:n],
+        dist_to_vertex=dists[:n],
+        grad_dual_norm=gnorms[:n],
+        iterates=X[:n],
+        vertices=V[:n],
         metadata={
             "set": feasible.descriptor(),
             "objective": f.descriptor(),
@@ -223,11 +247,22 @@ def run_fw(
             "classic_schedule": rule.classic_schedule,
             "horizon": T,
             "stop_gap": stop_gap,
-            "stopped_at": int(ts[-1]),
+            "stopped_at": t,
             "f_star": f_star,
         },
     )
-    return trace
+
+
+def _check_iterates(feasible: FeasibleSet, X: np.ndarray, lo: int) -> None:
+    """Raise if a row of X (iterate lo + i) lies outside the set by more than
+    the tolerance or is NaN."""
+    excess = feasible.batch_membership_excess(X)
+    bad = np.flatnonzero(~(excess <= FEASIBILITY_TOL))
+    if len(bad):
+        i = int(bad[0])
+        raise UCFWError(
+            f"iterate t = {lo + i} left the feasible set by {excess[i]:g}; numerical breakdown"
+        )
 
 
 def reference_optimum(

@@ -115,7 +115,7 @@ class TestOnlineVerb:
         "set_desc",
         [
             {"family": "levelset", "kind": "sqnorm", "w": 1.0, "dim": 4},  # no LMO
-            {"family": "lp", "p": 2000, "radius": 1.0, "dim": 4},  # alpha overflows
+            {"family": "lp", "p": 2000, "radius": 1.0, "dim": 4},  # alpha underflows
         ],
         ids=["levelset", "p2000"],
     )
@@ -126,6 +126,33 @@ class TestOnlineVerb:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_p2000_names_p(self, tmp_path, capsys):
+        config = dict(self.CONFIG, set={"family": "lp", "p": 2000, "radius": 1.0, "dim": 4})
+        assert main(["online", "--config", json.dumps(config), "--out", str(tmp_path / "o")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "p = 2000" in err and "OverflowError" not in err
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            {"tag": "fixed", "losses": [[float("nan"), 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]},
+            {"tag": "fixed", "losses": [[1.0, 0.0, 0.0, 0.0], [0.0, float("inf"), 0.0, 0.0]]},
+            {"tag": "fixed", "losses": [1.0, 2.0, 3.0, 4.0]},
+            {"tag": "adversarial", "base": [float("nan"), 0.0, 0.0, 0.0], "flip_scale": 0.5, "seed": 0},
+            {"tag": "drifting", "base": [1.0, 0.0, 0.0, 0.0], "noise_scale": float("inf"), "seed": 0},
+        ],
+        ids=["nan-loss", "inf-loss", "flat-losses", "nan-base", "inf-scale"],
+    )
+    def test_bad_stream_is_config_error(self, tmp_path, capsys, stream):
+        config = dict(self.CONFIG, stream=stream, T=2)
+        out = tmp_path / "o"
+        code = main(["online", "--config", json.dumps(config), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err and "IndexError" not in err
+        assert not (out / "online.csv").exists()
 
     def test_linf_ball_runs_without_bound(self, tmp_path, capsys):
         config = dict(self.CONFIG, set={"family": "lp", "p": "inf", "radius": 1.0, "dim": 4})

@@ -160,6 +160,19 @@ class TestCatalog:
         alphas = [lp_ball_uc_params(3.0, r, "t").alpha for r in (1.0, 2.0, 4.0, 8.0)]
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
 
+    def test_alpha_beyond_double_range_names_p(self):
+        with pytest.raises(InvalidParams, match="p = 2000"):
+            lp_ball_uc_params(2000.0, 1.0, "lp:2000")
+        with pytest.raises(InvalidParams, match="p = 1000"):
+            lp_ball_uc_params(1000.0, 1e-3, "lp:1000")  # alpha overflows
+
+    def test_alpha_in_log_space_past_the_direct_product(self):
+        # 2^(p-2) and r^(p-1) overflow and underflow separately; their
+        # product is p / 2 exactly
+        uc = lp_ball_uc_params(1100.0, 0.5, "lp:1100")
+        assert uc.alpha == pytest.approx(2.0 / 1100.0, rel=1e-12)
+        assert lp_ball_uc_params(3.0, 5.0, "t").alpha == 1.0 / (3.0 * 2.0 * 25.0)
+
     def test_l1_not_uniformly_convex(self):
         with pytest.raises(NotUniformlyConvex):
             L1Ball(radius=1.0, dim=3).uc_params()

@@ -80,6 +80,22 @@ class TestQuadratic:
                 fd = (f.value(x + e) - f.value(x - e)) / (2 * eps)
                 assert fd == pytest.approx(g[i], rel=1e-5, abs=1e-7)
 
+    @pytest.mark.parametrize("d", [1, 8, 100, 1000])
+    def test_batch_value_is_value_per_row(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((300, d)) * rng.choice([1e-3, 1.0, 1e3], (300, 1))
+        M = rng.standard_normal((min(d, 20), min(d, 20)))
+        for f, rows in [
+            (QuadraticObjective(A=np.exp(rng.uniform(0.0, 4.6, d)), x0=rng.standard_normal(d)), X),
+            (QuadraticObjective(A=M @ M.T + np.eye(len(M)), x0=rng.standard_normal(len(M))), X[:, : len(M)]),
+        ]:
+            want = np.array([f.value(x) for x in rows])
+            assert f.batch_value(rows).tobytes() == want.tobytes()
+
+    def test_grad_floor_set_at_construction(self):
+        assert QuadraticObjective(A=np.ones(2), x0=np.zeros(2)).grad_floor is None
+        assert QuadraticObjective(A=np.ones(2), x0=np.zeros(2), grad_floor=0.3).grad_floor == 0.3
+
     def test_smoothness_constant(self):
         f = QuadraticObjective(A=np.array([1.0, 3.0]), x0=np.zeros(2))
         rng = np.random.default_rng(2)

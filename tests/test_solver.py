@@ -1,17 +1,24 @@
 """The Frank-Wolfe loop: step rules, trace invariants, serialization."""
 
+import csv
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucfw import (
+    FeasibleSet,
     InfeasibleStart,
     InvalidParams,
     L1Ball,
     LpBall,
     QuadraticObjective,
+    RunTrace,
     StepRule,
+    UCFWError,
+    ZeroDirection,
     exact_line_search,
     fw_gap_at,
     grad_floor_quadratic,
@@ -21,7 +28,7 @@ from ucfw import (
 )
 from ucfw import solver
 from ucfw.experiments import fit_loglog_slope, problem_constants, x_init_for
-from ucfw.geometry import lp_norm
+from ucfw.geometry import _BLOCK, lp_norm
 
 
 class TestShortStep:
@@ -301,3 +308,255 @@ class TestKKTReference:
         _, f_full = reference_optimum(ball, full, x_init_for(ball, 0), 10_000)
         _, f_exact = _bisection_optimum(np.array([1.0, 2.0, 3.0]), x0, 3.0, 1.0)
         assert f_full == pytest.approx(f_exact, rel=1e-6)
+
+
+def per_iteration_fw(feasible, f, x_init, rule, T, stop_gap=1e-12, f_star=None):
+    """Reference Frank-Wolfe loop: every recorded quantity from the scalar
+    oracles in the iteration that produces it (the unbatched algorithm)."""
+    x = np.array(x_init, dtype=float)
+    rows = []
+    for t in range(T + 1):
+        g = f.gradient(x)
+        try:
+            v = feasible.lmo(-g)
+            fw_gap = max(float(np.dot(g, x - v)), 0.0)
+        except ZeroDirection:
+            v, fw_gap = x.copy(), 0.0
+        d = v - x
+        primal = f.value(x) - f_star if f_star is not None else np.nan
+        row = [t, 0.0, fw_gap, primal, feasible.norm(d), feasible.dual_norm(g), x.copy(), v.copy()]
+        rows.append(row)
+        if fw_gap <= stop_gap or t == T:
+            break
+        if rule.tag == "deterministic":
+            gamma = 1.0 / (t + 1.0)
+        elif rule.tag == "short":
+            gamma = short_step(fw_gap, f.L, float(np.dot(d, d)))
+        else:
+            gamma = exact_line_search(f, x, d)
+        row[1] = gamma
+        x = (1.0 - gamma) * x + gamma * v
+        assert feasible.membership_excess(x) <= solver.FEASIBILITY_TOL
+    names = ["t", "gamma", "fw_gap", "primal_gap", "dist_to_vertex", "grad_dual_norm", "iterates", "vertices"]
+    return {name: np.array([r[i] for r in rows]) for i, name in enumerate(names)}
+
+
+class OraclesOnly(FeasibleSet):
+    """An lp ball with only the single-vector oracles, so run_fw's batched
+    pass goes through the base class's row loops."""
+
+    def __init__(self, ball):
+        self.ball, self.dim, self.radius = ball, ball.dim, ball.radius
+
+    def lmo(self, phi):
+        return self.ball.lmo(phi)
+
+    def norm(self, x):
+        return self.ball.norm(x)
+
+    def dual_norm(self, phi):
+        return self.ball.dual_norm(phi)
+
+    def membership_excess(self, x):
+        return self.ball.membership_excess(x)
+
+    def descriptor(self):
+        return {"family": "oracles-only"}
+
+
+def _fw_case(feasible, A=None):
+    d = feasible.dim
+    rng = np.random.default_rng(d)
+    x0 = rng.standard_normal(d)
+    x0 *= 2.5 * feasible.radius / np.linalg.norm(x0)  # outside every ball here
+    if A is None:
+        A = np.linspace(1.0, 4.0, d)
+    return feasible, QuadraticObjective(A=A, x0=x0)
+
+
+_M = np.random.default_rng(9).standard_normal((6, 6))
+FW_CASES = {
+    "p1.5": _fw_case(LpBall(p=1.5, radius=1.0, dim=6)),
+    "p2": _fw_case(LpBall(p=2.0, radius=1.0, dim=6)),
+    "p3": _fw_case(LpBall(p=3.0, radius=2.0, dim=6)),
+    "p10": _fw_case(LpBall(p=10.0, radius=1.0, dim=6)),
+    "l1": _fw_case(L1Ball(radius=1.0, dim=6)),
+    "full-A": _fw_case(LpBall(p=3.0, radius=1.0, dim=6), A=_M @ _M.T + np.eye(6)),
+    "oracles-only": _fw_case(OraclesOnly(LpBall(p=2.5, radius=1.0, dim=6))),
+}
+
+
+def assert_matches_per_iteration(trace, ref):
+    for name in ("t", "gamma", "fw_gap", "primal_gap", "iterates", "vertices"):
+        got = getattr(trace, name)
+        assert got.shape == ref[name].shape, name
+        assert got.tobytes() == ref[name].tobytes(), name
+    for name in ("dist_to_vertex", "grad_dual_norm"):
+        got, want = getattr(trace, name), ref[name]
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), name
+
+
+class CountingBall(FeasibleSet):
+    """An lp ball that counts oracle calls; ``bad_lmo = (i, scale)`` scales
+    the i-th LMO answer (0-based) by ``scale``."""
+
+    def __init__(self, ball, bad_lmo=None):
+        self.ball, self.dim, self.radius = ball, ball.dim, ball.radius
+        self.bad_lmo = bad_lmo
+        self.calls = Counter()
+
+    def lmo(self, phi):
+        self.calls["lmo"] += 1
+        v = self.ball.lmo(phi)
+        if self.bad_lmo is not None and self.calls["lmo"] - 1 == self.bad_lmo[0]:
+            v = v * self.bad_lmo[1]
+        return v
+
+    def _one(self, name, x):
+        self.calls[name] += 1
+        return getattr(self.ball, name)(x)
+
+    def _rows(self, name, X):
+        self.calls[name] += len(X)
+        return getattr(self.ball, name)(X)
+
+    def norm(self, x):
+        return self._one("norm", x)
+
+    def dual_norm(self, phi):
+        return self._one("dual_norm", phi)
+
+    def membership_excess(self, x):
+        return self._one("membership_excess", x)
+
+    def batch_norm(self, X):
+        return self._rows("batch_norm", X)
+
+    def batch_dual_norm(self, Phi):
+        return self._rows("batch_dual_norm", Phi)
+
+    def batch_membership_excess(self, X):
+        return self._rows("batch_membership_excess", X)
+
+    def descriptor(self):
+        return {"family": "counting"}
+
+
+class CountingQuadratic(QuadraticObjective):
+    """A quadratic that counts value and gradient calls; the gradient is NaN
+    from call ``nan_gradient_at`` (0-based) on."""
+
+    def __init__(self, A, x0, nan_gradient_at=None):
+        super().__init__(A, x0)
+        self.nan_gradient_at = nan_gradient_at
+        self.calls = Counter()
+
+    def value(self, x):
+        self.calls["value"] += 1
+        return super().value(x)
+
+    def batch_value(self, X):
+        self.calls["batch_value"] += len(X)
+        return super().batch_value(X)
+
+    def gradient(self, x):
+        self.calls["gradient"] += 1
+        g = super().gradient(x)
+        if self.nan_gradient_at is not None and self.calls["gradient"] > self.nan_gradient_at:
+            g = g * np.nan
+        return g
+
+
+class TestBlockedBookkeeping:
+    @pytest.mark.parametrize("rule", ["deterministic", "short", "exact"])
+    @pytest.mark.parametrize("T", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("name", list(FW_CASES))
+    def test_matches_per_iteration_loop(self, name, T, rule):
+        feasible, f = FW_CASES[name]
+        x_init = feasible.lmo(np.ones(6))
+        f_star = None if name == "l1" else 0.25
+        trace = run_fw(feasible, f, x_init, StepRule(rule), T, f_star=f_star)
+        ref = per_iteration_fw(feasible, f, x_init, StepRule(rule), T, f_star=f_star)
+        assert_matches_per_iteration(trace, ref)
+
+    @pytest.mark.parametrize("rule", ["deterministic", "short", "exact"])
+    @pytest.mark.parametrize("name", list(FW_CASES))
+    def test_early_stop_on_gap(self, name, rule):
+        feasible, f = FW_CASES[name]
+        stop_gap = 3e-3 if rule == "deterministic" else 1e-9
+        trace = run_fw(feasible, f, np.zeros(6), StepRule(rule), 1000, stop_gap=stop_gap, f_star=0.0)
+        ref = per_iteration_fw(feasible, f, np.zeros(6), StepRule(rule), 1000, stop_gap, f_star=0.0)
+        assert_matches_per_iteration(trace, ref)
+        assert trace.metadata["stopped_at"] == len(trace) - 1
+        if rule == "deterministic":  # stops after 4 to 980 iterations
+            assert len(trace) < 1001 and trace.fw_gap[-1] <= stop_gap
+
+    def test_no_per_iteration_bookkeeping_calls(self):
+        feasible = CountingBall(LpBall(p=3.0, radius=1.0, dim=5))
+        f = CountingQuadratic(A=np.linspace(1.0, 2.0, 5), x0=np.full(5, 2.0))
+        trace = run_fw(feasible, f, np.zeros(5), StepRule.deterministic(), 600, f_star=1.0)
+        n = len(trace)
+        assert n == 601
+        assert f.calls == {"gradient": n, "batch_value": n}
+        assert feasible.calls == {
+            "membership_excess": 1,  # the start guard
+            "lmo": n, "batch_norm": n, "batch_dual_norm": n, "batch_membership_excess": n,
+        }
+
+    @pytest.mark.parametrize("k", [100, 256, 257])
+    @pytest.mark.parametrize("T_extra", [5, 1000])
+    def test_guard_names_first_infeasible_iterate(self, k, T_extra):
+        # the LMO's answer at t = k - 1 is pushed far out, so x_k is the
+        # first iterate outside the ball
+        feasible = CountingBall(LpBall(p=3.0, radius=1.0, dim=5), bad_lmo=(k - 1, 1e6))
+        f = CountingQuadratic(A=np.linspace(1.0, 2.0, 5), x0=np.full(5, 2.0))
+        with pytest.raises(UCFWError, match=f"iterate t = {k} left the feasible set"):
+            run_fw(feasible, f, np.zeros(5), StepRule.deterministic(), k + T_extra)
+
+    def test_guard_is_nan_safe(self):
+        X = np.zeros((10, 3))
+        X[4, 1] = np.nan
+        with pytest.raises(UCFWError, match="iterate t = 516 left the feasible set by nan"):
+            solver._check_iterates(LpBall(p=3.0, radius=1.0, dim=3), X, 512)
+
+    @pytest.mark.parametrize("source", ["gradient", "lmo"])
+    def test_nan_gap_raises_at_once(self, source):
+        k = 300
+        feasible = CountingBall(LpBall(p=3.0, radius=1.0, dim=4),
+                                bad_lmo=(k, np.nan) if source == "lmo" else None)
+        f = CountingQuadratic(A=np.linspace(1.0, 2.0, 4), x0=np.full(4, 2.0),
+                              nan_gradient_at=k if source == "gradient" else None)
+        with pytest.raises(UCFWError, match=f"gap is nan at t = {k}"):
+            run_fw(feasible, f, np.zeros(4), StepRule.deterministic(), 5000)
+        assert f.calls["gradient"] == feasible.calls["lmo"] == k + 1
+
+    def test_nan_start_is_infeasible(self):
+        ball, f = _projection_problem()
+        with pytest.raises(InfeasibleStart):
+            run_fw(ball, f, np.array([np.nan, 0.0]), StepRule.short(), 10)
+
+
+class TestRunTraceCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        n = 2 * _BLOCK + 37
+        rng = np.random.default_rng(5)
+        cols = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-300, 300, (7, n))
+        cols[:, :6] = [[0.0, -0.0, np.inf, -np.inf, np.nan, 1e22]] * 7
+        trace = RunTrace(
+            t=np.arange(n), gamma=cols[0], fw_gap=cols[1], primal_gap=cols[2],
+            dist_to_vertex=cols[3], grad_dual_norm=cols[4],
+            iterates=np.zeros((n, 1)), vertices=np.zeros((n, 1)),
+        )
+        extra = {"bound_t1": cols[5], "count": list(range(n)), "bound_t2": cols[6].tolist()}
+        trace.to_csv(tmp_path / "got.csv", extra_columns=extra)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["t", "gamma", "fw_gap", "min_fw_gap", "primal_gap",
+                             "dist_to_vertex", "grad_dual_norm", *extra])
+            min_gap = trace.min_fw_gap
+            for i in range(n):
+                row = [int(trace.t[i])] + [repr(float(c[i])) for c in (
+                    cols[0], cols[1], min_gap, cols[2], cols[3], cols[4], *extra.values()
+                )]
+                writer.writerow(row)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -97,8 +97,8 @@ class TestLemma1:
 class TestLocalScaling:
     def _solved_l3(self):
         ball = LpBall(p=3.0, radius=1.0, dim=6)
-        f = _ball_objective(ball)
-        f.grad_floor = grad_floor_quadratic(f, ball)
+        plain = _ball_objective(ball)
+        f = QuadraticObjective(A=plain.A, x0=plain.x0, grad_floor=grad_floor_quadratic(plain, ball))
         x_init = x_init_for(ball, 0)
         x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-14)
         return ball, f, x_init, x_star, f_star
@@ -116,8 +116,8 @@ class TestLocalScaling:
 
     def test_stale_optimum_raises(self):
         ball = LpBall(p=2.0, radius=5.0, dim=3)
-        f = QuadraticObjective(A=np.ones(3), x0=np.array([1.0, 0.0, 0.0]))
-        f.grad_floor = 0.3  # claimed positive floor, but x0 is interior
+        # claimed positive floor, but x0 is interior
+        f = QuadraticObjective(A=np.ones(3), x0=np.array([1.0, 0.0, 0.0]), grad_floor=0.3)
         with pytest.raises(StaleOptimum):
             check_local_scaling(ball, f, f.x0, 0.5, 2.0, CFG)
 
