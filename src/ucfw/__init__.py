@@ -19,7 +19,6 @@ from .bounds import (
 )
 from .errors import (
     ConfigError,
-    DegenerateStream,
     InfeasibleStart,
     InvalidParams,
     NotUniformlyConvex,

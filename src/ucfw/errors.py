@@ -34,10 +34,5 @@ class StaleOptimum(UCFWError):
     gradient floor was declared for the problem."""
 
 
-class DegenerateStream(UCFWError):
-    """A loss stream with zero running gradient average; regret bounds do
-    not apply.  Runs still complete, this is raised only on explicit demand."""
-
-
 class ConfigError(UCFWError):
     """Malformed experiment or set descriptor."""

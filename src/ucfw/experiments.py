@@ -20,11 +20,11 @@ from .errors import ConfigError
 from .geometry import (
     FeasibleSet,
     L1Ball,
+    LevelSet,
     LpBall,
     SchattenBall,
     UCParams,
     set_from_json,
-    sqnorm_level_set,
 )
 from .objectives import (
     QuadraticObjective,
@@ -52,6 +52,8 @@ __all__ = [
 
 DEFAULT_P_GRID = (2.5, 3.0, 5.0, 7.0, 10.0)
 STEP_RULES = {"deterministic": StepRule.deterministic(), "short": StepRule.short(), "exact": StepRule.exact()}
+# the Frank-Wolfe reference fallback runs this many times the plotted horizon
+REFERENCE_MULTIPLIER = 50
 
 
 def fit_loglog_slope(t, y, t_min: float, t_max: float) -> float:
@@ -78,7 +80,6 @@ class ExperimentConfig:
     seed: int = 0
     optimum_location: str = "curved"  # "curved" | "flat"
     x0_scale_factor: float = 3.0  # ||x0||_2 = factor * radius, keeps c > 0
-    reference_multiplier: int = 50
 
     def __post_init__(self) -> None:
         if self.optimum_location not in ("curved", "flat"):
@@ -201,11 +202,10 @@ def run_solve(config: dict, out_dir) -> dict:
     if not isinstance(feasible, LpBall):
         raise ConfigError("solve currently drives lp-ball problems")
     stop_gap = float(config.get("stop_gap", 1e-12))
-    ref_mult = int(config.get("reference_multiplier", 50))
 
     x_init = x_init_for(feasible, seed)
     x_star, f_star = reference_optimum(
-        feasible, objective, x_init, ref_mult * T, stop_gap=min(stop_gap, 1e-12)
+        feasible, objective, x_init, REFERENCE_MULTIPLIER * T, stop_gap=min(stop_gap, 1e-12)
     )
     trace, extra = run_single(
         feasible, objective, rule_name, T, seed, x_star=x_star, f_star=f_star, stop_gap=stop_gap
@@ -237,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         feasible, objective = build_problem(cfg, p)
         x_init = x_init_for(feasible, cfg.seed)
         x_star, f_star = reference_optimum(
-            feasible, objective, x_init, cfg.reference_multiplier * cfg.horizon, stop_gap=1e-13
+            feasible, objective, x_init, REFERENCE_MULTIPLIER * cfg.horizon, stop_gap=1e-13
         )
         references[p] = x_star, f_star, fw_gap_at(feasible, objective, x_star)
 
@@ -394,7 +394,7 @@ def catalog_sets() -> list[tuple[str, FeasibleSet]]:
         ("lp_3_r5", LpBall(p=3.0, radius=5.0, dim=8)),
         ("lp_5_r1", LpBall(p=5.0, radius=1.0, dim=8)),
         ("schatten_2.5", SchattenBall(p=2.5, rows=3, cols=3, radius=1.0)),
-        ("levelset_sqnorm_w4", sqnorm_level_set(w=4.0, dim=6)),
+        ("levelset_sqnorm_w4", LevelSet(w=4.0, dim=6)),
     ]
 
 
@@ -539,7 +539,6 @@ def _cfg_to_dict(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "optimum_location": cfg.optimum_location,
         "x0_scale_factor": cfg.x0_scale_factor,
-        "reference_multiplier": cfg.reference_multiplier,
     }
 
 

@@ -13,8 +13,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -251,10 +251,13 @@ def _check_radius(radius: float) -> None:
 
 
 class FeasibleSet:
-    """A compact convex body exposing an LMO, a membership oracle, and its
-    declared uniform-convexity parameters.
+    """A norm ball {x : ||x|| <= radius} over flat length-``dim`` points,
+    exposing an LMO, a membership oracle, and its declared
+    uniform-convexity parameters.
 
-    Instances are immutable after construction; all oracle calls are pure.
+    Subclasses supply the norm pair and the LMO; membership and boundary
+    points follow from the norm and the radius.  Instances are immutable
+    after construction; all oracle calls are pure.
     """
 
     dim: int
@@ -282,7 +285,7 @@ class FeasibleSet:
         raise NotImplementedError
 
     def lmo(self, phi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no closed-form LMO")
 
     def batch_dual_norm(self, Phi: np.ndarray) -> np.ndarray:
         """Dual norms of the rows of a 2-D array."""
@@ -296,23 +299,27 @@ class FeasibleSet:
         return out
 
     def membership_excess(self, x: np.ndarray) -> float:
-        """How far the defining inequality is exceeded (<= 0 means inside)."""
-        raise NotImplementedError
+        """How far the defining inequality is exceeded (<= 0 means inside):
+        ``||x|| - radius``."""
+        return self.norm(x) - self.radius
 
     def batch_membership_excess(self, X: np.ndarray) -> np.ndarray:
-        """Membership excess of points stacked along the first axes; the
-        base class takes the rows of a 2-D array one at a time."""
-        return np.array([self.membership_excess(x) for x in X], dtype=float)
+        """Membership excess of points stacked along the first axes."""
+        return self.batch_norm(X) - self.radius
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         return self.membership_excess(x) <= tol
 
     def boundary_point(self, direction: np.ndarray) -> np.ndarray:
-        """Scale a nonzero direction onto the boundary."""
-        n = self.norm(direction)
-        if n == 0.0:
+        """Scale a direction, or each row of a 2-D stack of them, onto the
+        boundary ``||x|| = radius``; a zero direction raises
+        :class:`~ucfw.errors.ZeroDirection`."""
+        d = np.asarray(direction, dtype=float)
+        rows = d.reshape(-1, self.dim)
+        n = self.batch_norm(rows)
+        if np.any(n == 0.0):
             raise ZeroDirection("cannot scale the zero direction to the boundary")
-        return np.asarray(direction, dtype=float) * (self.radius / n)
+        return (rows * (self.radius / n)[:, None]).reshape(d.shape)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -354,12 +361,6 @@ class LpBall(FeasibleSet):
     def batch_lmo(self, Phi):
         return lmo_lp(self.p, self.radius, Phi)
 
-    def membership_excess(self, x):
-        return self.norm(x) - self.radius
-
-    def batch_membership_excess(self, X):
-        return self.batch_norm(X) - self.radius
-
     def descriptor(self) -> dict:
         return {"family": "lp", "p": self.p, "radius": self.radius, "dim": self.dim}
 
@@ -394,19 +395,17 @@ class L1Ball(FeasibleSet):
     def batch_lmo(self, Phi):
         return lmo_l1(self.radius, Phi)
 
-    def membership_excess(self, x):
-        return self.norm(x) - self.radius
-
-    def batch_membership_excess(self, X):
-        return self.batch_norm(X) - self.radius
-
     def descriptor(self) -> dict:
         return {"family": "l1", "radius": self.radius, "dim": self.dim}
 
 
 @dataclass(frozen=True)
 class SchattenBall(FeasibleSet):
-    """Matrices with lp norm of the singular values at most r (p > 1)."""
+    """Matrices with lp norm of the singular values at most r (p > 1).
+
+    Points are flat length ``rows * cols`` vectors holding the matrix in
+    row-major order; the trace inner product is then the plain dot product.
+    """
 
     p: float
     rows: int
@@ -424,9 +423,11 @@ class SchattenBall(FeasibleSet):
     def dim(self) -> int:  # type: ignore[override]
         return self.rows * self.cols
 
-    def _sv(self, x) -> np.ndarray:
+    def _sv(self, X) -> np.ndarray:
+        """Singular values of each flat point stacked along the first axes."""
+        X = np.asarray(X, dtype=float)
         try:
-            return np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
+            return np.linalg.svd(X.reshape(*X.shape[:-1], self.rows, self.cols), compute_uv=False)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SVDFailure(str(exc)) from exc
 
@@ -437,22 +438,17 @@ class SchattenBall(FeasibleSet):
         return lp_norm(self._sv(x), self.p)
 
     def batch_norm(self, X):
-        X = np.asarray(X, dtype=float)
-        lead = X.shape[:-1]
-        sv = np.linalg.svd(X.reshape(-1, self.rows, self.cols), compute_uv=False)
-        return _batch_lp_norm(sv, self.p).reshape(lead)
+        return _batch_lp_norm(self._sv(X), self.p)
 
     def dual_norm(self, phi):
         return lp_norm(self._sv(phi), dual_exponent(self.p))
 
+    def batch_dual_norm(self, Phi):
+        return _batch_lp_norm(self._sv(Phi), dual_exponent(self.p))
+
     def lmo(self, phi):
-        return lmo_schatten(self.p, self.radius, phi)
-
-    def membership_excess(self, x):
-        return self.norm(x) - self.radius
-
-    def batch_membership_excess(self, X):
-        return self.batch_norm(X) - self.radius
+        G = np.asarray(phi, dtype=float).reshape(self.rows, self.cols)
+        return lmo_schatten(self.p, self.radius, G).ravel()
 
     def descriptor(self) -> dict:
         return {
@@ -466,20 +462,15 @@ class SchattenBall(FeasibleSet):
 
 @dataclass(frozen=True)
 class LevelSet(FeasibleSet):
-    """Sublevel set {x : f(x) <= w} of a non-negative uniformly convex
-    smooth function.
+    """The sublevel set {x : ||x||_2^2 <= w} of f = ||.||_2^2, which is
+    2-smooth and (2, 2)-uniformly convex: the l2 ball of radius sqrt(w).
 
-    Only membership and the (alpha, q) parameters are supported; there is no
-    closed-form LMO over a generic level set.
+    Membership is the defining inequality ``||x||^2 - w``.  Only membership
+    and the level-set (alpha, q) parameters are offered; there is no LMO.
     """
 
-    value_fn: Callable[[np.ndarray], float]
     w: float
     dim: int
-    mu: float
-    r_exp: float
-    L: float
-    batch_value_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.w < np.inf:
@@ -487,68 +478,33 @@ class LevelSet(FeasibleSet):
 
     @property
     def radius(self) -> float:  # type: ignore[override]
-        # only meaningful for norm-like f; used by samplers as a scale hint
-        return float(self.w)
+        return math.sqrt(self.w)
 
     def uc_params(self) -> UCParams:
-        return levelset_uc_params(self.mu, self.r_exp, self.L, self.w)
+        return levelset_uc_params(mu=2.0, r_exp=2.0, L=2.0, w=self.w)
 
     def norm(self, x):
-        return float(np.linalg.norm(np.asarray(x, dtype=float).ravel()))
+        return lp_norm(x, 2.0)
 
     def batch_norm(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.sqrt((X * X).sum(axis=-1))
+        return _batch_lp_norm(X, 2.0)
 
     def dual_norm(self, phi):
-        return float(np.linalg.norm(np.asarray(phi, dtype=float).ravel()))
-
-    def lmo(self, phi):
-        raise NotImplementedError("no closed-form LMO over a generic level set")
+        return lp_norm(phi, 2.0)
 
     def membership_excess(self, x):
-        return float(self.value_fn(np.asarray(x, dtype=float))) - self.w
+        x = np.asarray(x, dtype=float)
+        return float(np.dot(x, x)) - self.w
 
     def batch_membership_excess(self, X):
-        X = np.asarray(X, dtype=float)
-        if self.batch_value_fn is not None:
-            return self.batch_value_fn(X) - self.w
-        flat = X.reshape(-1, X.shape[-1])
-        vals = np.array([self.value_fn(row) for row in flat])
-        return vals.reshape(X.shape[:-1]) - self.w
-
-    def boundary_point(self, direction):
-        # scale the direction until f hits w by bisection on the ray
-        d = np.asarray(direction, dtype=float)
-        if not np.any(d):
-            raise ZeroDirection("cannot scale the zero direction")
-        hi = 1.0
-        while self.value_fn(hi * d) < self.w:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.value_fn(mid * d) <= self.w:
-                lo = mid
-            else:
-                hi = mid
-        return lo * d
+        return (np.asarray(X, dtype=float) ** 2).sum(axis=-1) - self.w
 
     def descriptor(self) -> dict:
         return {"family": "levelset", "kind": "sqnorm", "w": self.w, "dim": self.dim}
 
 
-def sqnorm_level_set(w: float, dim: int) -> LevelSet:
-    """{x : ||x||_2^2 <= w}; f = ||.||^2 is 2-smooth and (2, 2)-uniformly convex."""
-    return LevelSet(
-        value_fn=lambda x: float(np.dot(x, x)),
-        w=w,
-        dim=dim,
-        mu=2.0,
-        r_exp=2.0,
-        L=2.0,
-        batch_value_fn=lambda X: (np.asarray(X, dtype=float) ** 2).sum(axis=-1),
-    )
+# the catalog's name for its one level set
+sqnorm_level_set = LevelSet
 
 
 def set_from_json(desc: dict) -> FeasibleSet:
@@ -575,7 +531,7 @@ def set_from_json(desc: dict) -> FeasibleSet:
         if family == "levelset":
             if desc.get("kind", "sqnorm") != "sqnorm":
                 raise ConfigError(f"unknown levelset kind {desc.get('kind')!r}")
-            return sqnorm_level_set(w=float(desc["w"]), dim=int(desc["dim"]))
+            return LevelSet(w=float(desc["w"]), dim=int(desc["dim"]))
     except KeyError as exc:
         raise ConfigError(f"set descriptor missing field {exc}") from exc
     except (TypeError, ValueError, InvalidParams) as exc:

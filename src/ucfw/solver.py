@@ -72,8 +72,9 @@ def short_step(fw_gap: float, L: float, d_sq: float) -> float:
     return min(1.0, fw_gap / denom)
 
 
-def exact_line_search(f: SmoothObjective, x: np.ndarray, d: np.ndarray) -> float:
-    """argmin_{gamma in [0,1]} f(x + gamma d).
+def exact_line_search(f: SmoothObjective, x: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
+    """argmin_{gamma in [0,1]} f(x + gamma d), where g is the gradient of f
+    at x that the caller already holds.
 
     Analytic for quadratics; golden-section/Brent on [0, 1] to width 1e-10
     otherwise.
@@ -82,7 +83,7 @@ def exact_line_search(f: SmoothObjective, x: np.ndarray, d: np.ndarray) -> float
         return 0.0
     if isinstance(f, QuadraticObjective):
         curv = f.curvature_along(d)
-        slope = -float(np.dot(f.gradient(x), d))
+        slope = -float(np.dot(g, d))
         if curv <= 0.0:
             return 1.0 if slope > 0.0 else 0.0
         return float(np.clip(slope / curv, 0.0, 1.0))
@@ -222,7 +223,7 @@ def run_fw(
             d = v - x
             gamma = short_step(fw_gap, f.L, float(np.dot(d, d)))
         else:
-            gamma = exact_line_search(f, x, v - x)
+            gamma = exact_line_search(f, x, v - x, g)
         gammas[t] = gamma
         X[t + 1] = (1.0 - gamma) * x + gamma * v
         if t + 1 - lo == _BLOCK:
@@ -295,7 +296,7 @@ def reference_optimum(
         fw_gap = float(np.dot(g, -d))
         if fw_gap <= stop_gap:
             break
-        gamma = exact_line_search(f, x, d)
+        gamma = exact_line_search(f, x, d, g)
         if gamma <= 0.0:
             break
         x = (1.0 - gamma) * x + gamma * v

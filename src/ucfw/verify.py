@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParams, StaleOptimum
-from .geometry import FeasibleSet, UCParams
+from .geometry import FeasibleSet, UCParams, _row_dots
 from .objectives import SmoothObjective
 
 __all__ = [
@@ -67,7 +67,7 @@ class CheckReport:
 def sample_feasible(
     feasible: FeasibleSet, n: int, rng: np.random.Generator, boundary_bias: float = 0.5
 ) -> np.ndarray:
-    """n feasible points as flattened (n, dim) rows.
+    """n feasible points as flat (n, dim) rows.
 
     Directions come from a spherically symmetric source and are scaled to
     the exact boundary; a (1 - boundary_bias) fraction is pulled inward by a
@@ -76,28 +76,12 @@ def sample_feasible(
     uninformative.
     """
     dim = feasible.dim
-    out = np.empty((n, dim))
     n_boundary = int(round(boundary_bias * n))
     dirs = rng.standard_normal((n, dim))
     shrink = rng.random(n) ** (1.0 / max(dim, 1))
-    for i in range(n):
-        pt = feasible.boundary_point(dirs[i].reshape(_point_shape(feasible)))
-        pt = np.asarray(pt, dtype=float).ravel()
-        if i >= n_boundary:
-            pt = pt * shrink[i]
-        out[i] = pt
+    out = feasible.boundary_point(dirs)
+    out[n_boundary:] *= shrink[n_boundary:, None]
     return out
-
-
-def _point_shape(feasible: FeasibleSet):
-    rows = getattr(feasible, "rows", None)
-    if rows is not None:
-        return (feasible.rows, feasible.cols)
-    return (feasible.dim,)
-
-
-def _as_point(feasible: FeasibleSet, flat: np.ndarray) -> np.ndarray:
-    return np.asarray(flat, dtype=float).reshape(_point_shape(feasible))
 
 
 def check_definition1(
@@ -152,20 +136,13 @@ def check_lemma1(
     v = lmo(-grad f(x))."""
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
-    worst = -np.inf
-    witness = None
-    for i in range(cfg.n_pairs):
-        x = _as_point(feasible, X[i])
-        g = f.gradient(X[i]).reshape(x.shape)
-        if not np.any(g):
-            continue
-        v = feasible.lmo(-g)
-        lhs = float(np.vdot(-g, v - x))
-        rhs = 0.5 * uc.alpha * feasible.norm(v - x) ** uc.q * feasible.dual_norm(g)
-        gap = rhs - lhs
-        if gap > worst:
-            worst = gap
-            witness = {"sample_index": i, "lhs": lhs, "rhs": rhs}
+    G = np.array([f.gradient(x) for x in X])
+    live = np.flatnonzero(np.any(G, axis=1))  # a zero gradient has no LMO vertex
+    G, X = G[live], X[live]
+    D = feasible.batch_lmo(-G) - X
+    lhs = _row_dots(-G, D)
+    rhs = 0.5 * uc.alpha * feasible.batch_norm(D) ** uc.q * feasible.batch_dual_norm(G)
+    worst, witness = _worst_gap(rhs - lhs, live, lhs, rhs)
     return CheckReport(
         check="lemma1_global_scaling",
         passed=worst <= cfg.tol,
@@ -185,8 +162,7 @@ def check_local_scaling(
 ) -> CheckReport:
     """Local scaling inequality at a reference optimum:
     <-grad f(x*), x* - x> >= (alpha/2) ||grad f(x*)||_* ||x* - x||^q."""
-    x_star = np.asarray(x_star, dtype=float)
-    g_star = f.gradient(x_star.ravel()).reshape(x_star.shape)
+    g_star = f.gradient(x_star)
     gnorm = feasible.dual_norm(g_star)
     if gnorm <= 1e-10 and (f.grad_floor or 0.0) > 0.0:
         raise StaleOptimum(
@@ -195,16 +171,9 @@ def check_local_scaling(
         )
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
-    worst = -np.inf
-    witness = None
-    for i in range(cfg.n_pairs):
-        x = _as_point(feasible, X[i])
-        lhs = float(np.vdot(-g_star, x_star - x))
-        rhs = 0.5 * alpha * gnorm * feasible.norm(x_star - x) ** q
-        gap = rhs - lhs
-        if gap > worst:
-            worst = gap
-            witness = {"sample_index": i, "lhs": lhs, "rhs": rhs}
+    lhs, dist = _local_terms(feasible, g_star, x_star, X)
+    rhs = 0.5 * alpha * gnorm * dist**q
+    worst, witness = _worst_gap(rhs - lhs, np.arange(len(X)), lhs, rhs)
     return CheckReport(
         check="local_scaling",
         passed=worst <= cfg.tol,
@@ -261,13 +230,12 @@ def estimate_local_alpha(
     """Largest alpha for which the local scaling inequality survives the
     sampler, by bisection; an empirical curvature gauge, never asserted
     against a catalog value."""
-    x_star = np.asarray(x_star, dtype=float)
-    g_star = f.gradient(x_star.ravel()).reshape(x_star.shape)
+    g_star = f.gradient(x_star)
     gnorm = feasible.dual_norm(g_star)
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
-    lhs = np.array([float(np.vdot(-g_star, x_star - _as_point(feasible, X[i]))) for i in range(cfg.n_pairs)])
-    dpow = np.array([feasible.norm(x_star - _as_point(feasible, X[i])) ** q for i in range(cfg.n_pairs)])
+    lhs, dist = _local_terms(feasible, g_star, x_star, X)
+    dpow = dist**q
 
     def holds(alpha: float) -> bool:
         return bool(np.all(lhs + cfg.tol >= 0.5 * alpha * gnorm * dpow))
@@ -282,6 +250,21 @@ def estimate_local_alpha(
         else:
             hi = mid
     return lo
+
+
+def _local_terms(feasible: FeasibleSet, g_star: np.ndarray, x_star: np.ndarray, X: np.ndarray):
+    """<-grad f(x*), x* - x> and ||x* - x|| for each sampled row x."""
+    D = np.asarray(x_star, dtype=float) - X
+    return _row_dots(np.broadcast_to(-g_star, D.shape), D), feasible.batch_norm(D)
+
+
+def _worst_gap(gap: np.ndarray, index: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
+    """The largest gap and a witness at its first maximiser (none for no
+    rows); ``index`` maps rows to sample indices."""
+    if len(gap) == 0:
+        return -np.inf, None
+    i = int(np.argmax(gap))
+    return float(gap[i]), {"sample_index": int(index[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
 
 
 def _cfg_dict(cfg: SamplerConfig) -> dict:

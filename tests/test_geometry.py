@@ -24,6 +24,14 @@ from ucfw import (
     sqnorm_level_set,
 )
 from ucfw.errors import ConfigError
+from ucfw.experiments import catalog_sets
+
+JSON_FAMILIES = (
+    {"family": "lp", "p": 2.5, "radius": 3.0, "dim": 4},
+    {"family": "l1", "radius": 1.0, "dim": 4},
+    {"family": "schatten", "p": 3.0, "rows": 2, "cols": 3, "radius": 1.0},
+    {"family": "levelset", "kind": "sqnorm", "w": 2.0, "dim": 4},
+)
 
 
 def sample_ball(ball, n, rng):
@@ -117,6 +125,16 @@ class TestLmoSchatten:
     def test_zero_direction(self):
         with pytest.raises(ZeroDirection):
             lmo_schatten(2.0, 1.0, np.zeros((3, 3)))
+
+    def test_ball_takes_flat_row_major_points(self):
+        ball = SchattenBall(p=2.5, rows=2, cols=3, radius=2.0)
+        G = np.array([[3.0, -1.0, 0.5], [0.0, 2.0, 1.0]])
+        sv = np.linalg.svd(G, compute_uv=False)
+        assert ball.norm(G.ravel()) == lp_norm(sv, 2.5)
+        assert ball.dual_norm(G.ravel()) == lp_norm(sv, dual_exponent(2.5))
+        v = ball.lmo(G.ravel())
+        assert v.shape == (6,)
+        np.testing.assert_array_equal(v, lmo_schatten(2.5, 2.0, G).ravel())
 
 
 class TestMembership:
@@ -228,15 +246,17 @@ class TestLevelSet:
         with pytest.raises(NotImplementedError):
             sqnorm_level_set(w=1.0, dim=2).lmo(np.ones(2))
 
+    def test_is_the_l2_ball_of_radius_sqrt_w(self):
+        ls = sqnorm_level_set(4.0, 3)
+        assert ls.radius == 2.0
+        pt = ls.boundary_point(np.array([1.0, 2.0, -1.0]))
+        assert abs(np.dot(pt, pt) - 4.0) <= 1e-12
+        assert ls.membership_excess(np.array([1.0, 1.0, 1.0])) == 3.0 - 4.0
+
 
 class TestJson:
     def test_round_trip_families(self):
-        for desc in (
-            {"family": "lp", "p": 2.5, "radius": 3.0, "dim": 4},
-            {"family": "l1", "radius": 1.0, "dim": 4},
-            {"family": "schatten", "p": 3.0, "rows": 2, "cols": 3, "radius": 1.0},
-            {"family": "levelset", "kind": "sqnorm", "w": 2.0, "dim": 4},
-        ):
+        for desc in JSON_FAMILIES:
             s = set_from_json(desc)
             assert s.dim == desc.get("dim", desc.get("rows", 0) * desc.get("cols", 0))
 
@@ -252,3 +272,53 @@ class TestJson:
         ball = SchattenBall(p=2.5, rows=3, cols=4, radius=2.0)
         clone = set_from_json(ball.descriptor())
         assert clone == ball
+
+
+CONTRACT_SETS = {
+    **dict(catalog_sets()),
+    "l1": L1Ball(radius=2.0, dim=5),
+    **{f"json-{desc['family']}": set_from_json(desc) for desc in JSON_FAMILIES},
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_SETS))
+class TestNormBallContract:
+    """Every set on flat points: batched oracles agree with the scalar
+    ones row by row, and boundary points land on the boundary."""
+
+    def test_batch_oracles_match_scalar_rows(self, name):
+        s = CONTRACT_SETS[name]
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((200, s.dim)) * rng.uniform(0.1, 3.0, (200, 1)) * s.radius
+        for batch, scalar in (
+            (s.batch_norm, s.norm),
+            (s.batch_dual_norm, s.dual_norm),
+            (s.batch_membership_excess, s.membership_excess),
+        ):
+            want = np.array([scalar(x) for x in X])
+            # relative to the terms of the excess: its value and the bound
+            scale = np.abs(want) + abs(scalar(np.zeros(s.dim)))
+            assert np.all(np.abs(batch(X) - want) <= 1e-15 * scale), scalar.__name__
+        stacked = X.reshape(4, 50, s.dim)
+        assert np.array_equal(s.batch_norm(stacked), s.batch_norm(X).reshape(4, 50))
+        assert np.array_equal(
+            s.batch_membership_excess(stacked), s.batch_membership_excess(X).reshape(4, 50)
+        )
+
+    def test_boundary_point_rows(self, name):
+        s = CONTRACT_SETS[name]
+        D = np.random.default_rng(2).standard_normal((50, s.dim))
+        B = s.boundary_point(D)
+        assert B.shape == D.shape
+        for d, b in zip(D, B):
+            assert np.array_equal(s.boundary_point(d), b)
+        assert np.abs(s.batch_membership_excess(B)).max() <= 1e-12
+
+    def test_zero_direction_raises(self, name):
+        s = CONTRACT_SETS[name]
+        D = np.ones((5, s.dim))
+        D[3] = 0.0
+        with pytest.raises(ZeroDirection):
+            s.boundary_point(D)
+        with pytest.raises(ZeroDirection):
+            s.boundary_point(D[3])

@@ -16,6 +16,7 @@ from ucfw import (
     LpBall,
     QuadraticObjective,
     RunTrace,
+    SchattenBall,
     StepRule,
     UCFWError,
     ZeroDirection,
@@ -57,15 +58,15 @@ class TestShortStep:
 class TestExactLineSearch:
     def test_clamped_to_one(self):
         f = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 0.0]))
-        assert exact_line_search(f, np.zeros(2), np.array([1.0, 0.0])) == 1.0
+        assert exact_line_search(f, np.zeros(2), np.array([1.0, 0.0]), f.gradient(np.zeros(2))) == 1.0
 
     def test_zero_direction(self):
         f = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 0.0]))
-        assert exact_line_search(f, np.zeros(2), np.zeros(2)) == 0.0
+        assert exact_line_search(f, np.zeros(2), np.zeros(2), f.gradient(np.zeros(2))) == 0.0
 
     def test_interior_minimizer(self):
         f = QuadraticObjective(A=np.ones(2), x0=np.array([0.5, 0.0]))
-        assert exact_line_search(f, np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(0.5)
+        assert exact_line_search(f, np.zeros(2), np.array([1.0, 0.0]), f.gradient(np.zeros(2))) == pytest.approx(0.5)
 
     def test_matches_numeric_search_for_nonquadratic(self):
         class Quartic:
@@ -83,7 +84,7 @@ class TestExactLineSearch:
         f = Quartic()
         x = np.zeros(2)
         d = np.array([1.0, 0.5])
-        gamma = exact_line_search(f, x, d)
+        gamma = exact_line_search(f, x, d, f.gradient(x))
         # returned point must beat the endpoints and the short step
         for other in (0.0, 1.0, short_step(-np.dot(f.gradient(x), d), f.L, np.dot(d, d))):
             assert f.value(x + gamma * d) <= f.value(x + other * d) + 1e-12
@@ -95,7 +96,7 @@ class TestExactLineSearch:
         f = QuadraticObjective(A=np.array([1.0, 5.0, 0.3]), x0=rng.standard_normal(3))
         for _ in range(20):
             x, d = rng.standard_normal(3), rng.standard_normal(3)
-            gamma = exact_line_search(f, x, d)
+            gamma = exact_line_search(f, x, d, f.gradient(x))
             res = minimize_scalar(
                 lambda g: f.value(x + g * d), bounds=(0.0, 1.0), method="bounded",
                 options={"xatol": 1e-12},
@@ -183,6 +184,20 @@ class TestRunFw:
         lhs = np.array([ball.norm(x - x_star) for x in trace.iterates]) ** consts["q"]
         rhs = (2.0 / (consts["c"] * consts["alpha"])) * trace.primal_gap
         assert np.all(lhs <= rhs + 1e-6)
+
+    @pytest.mark.parametrize("rule", ["short", "exact"])
+    def test_schatten_ball_on_flat_points(self, rule):
+        # a 3x3 matrix ball whose points are row-major length-9 vectors
+        ball = SchattenBall(p=2.5, rows=3, cols=3, radius=1.0)
+        f = QuadraticObjective(A=np.ones(9), x0=3.0 * np.ones(9))
+        x_init = x_init_for(ball, 0)
+        assert x_init.shape == (9,)
+        x_star, f_star = reference_optimum(ball, f, x_init, 25_000, stop_gap=1e-13)
+        trace = run_fw(ball, f, x_init, StepRule(rule), 500, f_star=f_star)
+        assert ball.batch_membership_excess(trace.iterates).max() <= 1e-9
+        assert trace.min_fw_gap[-1] < 1e-9 * trace.min_fw_gap[0]
+        assert abs(trace.primal_gap[-1]) <= 1e-6
+        np.testing.assert_allclose(trace.iterates[-1], x_star, rtol=0.0, atol=1e-6)
 
 
 class TestTraceSerialization:
@@ -333,7 +348,7 @@ def per_iteration_fw(feasible, f, x_init, rule, T, stop_gap=1e-12, f_star=None):
         elif rule.tag == "short":
             gamma = short_step(fw_gap, f.L, float(np.dot(d, d)))
         else:
-            gamma = exact_line_search(f, x, d)
+            gamma = exact_line_search(f, x, d, g)
         row[1] = gamma
         x = (1.0 - gamma) * x + gamma * v
         assert feasible.membership_excess(x) <= solver.FEASIBILITY_TOL

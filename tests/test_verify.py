@@ -8,6 +8,7 @@ from ucfw import (
     LpBall,
     QuadraticObjective,
     SamplerConfig,
+    SchattenBall,
     StaleOptimum,
     StepRule,
     UCParams,
@@ -160,3 +161,143 @@ class TestLemma3:
         trace = self._trace(diamond, f)
         report = check_lemma3(trace, c=1.0, alpha=0.25, q=2.0, L=1.0)
         assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the batched checks against the per-sample algorithm
+# ---------------------------------------------------------------------------
+
+
+def per_sample_points(feasible, cfg):
+    """The sampler one direction at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_pairs
+    n_boundary = int(round(cfg.boundary_bias * n))
+    dirs = rng.standard_normal((n, feasible.dim))
+    shrink = rng.random(n) ** (1.0 / feasible.dim)
+    return np.array([
+        feasible.boundary_point(dirs[i]) * (shrink[i] if i >= n_boundary else 1.0) for i in range(n)
+    ])
+
+
+def per_sample_lemma1(feasible, uc, f, cfg):
+    worst, witness = -np.inf, None
+    for i, x in enumerate(per_sample_points(feasible, cfg)):
+        g = f.gradient(x)
+        if not np.any(g):
+            continue
+        v = feasible.lmo(-g)
+        lhs = float(np.dot(-g, v - x))
+        rhs = 0.5 * uc.alpha * feasible.norm(v - x) ** uc.q * feasible.dual_norm(g)
+        if rhs - lhs > worst:
+            worst, witness = rhs - lhs, {"sample_index": i, "lhs": lhs, "rhs": rhs}
+    return worst, witness
+
+
+def per_sample_local_terms(feasible, f, x_star, cfg):
+    g_star = f.gradient(x_star)
+    X = per_sample_points(feasible, cfg)
+    lhs = np.array([float(np.dot(-g_star, x_star - x)) for x in X])
+    dist = np.array([feasible.norm(x_star - x) for x in X])
+    return feasible.dual_norm(g_star), lhs, dist
+
+
+def per_sample_local_scaling(feasible, f, x_star, alpha, q, cfg):
+    gnorm, lhs, dist = per_sample_local_terms(feasible, f, x_star, cfg)
+    worst, witness = -np.inf, None
+    for i in range(len(lhs)):
+        rhs = 0.5 * alpha * gnorm * dist[i] ** q
+        if rhs - lhs[i] > worst:
+            worst, witness = rhs - lhs[i], {"sample_index": i, "lhs": lhs[i], "rhs": rhs}
+    return worst, witness
+
+
+def per_sample_local_alpha(feasible, f, x_star, q, cfg, alpha_hi=16.0, resolution=1e-4):
+    gnorm, lhs, dist = per_sample_local_terms(feasible, f, x_star, cfg)
+
+    def holds(alpha):
+        return all(lhs[i] + cfg.tol >= 0.5 * alpha * gnorm * dist[i] ** q for i in range(len(lhs)))
+
+    lo, hi = 0.0, alpha_hi
+    if holds(hi):
+        return hi
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def assert_report_matches(report, worst, witness, tol):
+    assert report.passed == (worst <= tol)
+    assert report.worst_violation == pytest.approx(max(worst, 0.0), rel=1e-12, abs=1e-12)
+    if worst <= tol:
+        assert report.witness is None
+        return
+    assert report.witness["sample_index"] == witness["sample_index"]
+    for key in ("lhs", "rhs"):
+        assert report.witness[key] == pytest.approx(witness[key], rel=1e-12, abs=1e-12)
+
+
+class HalfZeroGradient(QuadraticObjective):
+    """A quadratic whose gradient is zero wherever x[0] > 0."""
+
+    def gradient(self, x):
+        return np.zeros_like(x) if x[0] > 0.0 else super().gradient(x)
+
+
+def _quad(feasible, cls=QuadraticObjective):
+    x0 = np.linspace(1.0, 2.0, feasible.dim) * (3.0 * feasible.radius / np.sqrt(feasible.dim))
+    return cls(A=np.linspace(1.0, 3.0, feasible.dim), x0=x0)
+
+
+BATCH_SETS = {
+    "lp1.5": LpBall(p=1.5, radius=1.0, dim=6),
+    "lp3r5": LpBall(p=3.0, radius=5.0, dim=6),
+    "l1": L1Ball(radius=1.0, dim=3),
+    "schatten2x3": SchattenBall(p=2.5, rows=2, cols=3, radius=1.0),
+}
+
+
+class TestBatchedChecksMatchPerSample:
+    @pytest.mark.parametrize("bias", [0.5, 1.0])
+    @pytest.mark.parametrize("name", list(BATCH_SETS))
+    def test_sampler(self, name, bias):
+        feasible = BATCH_SETS[name]
+        cfg = SamplerConfig(n_pairs=200, seed=3, boundary_bias=bias)
+        X = sample_feasible(feasible, 200, np.random.default_rng(3), bias)
+        want = per_sample_points(feasible, cfg)
+        assert np.all(np.abs(X - want) <= 1e-15 * np.abs(want).max())
+
+    @pytest.mark.parametrize("alpha_scale", [1.0, 50.0])
+    @pytest.mark.parametrize("objective", [QuadraticObjective, HalfZeroGradient])
+    @pytest.mark.parametrize("name", list(BATCH_SETS))
+    def test_lemma1(self, name, objective, alpha_scale):
+        feasible = BATCH_SETS[name]
+        uc = feasible.uc or UCParams(alpha=0.1, q=2.0, norm_tag="l1")
+        uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q, norm_tag=uc.norm_tag)
+        f = _quad(feasible, objective)
+        cfg = SamplerConfig(n_pairs=200, seed=4, boundary_bias=1.0)
+        report = check_lemma1(feasible, uc, f, cfg)
+        assert_report_matches(report, *per_sample_lemma1(feasible, uc, f, cfg), cfg.tol)
+
+    def test_lemma1_all_gradients_zero(self):
+        ball = LpBall(p=3.0, radius=1.0, dim=4)
+        f = QuadraticObjective(A=np.ones(4), x0=np.zeros(4))
+        f.gradient = lambda x: np.zeros_like(x)
+        report = check_lemma1(ball, ball.uc_params(), f, CFG)
+        assert report.passed and report.worst_violation == 0.0 and report.witness is None
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 20.0])
+    @pytest.mark.parametrize("name", list(BATCH_SETS))
+    def test_local_scaling_and_alpha_estimate(self, name, alpha):
+        feasible = BATCH_SETS[name]
+        f = _quad(feasible)
+        x_star, _ = reference_optimum(feasible, f, feasible.lmo(np.ones(feasible.dim)), 5_000)
+        cfg = SamplerConfig(n_pairs=200, seed=5, boundary_bias=0.5)
+        for q in (2.0, 3.0):
+            report = check_local_scaling(feasible, f, x_star, alpha, q, cfg)
+            want = per_sample_local_scaling(feasible, f, x_star, alpha, q, cfg)
+            assert_report_matches(report, *want, cfg.tol)
+            assert estimate_local_alpha(feasible, f, x_star, q, cfg) == pytest.approx(
+                per_sample_local_alpha(feasible, f, x_star, q, cfg), abs=1e-12
+            )
