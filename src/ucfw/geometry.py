@@ -153,21 +153,23 @@ def lmo_l1(r: float, phi: np.ndarray) -> np.ndarray:
 
 
 def lmo_schatten(p: float, r: float, G: np.ndarray) -> np.ndarray:
-    """Maximize ``<G, V>`` (trace inner product) over the Schatten-p ball.
+    """Maximize ``<G, V>`` (trace inner product) over the Schatten-p ball,
+    for each matrix along the last two axes of ``G``.
 
     Reduces to the vector oracle on the singular values: with
     ``G = U diag(sigma) V^T``, the maximizer is ``U diag(s) V^T`` where
-    ``s = lmo_lp(p, r, sigma)``.
+    ``s = lmo_lp(p, r, sigma)``.  A zero matrix anywhere raises
+    :class:`~ucfw.errors.ZeroDirection`.
     """
     G = np.asarray(G, dtype=float)
-    if not np.any(G):
+    if not np.all(np.any(G, axis=(-2, -1))):
         raise ZeroDirection("lmo_schatten called with G = 0")
     try:
         U, sigma, Vt = np.linalg.svd(G, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
         raise SVDFailure(str(exc)) from exc
     s = lmo_lp(p, r, sigma)
-    return (U * s) @ Vt
+    return (U * s[..., None, :]) @ Vt
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +189,10 @@ class UCParams:
     norm_tag: str
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise InvalidParams(f"alpha must be positive, got {self.alpha}")
-        if not self.q >= 2.0:
-            raise InvalidParams(f"q must be >= 2, got {self.q}")
+        if not 0.0 < self.alpha < math.inf:  # also rejects NaN
+            raise InvalidParams(f"alpha must be positive and finite, got {self.alpha}")
+        if not 2.0 <= self.q < math.inf:
+            raise InvalidParams(f"q must be >= 2 and finite, got {self.q}")
 
 
 def lp_ball_uc_params(p: float, r: float, norm_tag: str) -> UCParams:
@@ -449,6 +451,11 @@ class SchattenBall(FeasibleSet):
     def lmo(self, phi):
         G = np.asarray(phi, dtype=float).reshape(self.rows, self.cols)
         return lmo_schatten(self.p, self.radius, G).ravel()
+
+    def batch_lmo(self, Phi):
+        Phi = np.asarray(Phi, dtype=float)
+        V = lmo_schatten(self.p, self.radius, Phi.reshape(len(Phi), self.rows, self.cols))
+        return V.reshape(Phi.shape)
 
     def descriptor(self) -> dict:
         return {

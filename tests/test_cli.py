@@ -35,6 +35,18 @@ class TestVerifyVerb:
         bad = json.dumps({"family": "simplex", "dim": 3})
         assert main(["verify", "--set", bad, "--check", "definition1"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("alpha, q", [("inf", "3"), ("0.1", "inf"), ("nan", "3")])
+    def test_non_finite_override_is_config_error(self, capsys, recwarn, alpha, q):
+        code = main(
+            ["verify", "--set", L3_SET, "--check", "definition1",
+             "--alpha", alpha, "--q", q, "--pairs", "20", "--directions", "5"]
+        )
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_alpha_without_q_is_config_error(self):
         assert (
             main(["verify", "--set", L3_SET, "--check", "definition1", "--alpha", "1.0"])

@@ -12,6 +12,7 @@ from ucfw import (
     LpBall,
     NotUniformlyConvex,
     SchattenBall,
+    UCParams,
     ZeroDirection,
     dual_exponent,
     lmo_l1,
@@ -136,6 +137,26 @@ class TestLmoSchatten:
         assert v.shape == (6,)
         np.testing.assert_array_equal(v, lmo_schatten(2.5, 2.0, G).ravel())
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4, 2), (5, 5), (1, 4)])
+    def test_batch_lmo_equals_lmo_row_by_row(self, shape):
+        rng = np.random.default_rng(11)
+        Phi = rng.standard_normal((300, shape[0] * shape[1])) * np.exp(rng.uniform(-5.0, 5.0, (300, 1)))
+        for p in (1.5, 2.5, 4.0):
+            ball = SchattenBall(p=p, rows=shape[0], cols=shape[1], radius=1.7)
+            V = ball.batch_lmo(Phi)
+            assert V.shape == Phi.shape
+            for phi, v in zip(Phi, V):
+                np.testing.assert_array_equal(v, ball.lmo(phi))
+
+    def test_stacked_zero_matrix_raises(self):
+        ball = SchattenBall(p=2.5, rows=2, cols=3, radius=1.0)
+        Phi = np.ones((4, 6))
+        Phi[2] = 0.0
+        with pytest.raises(ZeroDirection):
+            ball.batch_lmo(Phi)
+        with pytest.raises(ZeroDirection):
+            lmo_schatten(2.5, 1.0, Phi.reshape(4, 2, 3))
+
 
 class TestMembership:
     def test_boundary_point_is_member(self):
@@ -159,6 +180,11 @@ class TestMembership:
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("alpha, q", [(np.inf, 3.0), (0.1, np.inf), (np.nan, 3.0), (0.1, np.nan)])
+    def test_non_finite_params_refused(self, alpha, q):
+        with pytest.raises(InvalidParams):
+            UCParams(alpha=alpha, q=q, norm_tag="t")
+
     def test_l15_unit(self):
         uc = lp_ball_uc_params(1.5, 1.0, "lp:1.5")
         assert (uc.alpha, uc.q) == (0.25, 2.0)

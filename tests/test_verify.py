@@ -1,13 +1,17 @@
 """The sampling verifier: positive checks on the catalog, negative controls."""
 
+import math
+
 import numpy as np
 import pytest
 
+import ucfw.verify
 from ucfw import (
     L1Ball,
     LpBall,
     QuadraticObjective,
     SamplerConfig,
+    FeasibleSet,
     SchattenBall,
     StaleOptimum,
     StepRule,
@@ -301,3 +305,124 @@ class TestBatchedChecksMatchPerSample:
             assert estimate_local_alpha(feasible, f, x_star, q, cfg) == pytest.approx(
                 per_sample_local_alpha(feasible, f, x_star, q, cfg), abs=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# the streamed definition-1 check against one stack over all weights
+# ---------------------------------------------------------------------------
+
+
+def monolithic_definition1(feasible, uc, cfg):
+    """(passed, worst_violation, witness) from one (11, n, m, dim) stack of
+    every perturbed point, reduced by one max and one argmax."""
+    rng = np.random.default_rng(cfg.seed)
+    X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
+    Y = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
+    Z = rng.standard_normal((cfg.n_directions, feasible.dim))
+    Z /= feasible.batch_norm(Z)[:, None]
+    etas = np.linspace(0.0, 1.0, 11)
+    dist = feasible.batch_norm(X - Y)
+    radial = (etas[:, None] * (1.0 - etas[:, None])) * uc.alpha * dist[None, :] ** uc.q
+    combo = etas[:, None, None] * X[None, :, :] + (1.0 - etas[:, None, None]) * Y[None, :, :]
+    points = combo[:, :, None, :] + radial[:, :, None, None] * Z[None, None, :, :]
+    excess = feasible.batch_membership_excess(points)
+    worst = float(excess.max())
+    witness = None
+    if worst > cfg.tol:
+        ie, ip, iz = np.unravel_index(int(np.argmax(excess)), excess.shape)
+        witness = {
+            "eta": float(etas[ie]),
+            "pair_index": int(ip),
+            "direction_index": int(iz),
+            "chord_length": float(dist[ip]),
+            "excess": worst,
+        }
+    return worst <= cfg.tol, max(worst, 0.0), witness
+
+
+def assert_same_report(report, passed, worst, witness):
+    """Bit for bit, with NaN equal to NaN."""
+    assert report.passed == passed
+    assert report.worst_violation == worst or (math.isnan(report.worst_violation) and math.isnan(worst))
+    assert report.witness == witness
+
+
+DEFINITION1_SETS = {**BATCH_SETS, "levelset": sqnorm_level_set(w=4.0, dim=4)}
+
+
+class EtaProbe(FeasibleSet):
+    """An l2 ball in the plane whose sampler puts every x at e1 and every y
+    at 0, so a perturbed point's first coordinate is its weight eta (for a
+    tiny alpha).  Its excess is ``value`` at each (eta, pair, direction) of
+    ``spots`` and 0 elsewhere."""
+
+    dim = 2
+    radius = 1.0
+
+    def __init__(self, spots):
+        self.spots = spots
+        self._samples = 0
+
+    def batch_norm(self, X):
+        return np.sqrt((np.asarray(X) ** 2).sum(axis=-1))
+
+    def boundary_point(self, direction):
+        self._samples += 1  # odd calls sample the x's, even calls the y's
+        out = np.zeros_like(direction)
+        out[:, 0] = self._samples % 2
+        return out
+
+    def batch_membership_excess(self, points):
+        eta = points[..., 0]
+        pair, direction = np.indices(eta.shape[-2:])
+        out = np.zeros(eta.shape)
+        for e, i, j, value in self.spots:
+            out[np.isclose(eta, e, rtol=0.0, atol=1e-12) & (pair == i) & (direction == j)] = value
+        return out
+
+
+PROBE_UC = UCParams(alpha=1e-300, q=2.0, norm_tag="probe")
+PROBE_CFG = SamplerConfig(n_pairs=8, n_directions=4, seed=0, boundary_bias=1.0)
+
+
+class TestStreamedDefinition1:
+    @pytest.mark.parametrize("alpha_scale", [1.0, 50.0])
+    @pytest.mark.parametrize("name", list(DEFINITION1_SETS))
+    def test_matches_one_stack(self, name, alpha_scale):
+        feasible = DEFINITION1_SETS[name]
+        uc = feasible.uc or UCParams(alpha=0.1, q=2.0, norm_tag="l1")
+        uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q, norm_tag=uc.norm_tag)
+        for cfg in (SamplerConfig(n_pairs=200, n_directions=20, seed=6),
+                    SamplerConfig(n_pairs=37, n_directions=7, seed=7, boundary_bias=1.0)):
+            assert_same_report(check_definition1(feasible, uc, cfg), *monolithic_definition1(feasible, uc, cfg))
+
+    def test_tie_across_weights_keeps_the_earlier_eta(self):
+        spots = [(0.3, 5, 2, 1.0), (0.7, 1, 0, 1.0)]
+        report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+        assert not report.passed and report.worst_violation == 1.0
+        assert report.witness == {
+            "eta": float(np.linspace(0.0, 1.0, 11)[3]),
+            "pair_index": 5,
+            "direction_index": 2,
+            "chord_length": 1.0,
+            "excess": 1.0,
+        }
+        assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
+
+    def test_nan_in_a_later_weight_fails_like_one_stack(self):
+        spots = [(0.2, 3, 1, 1.0), (0.8, 0, 0, np.nan)]
+        report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+        assert report.passed is False
+        assert math.isnan(report.worst_violation) and report.witness is None
+        assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
+
+    @pytest.mark.parametrize("pool_size", [1, 3, 16])
+    @pytest.mark.parametrize("name", ["lp3r5", "schatten2x3", "levelset"])
+    def test_report_does_not_depend_on_pool_size(self, monkeypatch, name, pool_size):
+        feasible = DEFINITION1_SETS[name]
+        cfg = SamplerConfig(n_pairs=150, n_directions=10, seed=8, boundary_bias=1.0)
+        uc = feasible.uc_params()
+        inflated = UCParams(alpha=uc.alpha * 50.0, q=uc.q, norm_tag=uc.norm_tag)
+        want = [check_definition1(feasible, u, cfg).to_json() for u in (uc, inflated)]
+        monkeypatch.setattr(ucfw.verify, "_POOL_SIZE", pool_size)
+        assert [check_definition1(feasible, u, cfg).to_json() for u in (uc, inflated)] == want
