@@ -17,8 +17,7 @@ from pathlib import Path
 from . import experiments as ex
 from . import verify as vf
 from .errors import ConfigError, UCFWError
-from .geometry import LpBall, set_from_json
-from .solver import StepRule, reference_optimum, run_fw
+from .geometry import UCParams, set_from_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -75,12 +74,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_objective(feasible):
-    if not isinstance(feasible, LpBall):
-        raise ConfigError("this check needs an lp-ball set (p > 1)")
-    return ex._ball_quadratic(feasible)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     feasible = set_from_json(_load_json(args.set))
     seed = _env_seed()
@@ -90,32 +83,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     uc = feasible.uc
     if args.alpha is not None or args.q is not None:
-        from .geometry import UCParams
-
         if args.alpha is None or args.q is None:
             raise ConfigError("override --alpha and --q together")
         uc = UCParams(alpha=args.alpha, q=args.q, norm_tag="override")
     if uc is None:
         raise ConfigError("set has no uniform-convexity parameters; pass --alpha/--q")
 
-    if args.check == "definition1":
-        report = vf.check_definition1(feasible, uc, cfg)
-    elif args.check == "lemma1":
-        f = _verify_objective(feasible)
-        report = vf.check_lemma1(feasible, uc, f, cfg)
-    elif args.check in ("local_scaling", "lemma3"):
-        f = _verify_objective(feasible)
-        x_init = ex.x_init_for(feasible, seed)
-        x_star, f_star = reference_optimum(feasible, f, x_init, 50_000, stop_gap=1e-13)
-        if args.check == "local_scaling":
-            report = vf.check_local_scaling(feasible, f, x_star, uc.alpha, uc.q, cfg)
-        else:
-            trace = run_fw(feasible, f, x_init, StepRule.short(), 2000, x_star=x_star, f_star=f_star)
-            consts = ex.problem_constants(feasible, f)
-            report = vf.check_lemma3(trace, consts["c"], consts["alpha"], consts["q"], consts["L"])
-    else:
-        raise ConfigError(f"unknown check {args.check!r}")
-
+    report = ex.run_check(args.check, feasible, uc, cfg)
     print(report.to_json())
     return EXIT_OK if report.passed else EXIT_VIOLATION
 

@@ -9,7 +9,7 @@ output directory; reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,18 +89,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown step rule {rule!r}")
         if self.horizon < 1 or self.dim < 2:
             raise ConfigError("need horizon >= 1 and dim >= 2")
-
-    @staticmethod
-    def from_json(desc: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        extra = set(desc) - known
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        desc = dict(desc)
-        for key in ("p_grid", "step_rules"):
-            if key in desc:
-                desc[key] = tuple(desc[key])
-        return ExperimentConfig(**desc)
 
 
 def build_problem(cfg: ExperimentConfig, p: float) -> tuple[LpBall, QuadraticObjective]:
@@ -204,9 +192,13 @@ def run_solve(config: dict, out_dir) -> dict:
     stop_gap = float(config.get("stop_gap", 1e-12))
 
     x_init = x_init_for(feasible, seed)
-    x_star, f_star = reference_optimum(
-        feasible, objective, x_init, REFERENCE_MULTIPLIER * T, stop_gap=min(stop_gap, 1e-12)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        x_star, f_star = reference_optimum(
+            feasible, objective, x_init, REFERENCE_MULTIPLIER * T, stop_gap=min(stop_gap, 1e-12)
+        )
+        f_init = objective.value(x_init)
+    if not (np.isfinite(f_star) and np.isfinite(f_init)):
+        raise ConfigError("objective is not finite on the set; reduce the objective's x0_scale")
     trace, extra = run_single(
         feasible, objective, rule_name, T, seed, x_star=x_star, f_star=f_star, stop_gap=stop_gap
     )
@@ -230,7 +222,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     step rule."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"config": _cfg_to_dict(cfg), "files": [], "runs": []}
+    manifest: dict = {"config": asdict(cfg), "files": [], "runs": []}
 
     references = {}
     for p in cfg.p_grid:
@@ -407,6 +399,33 @@ def _ball_quadratic(feasible: FeasibleSet) -> QuadraticObjective:
     return QuadraticObjective(A=plain.A, x0=x0, grad_floor=grad_floor_quadratic(plain, feasible))
 
 
+def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerConfig) -> vf.CheckReport:
+    """One positive check as ``ucfw verify`` and :func:`run_verify_all` run it.
+
+    lemma1, local_scaling and lemma3 take the ball quadratic of an lp ball.
+    The last two measure against a reference optimum from ``x_init_for``
+    at the sampler seed, with 50 000 exact-line-search steps to a 1e-13 gap
+    (exact for this quadratic); lemma3 reads a 2000-step short-step run
+    with the catalog constants.
+    """
+    if check == "definition1":
+        return vf.check_definition1(feasible, uc, cfg)
+    if check not in ("lemma1", "local_scaling", "lemma3"):
+        raise ConfigError(f"unknown check {check!r}")
+    if not isinstance(feasible, LpBall):
+        raise ConfigError("this check needs an lp-ball set (p > 1)")
+    f = _ball_quadratic(feasible)
+    if check == "lemma1":
+        return vf.check_lemma1(feasible, uc, f, cfg)
+    x_init = x_init_for(feasible, cfg.seed)
+    x_star, f_star = reference_optimum(feasible, f, x_init, 50_000, stop_gap=1e-13)
+    if check == "local_scaling":
+        return vf.check_local_scaling(feasible, f, x_star, uc.alpha, uc.q, cfg)
+    trace = run_fw(feasible, f, x_init, StepRule.short(), 2000, x_star=x_star, f_star=f_star)
+    consts = problem_constants(feasible, f)
+    return vf.check_lemma3(trace, consts["c"], consts["alpha"], consts["q"], consts["L"])
+
+
 def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: int = 50) -> dict:
     """Every positive check on the catalog plus the four negative controls
     (which must fail)."""
@@ -416,34 +435,16 @@ def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: in
     positives: list[vf.CheckReport] = []
     negatives: list[vf.CheckReport] = []
 
-    for name, feasible in catalog_sets():
-        rep = vf.check_definition1(feasible, feasible.uc_params(), cfg)
-        rep.config["set"] = name
-        positives.append(rep)
-
-    for name, feasible in catalog_sets():
-        if not isinstance(feasible, LpBall):
-            continue
-        f = _ball_quadratic(feasible)
-        rep = vf.check_lemma1(feasible, feasible.uc_params(), f, cfg)
-        rep.config["set"] = name
-        positives.append(rep)
-
-    # local scaling + distance control on a curved-optimum l3 problem
+    # every set's Definition 1, every lp ball's Lemma 1, then local scaling
+    # and the distance control on a curved-optimum l3 problem
     ball3 = LpBall(p=3.0, radius=1.0, dim=8)
-    f3 = _ball_quadratic(ball3)
-    x_init = x_init_for(ball3, seed)
-    x_star, f_star = reference_optimum(ball3, f3, x_init, 50_000, stop_gap=1e-13)
-    uc3 = ball3.uc_params()
-    rep = vf.check_local_scaling(ball3, f3, x_star, uc3.alpha, uc3.q, cfg)
-    rep.config["set"] = "lp_3_r1"
-    positives.append(rep)
-
-    trace3 = run_fw(ball3, f3, x_init, StepRule.short(), 2000, x_star=x_star, f_star=f_star)
-    consts3 = problem_constants(ball3, f3)
-    rep = vf.check_lemma3(trace3, consts3["c"], consts3["alpha"], consts3["q"], consts3["L"])
-    rep.config["set"] = "lp_3_r1"
-    positives.append(rep)
+    runs = [("definition1", name, feasible) for name, feasible in catalog_sets()]
+    runs += [("lemma1", name, feasible) for name, feasible in catalog_sets() if isinstance(feasible, LpBall)]
+    runs += [("local_scaling", "lp_3_r1", ball3), ("lemma3", "lp_3_r1", ball3)]
+    for check, name, feasible in runs:
+        rep = run_check(check, feasible, feasible.uc_params(), cfg)
+        rep.config["set"] = name
+        positives.append(rep)
 
     # negative controls: each check with a configuration known to violate it
     neg_cfg = vf.SamplerConfig(n_pairs=n_pairs, n_directions=n_directions, seed=seed, boundary_bias=1.0)
@@ -526,20 +527,6 @@ def run_online_config(config: dict, out_dir) -> dict:
         manifest["regret_ok"] = bool(np.all(trace.regret <= bound + 1e-9))
     _write_manifest(out_dir, manifest)
     return manifest
-
-
-def _cfg_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "dim": cfg.dim,
-        "cond": cfg.cond,
-        "radius": cfg.radius,
-        "p_grid": list(cfg.p_grid),
-        "step_rules": list(cfg.step_rules),
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-        "optimum_location": cfg.optimum_location,
-        "x0_scale_factor": cfg.x0_scale_factor,
-    }
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> None:

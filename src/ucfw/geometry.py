@@ -12,6 +12,7 @@ Conventions
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,10 +40,22 @@ __all__ = [
 
 
 # rows per block wherever a per-row loop is batched (run_fw's bookkeeping,
-# run_ftl, the CSV writers): large enough to amortise numpy's per-call cost,
+# run_ftl, the CSV writer): large enough to amortise numpy's per-call cost,
 # small enough (16 KiB per scratch array at d = 8) that the scratch arrays do
 # not raise the process's peak memory
 _BLOCK = 256
+
+
+def _write_csv(path, header: list, columns: list) -> None:
+    """Write an integer first column and float columns under ``header``,
+    one block of rows at a time; float cells use repr for byte stability."""
+    # "%r" of a float is its repr, and no such field needs csv quoting
+    row = "%d" + ",%r" * (len(columns) - 1) + "\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(columns[0]), _BLOCK):
+            block = zip(*(c[lo : lo + _BLOCK].tolist() for c in columns))
+            fh.write("".join(row % r for r in block))
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:

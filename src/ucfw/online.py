@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import _BLOCK, FeasibleSet, _row_dots
+from .geometry import _BLOCK, FeasibleSet, _row_dots, _write_csv
 
 __all__ = [
     "LossStream",
@@ -143,18 +143,12 @@ class OnlineTrace:
         return theorem4_bound(alpha, q, self.M_loss, self.L_T, self.t)
 
     def to_csv(self, path, bound: Optional[np.ndarray] = None) -> None:
+        header = ["t", "loss", "cum_grad_dual_norm", "regret"]
         columns = [self.t, self.loss, self.cum_grad_dual_norm, self.regret]
-        header = "t,loss,cum_grad_dual_norm,regret"
         if bound is not None:
+            header.append("bound")
             columns.append(bound)
-            header += ",bound"
-        # "%r" of a float is its repr, and no such field needs csv quoting
-        row = "%d" + ",%r" * (len(columns) - 1) + "\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for lo in range(0, len(self), _BLOCK):
-                block = zip(*(c[lo : lo + _BLOCK].tolist() for c in columns))
-                fh.write("".join(row % r for r in block))
+        _write_csv(path, header, columns)
 
 
 def run_ftl(

@@ -1,5 +1,6 @@
 """The Frank-Wolfe loop with pluggable step-size strategies and full
-per-iteration tracing, recorded in blocks of rows.
+per-iteration tracing, recorded in blocks of rows.  The reference-optimum
+fallback runs through the same loop.
 
 One run is sequential; traces are value-semantic, so independent runs can
 execute concurrently without shared state.
@@ -7,7 +8,6 @@ execute concurrently without shared state.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleStart, InvalidParams, UCFWError, ZeroDirection
-from .geometry import _BLOCK, FeasibleSet, LpBall
+from .geometry import _BLOCK, FeasibleSet, LpBall, _write_csv
 from .objectives import QuadraticObjective, SmoothObjective
 
 __all__ = [
@@ -35,21 +35,19 @@ FEASIBILITY_TOL = 1e-9
 class StepRule:
     """Step-size strategy.
 
-    ``deterministic`` uses the schedule 1/(t+1) (the classic 2/(t+2) is
-    available behind ``classic_schedule``), ``short`` the closed-form short
-    step, ``exact`` exact line search.
+    ``deterministic`` uses the schedule 1/(t+1), ``short`` the closed-form
+    short step, ``exact`` exact line search.
     """
 
     tag: str  # "deterministic" | "short" | "exact"
-    classic_schedule: bool = False
 
     def __post_init__(self) -> None:
         if self.tag not in ("deterministic", "short", "exact"):
             raise ValueError(f"unknown step rule {self.tag!r}")
 
     @staticmethod
-    def deterministic(classic: bool = False) -> "StepRule":
-        return StepRule("deterministic", classic_schedule=classic)
+    def deterministic() -> "StepRule":
+        return StepRule("deterministic")
 
     @staticmethod
     def short() -> "StepRule":
@@ -130,21 +128,14 @@ class RunTrace:
     def to_csv(self, path, extra_columns: Optional[dict] = None) -> None:
         """Write the canonical CSV; float cells use repr for byte stability."""
         extra = extra_columns or {}
-        columns = [
-            self.t, self.gamma, self.fw_gap, self.min_fw_gap, self.primal_gap,
-            self.dist_to_vertex, self.grad_dual_norm,
-            *(np.asarray(col, dtype=float) for col in extra.values()),
-        ]
-        # "%r" of a float is its repr, and no such field needs csv quoting
-        row = "%d" + ",%r" * (len(columns) - 1) + "\n"
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow([
-                "t", "gamma", "fw_gap", "min_fw_gap", "primal_gap",
-                "dist_to_vertex", "grad_dual_norm", *extra.keys(),
-            ])
-            for lo in range(0, len(self), _BLOCK):
-                block = zip(*(c[lo : lo + _BLOCK].tolist() for c in columns))
-                fh.write("".join(row % r for r in block))
+        _write_csv(
+            path,
+            ["t", "gamma", "fw_gap", "min_fw_gap", "primal_gap", "dist_to_vertex",
+             "grad_dual_norm", *extra.keys()],
+            [self.t, self.gamma, self.fw_gap, self.min_fw_gap, self.primal_gap,
+             self.dist_to_vertex, self.grad_dual_norm,
+             *(np.asarray(col, dtype=float) for col in extra.values())],
+        )
 
     def write_sidecar(self, path) -> None:
         with open(path, "w") as fh:
@@ -218,7 +209,7 @@ def run_fw(
             break
 
         if rule.tag == "deterministic":
-            gamma = 2.0 / (t + 2.0) if rule.classic_schedule else 1.0 / (t + 1.0)
+            gamma = 1.0 / (t + 1.0)
         elif rule.tag == "short":
             d = v - x
             gamma = short_step(fw_gap, f.L, float(np.dot(d, d)))
@@ -245,7 +236,6 @@ def run_fw(
             "set": feasible.descriptor(),
             "objective": f.descriptor(),
             "step_rule": rule.tag,
-            "classic_schedule": rule.classic_schedule,
             "horizon": T,
             "stop_gap": stop_gap,
             "stopped_at": t,
@@ -277,33 +267,18 @@ def reference_optimum(
 
     A diagonal quadratic over an lp ball is solved exactly from its KKT
     system (:func:`_lp_ball_quadratic_optimum`).  Every other problem falls
-    back to Frank-Wolfe with exact line search from ``x_init`` for
+    back to :func:`run_fw` with exact line search from ``x_init`` for
     ``horizon`` steps (or until the gap drops to ``stop_gap``), returning
-    the best iterate seen; the experiment driver gives it 50x the plotted
+    the first iterate of least value; a numerical breakdown raises
+    :class:`UCFWError`.  The experiment suites give it 50x the plotted
     horizon.
     """
     if isinstance(f, QuadraticObjective) and f.diagonal and isinstance(feasible, LpBall):
         return _lp_ball_quadratic_optimum(feasible, f)
-    x = np.array(x_init, dtype=float)
-    best_x, best_f = x.copy(), f.value(x)
-    for _ in range(horizon):
-        g = f.gradient(x)
-        try:
-            v = feasible.lmo(-g)
-        except ZeroDirection:
-            break
-        d = v - x
-        fw_gap = float(np.dot(g, -d))
-        if fw_gap <= stop_gap:
-            break
-        gamma = exact_line_search(f, x, d, g)
-        if gamma <= 0.0:
-            break
-        x = (1.0 - gamma) * x + gamma * v
-        fx = f.value(x)
-        if fx < best_f:
-            best_f, best_x = fx, x.copy()
-    return best_x, best_f
+    trace = run_fw(feasible, f, x_init, StepRule.exact(), horizon, stop_gap=stop_gap)
+    values = f.batch_value(trace.iterates)
+    best = int(np.argmin(values))
+    return trace.iterates[best].copy(), float(values[best])
 
 
 def _fw_vertex(feasible: FeasibleSet, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,9 +1,14 @@
 """The command line entry point: verbs, exit codes, outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ucfw
 from ucfw.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 
 L3_SET = json.dumps({"family": "lp", "p": 3.0, "radius": 1.0, "dim": 4})
@@ -229,6 +234,17 @@ class TestNonFiniteDescriptors:
         assert field in err and err.count("\n") == 1
         assert not (out / "trace.csv").exists()
 
+    def test_solve_rejects_overflowing_objective(self, tmp_path, capsys, recwarn):
+        config = json.loads(json.dumps(TestSolveVerb.CONFIG))
+        config["objective"]["x0_scale"] = 1e200  # finite, but f overflows on the set
+        out = tmp_path / "run"
+        code = main(["solve", "--config", json.dumps(config), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "x0_scale" in err and err.count("\n") == 1
+        assert not (out / "trace.csv").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "desc, field",
         [
@@ -247,3 +263,13 @@ class TestNonFiniteDescriptors:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert field in err and err.count("\n") == 1
+
+
+class TestImportCost:
+    def test_import_defers_scipy_and_thread_pools(self):
+        """scipy and concurrent.futures load on first use, not at import."""
+        code = "import sys, ucfw; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+        src = str(Path(ucfw.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"

@@ -237,6 +237,99 @@ class TestReferenceOptimum:
         assert f_star == pytest.approx(0.5, abs=1e-9)
 
 
+def best_iterate_fw(feasible, f, x_init, horizon, stop_gap=0.0):
+    """The reference fallback's former hand-written loop: Frank-Wolfe with
+    exact line search, keeping the best iterate seen."""
+    x = np.array(x_init, dtype=float)
+    best_x, best_f = x.copy(), f.value(x)
+    for _ in range(horizon):
+        g = f.gradient(x)
+        try:
+            v = feasible.lmo(-g)
+        except ZeroDirection:
+            break
+        d = v - x
+        fw_gap = float(np.dot(g, -d))
+        if fw_gap <= stop_gap:
+            break
+        gamma = exact_line_search(f, x, d, g)
+        if gamma <= 0.0:
+            break
+        x = (1.0 - gamma) * x + gamma * v
+        fx = f.value(x)
+        if fx < best_f:
+            best_f, best_x = fx, x.copy()
+    return best_x, best_f
+
+
+class _CoarseValue(QuadraticObjective):
+    """A full-matrix quadratic whose value oracle is rounded down to 1/8 and
+    tilted by |x_0|: the values along the run tie, so the first iterate of
+    least value comes well before the last."""
+
+    def value(self, x):
+        return float(np.floor(8.0 * (super().value(x) + abs(x[0])))) / 8.0
+
+
+def _fallback_cases():
+    rng = np.random.default_rng(8)
+    l1_100 = L1Ball(radius=1.0, dim=100)
+    x0_100 = 3.0 * rng.standard_normal(100) / np.sqrt(100)
+    ball = LpBall(p=3.0, radius=1.0, dim=5)
+    M = rng.standard_normal((5, 5))
+    schatten = SchattenBall(2.5, 3, 3, 1.0)
+    return {
+        "l1-d2": (L1Ball(radius=1.0, dim=2), QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0])),
+                  np.array([1.0, 0.0]), 50_000, 0.0),
+        "l1-d100": (l1_100, QuadraticObjective(A=np.exp(rng.uniform(0.0, 3.0, 100)), x0=x0_100),
+                    x_init_for(l1_100, 0), 3000, 1e-13),
+        "lp-full-matrix": (ball, QuadraticObjective(A=M @ M.T + np.eye(5), x0=3.0 * rng.standard_normal(5)),
+                           x_init_for(ball, 0), 2000, 1e-13),
+        "lp-coarse-value": (ball, _CoarseValue(A=np.diag(np.linspace(1.0, 5.0, 5)), x0=3.0 * rng.standard_normal(5)),
+                            x_init_for(ball, 0), 300, 1e-13),
+        "schatten-3x3": (schatten, QuadraticObjective(A=np.linspace(1.0, 10.0, 9),
+                                                      x0=2.0 * rng.standard_normal(9)),
+                         x_init_for(schatten, 0), 2000, 0.0),
+    }
+
+
+FALLBACK_CASES = _fallback_cases()
+
+
+class _GradientTurnsNaN(QuadraticObjective):
+    """A quadratic whose gradient is NaN from its second call on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def gradient(self, x):
+        self.calls += 1
+        g = super().gradient(x)
+        return g if self.calls == 1 else np.full_like(g, np.nan)
+
+
+class TestReferenceFallback:
+    """Every problem without a KKT solution runs through run_fw and gets what
+    the former best-iterate loop gave, bit for bit."""
+
+    @pytest.mark.parametrize("name", FALLBACK_CASES)
+    def test_matches_best_iterate_loop(self, name, monkeypatch):
+        feasible, f, x_init, horizon, stop_gap = FALLBACK_CASES[name]
+        calls = []
+        monkeypatch.setattr(solver, "run_fw", lambda *a, **k: calls.append(1) or run_fw(*a, **k))
+        x_star, f_star = reference_optimum(feasible, f, x_init, horizon, stop_gap=stop_gap)
+        x_old, f_old = best_iterate_fw(feasible, f, x_init, horizon, stop_gap=stop_gap)
+        assert calls == [1]
+        assert x_star.tobytes() == x_old.tobytes()
+        assert f_star == f_old and isinstance(f_star, float)
+
+    def test_nan_gradient_raises(self):
+        f = _GradientTurnsNaN(A=np.array([1.0, 2.0, 3.0]), x0=np.array([0.5, 3.0, -1.0]))
+        with pytest.raises(UCFWError):
+            reference_optimum(L1Ball(radius=2.0, dim=3), f, np.array([2.0, 0.0, 0.0]), 100)
+
+
 def _bisection_optimum(a, x0, p, r):
     """min 1/2 sum a_i (x_i - x0_i)^2 over ||x||_p <= r by nested bisection:
     for a multiplier mu each |x_i| solves a_i (|x0_i| - y) = mu y^(p-1);
