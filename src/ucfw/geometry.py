@@ -40,10 +40,18 @@ __all__ = [
 
 
 # rows per block wherever a per-row loop is batched (run_fw's bookkeeping,
-# run_ftl, the CSV writer): large enough to amortise numpy's per-call cost,
-# small enough (16 KiB per scratch array at d = 8) that the scratch arrays do
-# not raise the process's peak memory
+# run_ftl, the CSV writer): large enough to amortise numpy's per-call cost.
+# A block of points (run_fw, run_ftl) also stops at 8192 floats, 64 KiB, so
+# each block array and each batched temporary stays under glibc's 128 KiB mmap
+# threshold: it is reused from the heap instead of being unmapped and faulted
+# in again on every block, and run_fw's memory does not grow with its horizon
 _BLOCK = 256
+
+
+def _block_rows(dim: int) -> int:
+    """Rows per block of dim-float points: ``_BLOCK`` up to dim = 32, then
+    as many as fit in 8192 floats (64 KiB), and at least one."""
+    return max(1, min(_BLOCK, 8192 // dim))
 
 
 def _write_csv(path, header: list, columns: list) -> None:

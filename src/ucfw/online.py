@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import _BLOCK, FeasibleSet, _row_dots, _write_csv
+from .geometry import FeasibleSet, _block_rows, _row_dots, _write_csv
 
 __all__ = [
     "LossStream",
@@ -163,13 +163,16 @@ def run_ftl(
     With S_t the cumulative loss vector after round t, V_t = lmo(-S_t) is
     both round t+1's action and the hindsight optimum of rounds 1..t, so
     regret_t = sum_{s<=t} <c_s, x_s> - <S_t, V_t>.  A zero S_t makes round
-    t+1 play ``x1_policy`` and is listed in ``fallback_rounds``.
+    t+1 play ``x1_policy`` and is listed in ``fallback_rounds``.  A stream
+    whose cumulative loss, dual norms or regret overflow raises
+    :class:`ConfigError`.
     """
     if T < 1:
         raise InvalidParams("T must be >= 1")
     if stream.dim != feasible.dim:
         raise ConfigError(f"stream dim {stream.dim} does not match set dim {feasible.dim}")
-    C = stream.materialize(T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        C = stream.materialize(T)
 
     if x1_policy is None:
         rng = np.random.default_rng(_X1_SEED)
@@ -184,34 +187,41 @@ def run_ftl(
     loss_dual = np.empty(T)
     fallback_rounds: list[int] = []
 
+    rows = _block_rows(stream.dim)
     carry = np.zeros(stream.dim)
-    for lo in range(0, T, _BLOCK):
-        hi = min(lo + _BLOCK, T)
-        # S[i] = S_{lo+i+1}, summed in the same order as a running sum
-        S = C[lo:hi].copy()
-        S[0] += carry
-        np.cumsum(S, axis=0, out=S)
-        carry = S[-1].copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused
+        for lo in range(0, T, rows):
+            hi = min(lo + rows, T)
+            # S[i] = S_{lo+i+1}, summed in the same order as a running sum
+            S = C[lo:hi].copy()
+            S[0] += carry
+            np.cumsum(S, axis=0, out=S)
+            carry = S[-1].copy()
+            _check_finite("cumulative loss", np.isfinite(S).all(axis=1), lo)
 
-        nonzero = S.any(axis=1)
-        V = np.empty_like(S)
-        V[nonzero] = feasible.batch_lmo(-S[nonzero])
-        V[~nonzero] = x1_policy  # S = 0 there, so the hindsight term is 0
-        hindsight[lo:hi] = _row_dots(S, V)
-        n_next = min(hi, T - 1) - lo  # rows whose next round exists
-        actions[lo + 1 : lo + 1 + n_next] = V[:n_next]
-        fallback_rounds.extend((lo + 2 + np.flatnonzero(~nonzero[:n_next])).tolist())
+            nonzero = S.any(axis=1)
+            V = np.empty_like(S)
+            V[nonzero] = feasible.batch_lmo(-S[nonzero])
+            V[~nonzero] = x1_policy  # S = 0 there, so the hindsight term is 0
+            hindsight[lo:hi] = _row_dots(S, V)
+            n_next = min(hi, T - 1) - lo  # rows whose next round exists
+            actions[lo + 1 : lo + 1 + n_next] = V[:n_next]
+            fallback_rounds.extend((lo + 2 + np.flatnonzero(~nonzero[:n_next])).tolist())
 
-        losses[lo:hi] = _row_dots(C[lo:hi], actions[lo:hi])
-        avg_dual[lo:hi] = feasible.batch_dual_norm(S / np.arange(lo + 1, hi + 1)[:, None])
-        loss_dual[lo:hi] = feasible.batch_dual_norm(C[lo:hi])
+            losses[lo:hi] = _row_dots(C[lo:hi], actions[lo:hi])
+            avg_dual[lo:hi] = feasible.batch_dual_norm(S / np.arange(lo + 1, hi + 1)[:, None])
+            loss_dual[lo:hi] = feasible.batch_dual_norm(C[lo:hi])
+            finite = np.isfinite(avg_dual[lo:hi]) & np.isfinite(loss_dual[lo:hi])
+            _check_finite("dual norm of a loss", finite, lo)
+        regret = np.cumsum(losses) - hindsight
+    _check_finite("regret", np.isfinite(regret), 0)
 
     L_T = float(avg_dual.min())
     return OnlineTrace(
         t=np.arange(1, T + 1),
         loss=losses,
         cum_grad_dual_norm=avg_dual,
-        regret=np.cumsum(losses) - hindsight,
+        regret=regret,
         actions=actions,
         losses_vectors=C,
         M_loss=float(loss_dual.max()),
@@ -220,6 +230,14 @@ def run_ftl(
         fallback_rounds=fallback_rounds,
         metadata={"set": feasible.descriptor(), "stream": stream.tag, "T": T},
     )
+
+
+def _check_finite(what: str, finite: np.ndarray, lo: int) -> None:
+    """Raise ConfigError naming the first round lo + 1 + i whose ``finite[i]``
+    is False."""
+    bad = np.flatnonzero(~finite)
+    if len(bad):
+        raise ConfigError(f"the {what} overflows at round {lo + 1 + int(bad[0])}; scale the stream down")
 
 
 def theorem4_bound(alpha: float, q: float, M_loss: float, L_T: float, T):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleStart, InvalidParams, UCFWError, ZeroDirection
-from .geometry import _BLOCK, FeasibleSet, LpBall, _write_csv
+from .geometry import FeasibleSet, LpBall, _block_rows, _write_csv
 from .objectives import QuadraticObjective, SmoothObjective
 
 __all__ = [
@@ -101,7 +101,9 @@ class RunTrace:
     ``primal_gap`` is NaN when no reference optimum was supplied.
     ``dist_to_vertex`` and ``grad_dual_norm`` are measured in the set's norm
     pair; the short step itself uses Euclidean quantities, matching the L2
-    declaration of the smoothness constant.
+    declaration of the smoothness constant.  ``iterates`` and ``vertices``
+    hold the points x_t and v_t row by row when the run was asked to keep
+    them (``run_fw(..., keep_points=True)``) and are None otherwise.
     """
 
     t: np.ndarray
@@ -110,8 +112,8 @@ class RunTrace:
     primal_gap: np.ndarray
     dist_to_vertex: np.ndarray
     grad_dual_norm: np.ndarray
-    iterates: np.ndarray
-    vertices: np.ndarray
+    iterates: Optional[np.ndarray] = None
+    vertices: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -152,6 +154,7 @@ def run_fw(
     stop_gap: float = 1e-12,
     x_star: Optional[np.ndarray] = None,
     f_star: Optional[float] = None,
+    keep_points: bool = False,
 ) -> RunTrace:
     """Run the Frank-Wolfe loop: LMO, step size, convex update.
 
@@ -162,8 +165,14 @@ def run_fw(
     Each iteration makes one gradient call, one LMO call and the step rule.
     Everything else a trace row records (the feasibility guard, primal gap,
     distance to the vertex and dual gradient norm) is computed in one
-    batched pass per block of ``_BLOCK`` rows, and at the stop, before the
-    trace is returned.  A NaN gap raises at once.
+    batched pass per block of rows, and at the stop, before the trace is
+    returned.  A NaN gap raises at once.
+
+    Points live only in block buffers of at most 64 KiB each
+    (:func:`~ucfw.geometry._block_rows`), so memory does not grow with T
+    beyond the trace's scalar columns.  ``keep_points=True`` copies every
+    block into ``(T+1)``-row arrays that the trace returns as ``iterates``
+    and ``vertices``.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -174,10 +183,15 @@ def run_fw(
     if f_star is None and x_star is not None:
         f_star = f.value(x_star)
 
-    # rows t = 0..T; an early stop leaves the tail of X and V untouched
-    X = np.empty((T + 1, *x.shape))
-    V = np.empty_like(X)
-    G = np.empty((_BLOCK, *x.shape))
+    # row i of the block buffers is iteration lo + i; X's spare last row
+    # takes the next block's first iterate
+    rows = _block_rows(x.size)
+    X = np.empty((rows + 1, *x.shape))
+    V = np.empty((rows, *x.shape))
+    G = np.empty_like(V)
+    if keep_points:  # rows t = 0..T; an early stop leaves the tail untouched
+        iterates = np.empty((T + 1, *x.shape))
+        vertices = np.empty_like(iterates)
     gammas = np.zeros(T + 1)
     gaps = np.empty(T + 1)
     primals = np.full(T + 1, np.nan)
@@ -185,24 +199,30 @@ def run_fw(
     gnorms = np.empty(T + 1)
 
     def settle(lo: int, hi: int) -> None:
-        """The batched part of rows lo..hi-1, whose gradients are G[:hi-lo]."""
-        _check_iterates(feasible, X[lo:hi], lo)
-        dists[lo:hi] = feasible.batch_norm(V[lo:hi] - X[lo:hi])
-        gnorms[lo:hi] = feasible.batch_dual_norm(G[: hi - lo])
+        """The batched part of rows lo..hi-1, held in the first hi-lo rows
+        of the block buffers."""
+        n = hi - lo
+        _check_iterates(feasible, X[:n], lo)
+        dists[lo:hi] = feasible.batch_norm(V[:n] - X[:n])
+        gnorms[lo:hi] = feasible.batch_dual_norm(G[:n])
         if f_star is not None:
-            primals[lo:hi] = f.batch_value(X[lo:hi]) - f_star
+            primals[lo:hi] = f.batch_value(X[:n]) - f_star
+        if keep_points:
+            iterates[lo:hi] = X[:n]
+            vertices[lo:hi] = V[:n]
 
     X[0] = x
     lo = 0
     for t in range(T + 1):
-        x = X[t]
-        g = G[t - lo]
+        i = t - lo
+        x = X[i]
+        g = G[i]
         g[...] = f.gradient(x)
         v, fw_gap = _fw_vertex(feasible, g, x)
-        V[t] = v
+        V[i] = v
         gaps[t] = fw_gap
         if not fw_gap >= 0.0:
-            _check_iterates(feasible, X[lo : t + 1], lo)
+            _check_iterates(feasible, X[: i + 1], lo)
             raise UCFWError(f"Frank-Wolfe gap is {fw_gap} at t = {t}; numerical breakdown")
 
         if fw_gap <= stop_gap or t == T:
@@ -216,9 +236,10 @@ def run_fw(
         else:
             gamma = exact_line_search(f, x, v - x, g)
         gammas[t] = gamma
-        X[t + 1] = (1.0 - gamma) * x + gamma * v
-        if t + 1 - lo == _BLOCK:
+        X[i + 1] = (1.0 - gamma) * x + gamma * v
+        if i + 1 == rows:
             settle(lo, t + 1)
+            X[0] = X[rows]
             lo = t + 1
 
     n = t + 1
@@ -230,8 +251,8 @@ def run_fw(
         primal_gap=primals[:n],
         dist_to_vertex=dists[:n],
         grad_dual_norm=gnorms[:n],
-        iterates=X[:n],
-        vertices=V[:n],
+        iterates=iterates[:n] if keep_points else None,
+        vertices=vertices[:n] if keep_points else None,
         metadata={
             "set": feasible.descriptor(),
             "objective": f.descriptor(),
@@ -275,7 +296,7 @@ def reference_optimum(
     """
     if isinstance(f, QuadraticObjective) and f.diagonal and isinstance(feasible, LpBall):
         return _lp_ball_quadratic_optimum(feasible, f)
-    trace = run_fw(feasible, f, x_init, StepRule.exact(), horizon, stop_gap=stop_gap)
+    trace = run_fw(feasible, f, x_init, StepRule.exact(), horizon, stop_gap=stop_gap, keep_points=True)
     values = f.batch_value(trace.iterates)
     best = int(np.argmin(values))
     return trace.iterates[best].copy(), float(values[best])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,31 @@ class TestOnlineVerb:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err and "IndexError" not in err
+        assert not (out / "online.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"set": {"family": "lp", "p": 2.0, "radius": 1.0, "dim": 2},
+             "stream": {"tag": "adversarial", "base": [1e300, 0.0], "flip_scale": 0.5, "seed": 0},
+             "T": 100},
+            {"set": {"family": "lp", "p": 3.0, "radius": 1.0, "dim": 2},
+             "stream": {"tag": "fixed", "losses": [[1e308, 1e308], [1e308, 1e308]]},
+             "T": 2},
+        ],
+        ids=["overflowing-norm", "overflowing-sum"],
+    )
+    def test_overflowing_stream_is_config_error(self, tmp_path, capsys, config):
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["online", "--config", json.dumps(config), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "overflows" in captured.err
         assert not (out / "online.csv").exists()
 
     def test_linf_ball_runs_without_bound(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Follow-The-Leader: actions, exact regret, and regret bound curves."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from ucfw import (
     theorem4_bound,
 )
 from ucfw.experiments import fit_loglog_slope
-from ucfw.geometry import dual_exponent, lp_norm
-from ucfw.online import _BLOCK, OnlineTrace, stream_from_json
+from ucfw.geometry import _block_rows, dual_exponent, lp_norm
+from ucfw.online import OnlineTrace, stream_from_json
 
 
 class OraclesOnly(FeasibleSet):
@@ -141,7 +142,7 @@ class TestBatchedFtl:
     def test_fallback_across_block_edge(self, name):
         # the cumulative loss vector is zero after rounds 1023 and 1024, and
         # round 1024 ends a block, so the second fallback crosses a block edge
-        assert 1024 % _BLOCK == 0
+        assert 1024 % _block_rows(5) == 0
         rng = np.random.default_rng(8)
         C = rng.integers(-2, 3, size=(1500, 5)).astype(float)
         C[0] = [1.0, 0.0, 0.0, 0.0, 0.0]
@@ -149,6 +150,21 @@ class TestBatchedFtl:
         C[1023] = 0.0
         trace = assert_matches_per_round(FTL_SETS[name], C)
         assert trace.fallback_rounds == [1024, 1025]
+
+    @pytest.mark.parametrize(
+        "p, losses, what",
+        [
+            (2.0, [[1.0, 0.0], [1e300, 0.0], [1.0, 0.0]], "dual norm of a loss overflows at round 2"),
+            (3.0, [[1e308, 1e308]] * 3, "cumulative loss overflows at round 2"),
+            # <S_2, V_2> = -||S_2||_1.5 overflows
+            (3.0, [[0.75e308, 0.75e308]] * 2, "regret overflows at round 2"),
+        ],
+    )
+    def test_overflow_is_config_error(self, p, losses, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=what):
+                run_ftl(LpBall(p=p, radius=1.0, dim=2), fixed_stream(np.array(losses)), len(losses))
 
     def test_stream_dim_must_match_set(self):
         with pytest.raises(ConfigError, match="2.*3"):

@@ -1,6 +1,7 @@
 """The Frank-Wolfe loop: step rules, trace invariants, serialization."""
 
 import csv
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,7 +30,7 @@ from ucfw import (
 )
 from ucfw import solver
 from ucfw.experiments import fit_loglog_slope, problem_constants, x_init_for
-from ucfw.geometry import _BLOCK, lp_norm
+from ucfw.geometry import _BLOCK, _block_rows, lp_norm
 
 
 class TestShortStep:
@@ -123,7 +124,7 @@ class TestRunFw:
         ball, f = _projection_problem()
         trace = run_fw(
             ball, f, np.array([0.0, 1.0]), StepRule.short(), 200,
-            x_star=np.array([1.0, 0.0]), f_star=0.5,
+            x_star=np.array([1.0, 0.0]), f_star=0.5, keep_points=True,
         )
         assert trace.primal_gap[-1] <= 1e-6
         assert np.linalg.norm(trace.iterates[-1] - [1.0, 0.0]) <= 1e-3
@@ -151,7 +152,7 @@ class TestRunFw:
     def test_iterates_feasible_and_updates_convex(self):
         ball = LpBall(p=3.0, radius=1.0, dim=5)
         f = QuadraticObjective(A=np.linspace(1, 3, 5), x0=np.ones(5))
-        trace = run_fw(ball, f, x_init_for(ball, 0), StepRule.exact(), 100)
+        trace = run_fw(ball, f, x_init_for(ball, 0), StepRule.exact(), 100, keep_points=True)
         assert ball.batch_membership_excess(trace.iterates).max() <= 1e-9
         for i in range(len(trace) - 1):
             g = trace.gamma[i]
@@ -162,7 +163,7 @@ class TestRunFw:
         ball = LpBall(p=3.0, radius=1.0, dim=8)
         f = QuadraticObjective(A=np.ones(8), x0=np.ones(8))
         trace = run_fw(ball, f, x_init_for(ball, 1), StepRule.short(), 300,
-                       x_star=None, f_star=None)
+                       x_star=None, f_star=None, keep_points=True)
         vals = np.array([f.value(x) for x in trace.iterates])
         assert np.all(np.diff(vals) <= 1e-12)
         for i in range(len(trace) - 1):
@@ -180,7 +181,7 @@ class TestRunFw:
         x_init = x_init_for(ball, 0)
         x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-15)
         trace = run_fw(ball, f, x_init, StepRule.short(), 2000,
-                       x_star=x_star, f_star=f_star)
+                       x_star=x_star, f_star=f_star, keep_points=True)
         lhs = np.array([ball.norm(x - x_star) for x in trace.iterates]) ** consts["q"]
         rhs = (2.0 / (consts["c"] * consts["alpha"])) * trace.primal_gap
         assert np.all(lhs <= rhs + 1e-6)
@@ -193,7 +194,7 @@ class TestRunFw:
         x_init = x_init_for(ball, 0)
         assert x_init.shape == (9,)
         x_star, f_star = reference_optimum(ball, f, x_init, 25_000, stop_gap=1e-13)
-        trace = run_fw(ball, f, x_init, StepRule(rule), 500, f_star=f_star)
+        trace = run_fw(ball, f, x_init, StepRule(rule), 500, f_star=f_star, keep_points=True)
         assert ball.batch_membership_excess(trace.iterates).max() <= 1e-9
         assert trace.min_fw_gap[-1] < 1e-9 * trace.min_fw_gap[0]
         assert abs(trace.primal_gap[-1]) <= 1e-6
@@ -214,8 +215,8 @@ class TestTraceSerialization:
     def test_identical_runs_bitwise(self):
         ball = LpBall(p=3.0, radius=1.0, dim=6)
         f = QuadraticObjective(A=np.linspace(1, 2, 6), x0=np.ones(6))
-        t1 = run_fw(ball, f, x_init_for(ball, 3), StepRule.short(), 100)
-        t2 = run_fw(ball, f, x_init_for(ball, 3), StepRule.short(), 100)
+        t1 = run_fw(ball, f, x_init_for(ball, 3), StepRule.short(), 100, keep_points=True)
+        t2 = run_fw(ball, f, x_init_for(ball, 3), StepRule.short(), 100, keep_points=True)
         np.testing.assert_array_equal(t1.iterates, t2.iterates)
 
     def test_sidecar(self, tmp_path):
@@ -583,7 +584,7 @@ class TestBlockedBookkeeping:
         feasible, f = FW_CASES[name]
         x_init = feasible.lmo(np.ones(6))
         f_star = None if name == "l1" else 0.25
-        trace = run_fw(feasible, f, x_init, StepRule(rule), T, f_star=f_star)
+        trace = run_fw(feasible, f, x_init, StepRule(rule), T, f_star=f_star, keep_points=True)
         ref = per_iteration_fw(feasible, f, x_init, StepRule(rule), T, f_star=f_star)
         assert_matches_per_iteration(trace, ref)
 
@@ -592,12 +593,59 @@ class TestBlockedBookkeeping:
     def test_early_stop_on_gap(self, name, rule):
         feasible, f = FW_CASES[name]
         stop_gap = 3e-3 if rule == "deterministic" else 1e-9
-        trace = run_fw(feasible, f, np.zeros(6), StepRule(rule), 1000, stop_gap=stop_gap, f_star=0.0)
+        trace = run_fw(feasible, f, np.zeros(6), StepRule(rule), 1000, stop_gap=stop_gap, f_star=0.0,
+                       keep_points=True)
         ref = per_iteration_fw(feasible, f, np.zeros(6), StepRule(rule), 1000, stop_gap, f_star=0.0)
         assert_matches_per_iteration(trace, ref)
         assert trace.metadata["stopped_at"] == len(trace) - 1
         if rule == "deterministic":  # stops after 4 to 980 iterations
             assert len(trace) < 1001 and trace.fw_gap[-1] <= stop_gap
+
+    @pytest.mark.parametrize("rule", ["deterministic", "short", "exact"])
+    @pytest.mark.parametrize(
+        "dim, T", [(1000, 1), (1000, 7), (1000, 8), (1000, 9), (1000, 17), (1000, 100),
+                   (8193, 1), (8193, 2), (8193, 5)],
+    )
+    @pytest.mark.parametrize("family", ["p3", "l1"])
+    def test_small_blocks_match_per_iteration_loop(self, family, dim, T, rule):
+        # 8-row blocks at dim 1000, 1-row blocks at dim 8193
+        assert _block_rows(dim) == {1000: 8, 8193: 1}[dim]
+        ball = LpBall(p=3.0, radius=2.0, dim=dim) if family == "p3" else L1Ball(radius=1.0, dim=dim)
+        feasible, f = _fw_case(ball)
+        x_init = feasible.lmo(np.ones(dim))
+        trace = run_fw(feasible, f, x_init, StepRule(rule), T, f_star=0.25, keep_points=True)
+        ref = per_iteration_fw(feasible, f, x_init, StepRule(rule), T, f_star=0.25)
+        assert len(trace) == T + 1
+        assert_matches_per_iteration(trace, ref)
+
+    @pytest.mark.parametrize("rule", ["deterministic", "short", "exact"])
+    @pytest.mark.parametrize("name", list(FW_CASES))
+    def test_points_are_optional(self, name, rule):
+        feasible, f = FW_CASES[name]
+        x_init = feasible.lmo(np.ones(6))
+        kept = run_fw(feasible, f, x_init, StepRule(rule), 600, f_star=0.25, keep_points=True)
+        lean = run_fw(feasible, f, x_init, StepRule(rule), 600, f_star=0.25)
+        assert lean.iterates is None and lean.vertices is None
+        assert kept.iterates.shape == kept.vertices.shape == (len(kept), 6)
+        for column in ("t", "gamma", "fw_gap", "primal_gap", "dist_to_vertex", "grad_dual_norm"):
+            assert getattr(lean, column).tobytes() == getattr(kept, column).tobytes(), column
+        assert lean.metadata == kept.metadata
+
+    def test_point_memory_does_not_grow_with_T(self):
+        # the points of a whole run would take 2 x 4001 x 1000 floats (64 MB)
+        dim, T = 1000, 4000
+        ball = LpBall(p=1.5, radius=1.0, dim=dim)
+        f = QuadraticObjective(A=np.linspace(1.0, 100.0, dim), x0=np.full(dim, 0.1))
+        x_init = x_init_for(ball, 0)
+        tracemalloc.start()
+        try:
+            trace = run_fw(ball, f, x_init, StepRule.deterministic(), T, f_star=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == T + 1
+        assert trace.iterates is None and trace.vertices is None
+        assert peak < 2 * 2**20
 
     def test_no_per_iteration_bookkeeping_calls(self):
         feasible = CountingBall(LpBall(p=3.0, radius=1.0, dim=5))
