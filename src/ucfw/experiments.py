@@ -9,6 +9,7 @@ output directory; reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import verify as vf
+from .cpus import usable_cpus
 from .errors import ConfigError
 from .geometry import (
     FeasibleSet,
@@ -216,79 +218,119 @@ def run_solve(config: dict, out_dir) -> dict:
     return manifest
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """One location of the curved-vs-flat protocol: every (step rule, p)
-    pair, traces with bound overlays, and one SVG of running-min gaps per
-    step rule."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"config": asdict(cfg), "files": [], "runs": []}
+def _fig2_reference(cfg: ExperimentConfig, p: float) -> tuple:
+    """x*, f* and the certificate of f* for one (location, p) problem."""
+    feasible, objective = build_problem(cfg, p)
+    x_init = x_init_for(feasible, cfg.seed)
+    x_star, f_star = reference_optimum(
+        feasible, objective, x_init, REFERENCE_MULTIPLIER * cfg.horizon, stop_gap=1e-13
+    )
+    return x_star, f_star, fw_gap_at(feasible, objective, x_star)
 
-    references = {}
-    for p in cfg.p_grid:
-        feasible, objective = build_problem(cfg, p)
-        x_init = x_init_for(feasible, cfg.seed)
-        x_star, f_star = reference_optimum(
-            feasible, objective, x_init, REFERENCE_MULTIPLIER * cfg.horizon, stop_gap=1e-13
-        )
-        references[p] = x_star, f_star, fw_gap_at(feasible, objective, x_star)
 
-    for rule_name in cfg.step_rules:
-        series = []
-        for p in cfg.p_grid:
-            feasible, objective = build_problem(cfg, p)
-            x_star, f_star, certificate = references[p]
-            trace, extra = run_single(
-                feasible, objective, rule_name, cfg.horizon, cfg.seed,
-                x_star=x_star, f_star=f_star,
-            )
-            trace.metadata["f_star_certificate"] = certificate
-            name = f"{cfg.optimum_location}_{rule_name}_p{p:g}"
-            csv_name = f"{name}.csv"
-            trace.to_csv(out_dir / csv_name, extra_columns=extra)
-            trace.write_sidecar(out_dir / f"{name}.json")
-            min_gap = trace.min_fw_gap
-            manifest["files"].extend([csv_name, f"{name}.json"])
-            manifest["runs"].append(
-                {
-                    "location": cfg.optimum_location,
-                    "rule": rule_name,
-                    "p": p,
-                    "rows": len(trace),
-                    "stopped_at": trace.metadata["stopped_at"],
-                    "final_min_fw_gap": float(min_gap[-1]),
-                    "min_gap_slope": fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon),
-                    "f_star_certificate": certificate,
-                    "csv": csv_name,
-                }
-            )
-            series.append((f"p={p:g}", trace.t[1:], min_gap[1:]))
-        svg_name = f"{cfg.optimum_location}_{rule_name}.svg"
-        svg = line_plot_svg(
-            series,
-            title=f"{cfg.optimum_location} optimum, {rule_name} step",
-            xlabel="iteration",
-            ylabel="min Frank-Wolfe gap",
-        )
-        (out_dir / svg_name).write_text(svg)
-        manifest["files"].append(svg_name)
-    _write_manifest(out_dir, manifest)
-    return manifest
+def _run_name(cfg: ExperimentConfig, rule_name: str, p: float) -> str:
+    return f"{cfg.optimum_location}_{rule_name}_p{p:g}"
+
+
+def _fig2_run(job: tuple) -> tuple[dict, tuple]:
+    """One (location, rule, p) run of the curved-vs-flat protocol: its
+    trace with bound overlays, CSV and sidecar.  Returns the run's manifest
+    entry and its running-min gap series for the plot."""
+    cfg, rule_name, p, (x_star, f_star, certificate), out_dir = job
+    feasible, objective = build_problem(cfg, p)
+    trace, extra = run_single(
+        feasible, objective, rule_name, cfg.horizon, cfg.seed, x_star=x_star, f_star=f_star,
+    )
+    trace.metadata["f_star_certificate"] = certificate
+    name = _run_name(cfg, rule_name, p)
+    csv_name = f"{name}.csv"
+    trace.to_csv(out_dir / csv_name, extra_columns=extra)
+    trace.write_sidecar(out_dir / f"{name}.json")
+    min_gap = trace.min_fw_gap
+    entry = {
+        "location": cfg.optimum_location,
+        "rule": rule_name,
+        "p": p,
+        "rows": len(trace),
+        "stopped_at": trace.metadata["stopped_at"],
+        "final_min_fw_gap": float(min_gap[-1]),
+        "min_gap_slope": fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon),
+        "f_star_certificate": certificate,
+        "csv": csv_name,
+    }
+    return entry, (f"p={p:g}", trace.t[1:], min_gap[1:])
+
+
+def _map_runs(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, spread over a fork-context process pool
+    sized to the usable CPUs.  With one CPU, without fork, or while other
+    Python threads run (forking them is unsafe), builtin ``map`` runs the
+    jobs here.  A job's exception reaches the caller as raised."""
+    workers = min(usable_cpus(), len(jobs))
+    if workers > 1 and threading.active_count() == 1:
+        # imported here: a pool costs ~1 MiB of modules that nothing else needs
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(fn, jobs))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return list(map(fn, jobs))
 
 
 def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dict:
     """The full 2x3 grid (curved/flat x deterministic/short/exact) over the
-    default p grid."""
+    default p grid, with one SVG of running-min gaps per location and step
+    rule.
+
+    The reference optima come first.  The 30 (location, rule, p) runs share
+    nothing else, so each one, from its problem to its CSV and sidecar, runs
+    in a worker process (:func:`_map_runs`).  The plots and manifests are
+    written here afterwards, in run order, so no output depends on the
+    number of CPUs.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cfgs = [
+        ExperimentConfig(dim=dim, horizon=horizon, seed=seed, optimum_location=location)
+        for location in ("curved", "flat")
+    ]
+    jobs = []
+    for cfg in cfgs:
+        references = {p: _fig2_reference(cfg, p) for p in cfg.p_grid}
+        jobs += [
+            (cfg, rule_name, p, references[p], out_dir)
+            for rule_name in cfg.step_rules
+            for p in cfg.p_grid
+        ]
+    results = iter(_map_runs(_fig2_run, jobs))
+
     combined: dict = {"suite": "fig2", "files": [], "runs": []}
-    for location in ("curved", "flat"):
-        cfg = ExperimentConfig(
-            dim=dim, horizon=horizon, seed=seed, optimum_location=location
-        )
-        part = run_experiment(cfg, out_dir)
-        combined["files"].extend(part["files"])
-        combined["runs"].extend(part["runs"])
+    for cfg in cfgs:
+        manifest: dict = {"config": asdict(cfg), "files": [], "runs": []}
+        for rule_name in cfg.step_rules:
+            series = []
+            for p in cfg.p_grid:
+                entry, line = next(results)
+                manifest["files"].extend([entry["csv"], f"{_run_name(cfg, rule_name, p)}.json"])
+                manifest["runs"].append(entry)
+                series.append(line)
+            svg_name = f"{cfg.optimum_location}_{rule_name}.svg"
+            svg = line_plot_svg(
+                series,
+                title=f"{cfg.optimum_location} optimum, {rule_name} step",
+                xlabel="iteration",
+                ylabel="min Frank-Wolfe gap",
+            )
+            (out_dir / svg_name).write_text(svg)
+            manifest["files"].append(svg_name)
+        _write_manifest(out_dir, manifest)
+        combined["files"].extend(manifest["files"])
+        combined["runs"].extend(manifest["runs"])
     _write_manifest(out_dir, combined)
     return combined
 

@@ -77,11 +77,14 @@ def _sign(x: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
 
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+
+
 def dual_exponent(p: float) -> float:
     """Hoelder conjugate p* with 1/p + 1/p* = 1 (p=1 -> inf, p=inf -> 1)."""
     if p == 1.0:
-        return np.inf
-    if np.isinf(p):
+        return math.inf
+    if math.isinf(p):
         return 1.0
     return p / (p - 1.0)
 
@@ -93,7 +96,15 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     if p == 1.0:
         return float(np.sum(np.abs(x)))
     if p == 2.0:
-        return float(np.linalg.norm(x))
+        with np.errstate(over="ignore"):  # such an x is rescaled below
+            s = float(np.dot(x, x))
+        if _TINY <= s < math.inf:  # no square over- or underflowed
+            return math.sqrt(s)
+        m = float(np.abs(x).max(initial=0.0))
+        if m == 0.0 or not math.isfinite(m):
+            return math.sqrt(s)
+        y = x / m
+        return m * math.sqrt(float(np.dot(y, y)))
     a = np.abs(x)
     m = a.max(initial=0.0)
     if m == 0.0:
@@ -111,7 +122,18 @@ def _batch_lp_norm(X: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return a.sum(axis=-1)
     if p == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
+        with np.errstate(over="ignore"):  # such a row is rescaled below
+            s = (a * a).sum(axis=-1)
+        # a row whose squares over- or underflowed is rescaled by its finite,
+        # non-zero max entry; every other row keeps the unscaled result
+        bad = ~((s >= _TINY) & (s < np.inf))
+        if not bad.any():
+            return np.sqrt(s)
+        m = a.max(axis=-1, keepdims=True, initial=0.0)
+        ok = (m > 0.0) & (m < np.inf)
+        y = a / np.where(ok, m, 1.0)
+        rescaled = m[..., 0] * np.sqrt((y * y).sum(axis=-1))
+        return np.where(bad & ok[..., 0], rescaled, np.sqrt(s))
     m = a.max(axis=-1, keepdims=True)
     m_safe = np.where(m == 0.0, 1.0, m)
     s = ((a / m_safe) ** p).sum(axis=-1)
@@ -135,10 +157,22 @@ def lmo_lp(p: float, r: float, phi: np.ndarray) -> np.ndarray:
         raise InvalidParams(f"lmo_lp requires p > 1, got {p}")
     phi = np.asarray(phi, dtype=float)
     a = np.abs(phi)
+    pstar = dual_exponent(p)
+    if phi.ndim == 1:
+        # one vector, as each Frank-Wolfe step asks: the batch formula below
+        # with as few numpy calls and temporaries as give the same bits
+        m = np.maximum.reduce(a) if a.size else 0.0
+        if m == 0.0:
+            raise ZeroDirection("lmo_lp called with phi = 0")
+        a /= m
+        a **= pstar - 1.0
+        scale = r / float(np.add.reduce(a**p)) ** (1.0 / p)
+        v = np.where(phi >= 0.0, scale, -scale)
+        v *= a
+        return v
     m = a.max(axis=-1, keepdims=True, initial=0.0)
     if np.count_nonzero(m) < m.size:
         raise ZeroDirection("lmo_lp called with phi = 0")
-    pstar = dual_exponent(p)
     # the formula is scale-invariant in phi; normalizing by the max entry
     # keeps the exponentials in range for extreme p
     w = (a / m) ** (pstar - 1.0)
@@ -198,7 +232,7 @@ def lmo_schatten(p: float, r: float, G: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_LOG_TINY = math.log(np.finfo(float).tiny)  # smallest normal double
+_LOG_TINY = math.log(_TINY)
 
 
 @dataclass(frozen=True)

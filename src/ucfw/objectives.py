@@ -123,7 +123,10 @@ class QuadraticObjective(SmoothObjective):
         return 0.5 * float(np.dot(d, self._apply(d)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(np.asarray(x, dtype=float) - self.x0)
+        if self.diagonal:
+            g = np.subtract(x, self.x0, dtype=float)
+            return np.multiply(self.A, g, out=g)
+        return self.A @ (np.asarray(x, dtype=float) - self.x0)
 
     def batch_value(self, X: np.ndarray) -> np.ndarray:
         if not self.diagonal:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import FeasibleSet, _block_rows, _row_dots, _write_csv
+from .geometry import FeasibleSet, _block_rows, _row_dots, _write_csv, lp_norm
 
 __all__ = [
     "LossStream",
@@ -63,9 +63,10 @@ class LossStream:
             # the cumulative average oscillates at amplitude ~ 1/t, which is
             # the regime where the regret bound is tight
             u = rng.standard_normal(self.dim)
-            nb = np.linalg.norm(base)
+            nb = lp_norm(base, 2.0)
             if nb > 0.0:
-                u = u - (np.dot(u, base) / nb**2) * base
+                e = base / nb  # through the unit vector, as ||base||^2 may overflow
+                u = u - np.dot(u, e) * e
             u /= np.linalg.norm(u)
             start = 1.0 if rng.random() < 0.5 else -1.0
             signs = start * (-1.0) ** np.arange(T)
@@ -256,7 +257,11 @@ def theorem4_bound(alpha: float, q: float, M_loss: float, L_T: float, T):
         raise InvalidParams(f"q must be >= 2, got {q}")
     T = np.asarray(T, dtype=float)
     if q == 2.0:
-        out = (4.0 * M_loss**2 / (alpha * L_T)) * (1.0 + np.log(T))
+        try:
+            lead = 4.0 * M_loss**2 / (alpha * L_T)
+        except OverflowError:  # M^2 alone overflows, M^2 / L_T need not
+            lead = 4.0 * M_loss * (M_loss / (alpha * L_T))
+        out = lead * (1.0 + np.log(T))
     else:
         out = (
             2.0

@@ -77,14 +77,14 @@ def exact_line_search(f: SmoothObjective, x: np.ndarray, d: np.ndarray, g: np.nd
     Analytic for quadratics; golden-section/Brent on [0, 1] to width 1e-10
     otherwise.
     """
-    if not np.any(d):
+    if not d.any():
         return 0.0
     if isinstance(f, QuadraticObjective):
         curv = f.curvature_along(d)
         slope = -float(np.dot(g, d))
         if curv <= 0.0:
             return 1.0 if slope > 0.0 else 0.0
-        return float(np.clip(slope / curv, 0.0, 1.0))
+        return min(max(slope / curv, 0.0), 1.0)  # keeps NaN, like np.clip
     from scipy.optimize import minimize_scalar  # deferred: costly to import
 
     res = minimize_scalar(
@@ -189,6 +189,7 @@ def run_fw(
     X = np.empty((rows + 1, *x.shape))
     V = np.empty((rows, *x.shape))
     G = np.empty_like(V)
+    step = np.empty(x.shape)
     if keep_points:  # rows t = 0..T; an early stop leaves the tail untouched
         iterates = np.empty((T + 1, *x.shape))
         vertices = np.empty_like(iterates)
@@ -211,14 +212,17 @@ def run_fw(
             iterates[lo:hi] = X[:n]
             vertices[lo:hi] = V[:n]
 
+    # bound once; lmo still goes through the set's method, so wrapping
+    # feasible.lmo (a tracer, a test probe) sees every call
+    lmo, gradient, tag = feasible.lmo, f.gradient, rule.tag
     X[0] = x
     lo = 0
     for t in range(T + 1):
         i = t - lo
         x = X[i]
-        g = G[i]
-        g[...] = f.gradient(x)
-        v, fw_gap = _fw_vertex(feasible, g, x)
+        g = gradient(x)
+        G[i] = g
+        v, d, fw_gap = _fw_vertex(lmo, g, x)
         V[i] = v
         gaps[t] = fw_gap
         if not fw_gap >= 0.0:
@@ -228,15 +232,16 @@ def run_fw(
         if fw_gap <= stop_gap or t == T:
             break
 
-        if rule.tag == "deterministic":
+        if tag == "deterministic":
             gamma = 1.0 / (t + 1.0)
-        elif rule.tag == "short":
-            d = v - x
+        elif tag == "short":
             gamma = short_step(fw_gap, f.L, float(np.dot(d, d)))
         else:
             gamma = exact_line_search(f, x, v - x, g)
         gammas[t] = gamma
-        X[i + 1] = (1.0 - gamma) * x + gamma * v
+        # (1 - gamma) x + gamma v, written in place
+        x_next = np.multiply(x, 1.0 - gamma, out=X[i + 1])
+        x_next += np.multiply(v, gamma, out=step)
         if i + 1 == rows:
             settle(lo, t + 1)
             X[0] = X[rows]
@@ -302,22 +307,23 @@ def reference_optimum(
     return trace.iterates[best].copy(), float(values[best])
 
 
-def _fw_vertex(feasible: FeasibleSet, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """The LMO vertex for gradient g at x and the Frank-Wolfe gap; a zero
-    gradient gives (x, 0)."""
+def _fw_vertex(lmo, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The vertex v = lmo(-g) for gradient g at x, x - v, and the
+    Frank-Wolfe gap <g, x - v>; a zero gradient gives (x, 0, 0)."""
     try:
-        v = feasible.lmo(-g)
+        v = lmo(-g)
     except ZeroDirection:
-        return x.copy(), 0.0
+        return x.copy(), np.zeros_like(x), 0.0
+    d = x - v
     # LMO optimality makes the gap non-negative; clip roundoff only
-    return v, max(float(np.dot(g, x - v)), 0.0)
+    return v, d, max(float(np.dot(g, d)), 0.0)
 
 
 def fw_gap_at(feasible: FeasibleSet, f: SmoothObjective, x: np.ndarray) -> float:
     """Frank-Wolfe gap max_v <grad f(x), x - v> as the traced runs record
     it.  For a feasible x it bounds f(x) - min f from above, so at a
     reference optimum it certifies f_star (Jaggi, ICML 2013)."""
-    return _fw_vertex(feasible, f.gradient(x), x)[1]
+    return _fw_vertex(feasible.lmo, f.gradient(x), x)[2]
 
 
 _EPS = np.finfo(float).eps

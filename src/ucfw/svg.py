@@ -88,7 +88,8 @@ def line_plot_svg(
     for idx, ((name, _, _), (px, py)) in enumerate(zip(series, pts)):
         color = _COLORS[idx % len(_COLORS)]
         if len(px):
-            coords = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(px, py))
+            # one array transform per series; each element rounds as one scalar would
+            coords = " ".join(map("{:.2f},{:.2f}".format, sx(px).tolist(), sy(py).tolist()))
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

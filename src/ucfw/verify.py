@@ -9,12 +9,12 @@ max/min only, so evaluation order cannot change a report.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .cpus import usable_cpus
 from .errors import InvalidParams, StaleOptimum
 from .geometry import FeasibleSet, UCParams, _row_dots
 from .objectives import SmoothObjective
@@ -31,17 +31,8 @@ __all__ = [
 ]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "process_cpu_count"):  # Python 3.13+
-        return os.process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # threads evaluating check_definition1's interpolation weights
-_POOL_SIZE = _usable_cpus()
+_POOL_SIZE = usable_cpus()
 
 
 @dataclass(frozen=True)

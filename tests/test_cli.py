@@ -176,7 +176,7 @@ class TestOnlineVerb:
         "config",
         [
             {"set": {"family": "lp", "p": 2.0, "radius": 1.0, "dim": 2},
-             "stream": {"tag": "adversarial", "base": [1e300, 0.0], "flip_scale": 0.5, "seed": 0},
+             "stream": {"tag": "adversarial", "base": [1.5e308, 1.5e308], "flip_scale": 0.5, "seed": 0},
              "T": 100},
             {"set": {"family": "lp", "p": 3.0, "radius": 1.0, "dim": 2},
              "stream": {"tag": "fixed", "losses": [[1e308, 1e308], [1e308, 1e308]]},
@@ -206,6 +206,18 @@ class TestOnlineVerb:
         assert "regret_ok" not in manifest
         header = (out / "online.csv").read_text().splitlines()[0]
         assert header == "t,loss,cum_grad_dual_norm,regret"
+
+    def test_huge_finite_base_runs(self, tmp_path, capsys):
+        """||(1e300, 0)||_2 = 1e300 is finite although its square is not."""
+        config = {"set": {"family": "lp", "p": 2.0, "radius": 1.0, "dim": 2},
+                  "stream": {"tag": "adversarial", "base": [1e300, 0.0], "flip_scale": 0.5, "seed": 0},
+                  "T": 100}
+        out = tmp_path / "o"
+        code = main(["online", "--config", json.dumps(config), "--out", str(out)])
+        assert code == EXIT_OK
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["M_loss"] == 1e300 and not manifest["degenerate"]
+        assert (out / "online.csv").exists()
 
 
 class TestEnvSeed:

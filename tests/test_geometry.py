@@ -86,6 +86,106 @@ class TestLmoLp:
         assert np.dot(phi, v) == pytest.approx(2.0 * lp_norm(phi, dual_exponent(p)), rel=1e-10)
 
 
+def lmo_lp_reference(p, r, phi):
+    """The single-vector lmo_lp formula as first written, kept verbatim as a
+    bit-for-bit reference for the lean one-vector path."""
+    phi = np.asarray(phi, dtype=float)
+    a = np.abs(phi)
+    m = a.max(axis=-1, keepdims=True, initial=0.0)
+    if np.count_nonzero(m) < m.size:
+        raise ZeroDirection("lmo_lp called with phi = 0")
+    pstar = dual_exponent(p)
+    w = (a / m) ** (pstar - 1.0)
+    sums = (w**p).sum(axis=-1)
+    scale = r / float(sums ** (1.0 / p))
+    return scale * np.where(phi >= 0.0, 1.0, -1.0) * w
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+LEAN_P_GRID = (1.5, 2.5, 3.0, 5.0, 10.0, np.inf)
+
+
+class TestLmoLpOneVector:
+    @given(
+        p=st.sampled_from(LEAN_P_GRID),
+        r=st.sampled_from([0.3, 1.0, 5.0]),
+        dim=st.integers(1, 300),
+        rows=st.integers(1, 4),
+        log_scale=st.floats(-5.0, 5.0),
+        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_one_vector_and_reference(self, p, r, dim, rows, log_scale, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        Phi = rng.standard_normal((rows, dim)) * 10.0**log_scale
+        # signed zeros in a share of the entries, never a whole row
+        zeros = rng.random((rows, dim)) < zero_share
+        zeros[:, rng.integers(dim)] = False
+        Phi[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+        batch = lmo_lp(p, r, Phi)
+        for i in range(rows):
+            one = lmo_lp(p, r, Phi[i])
+            assert same_bits(one, batch[i])
+            assert same_bits(one, lmo_lp_reference(p, r, Phi[i]))
+
+    @pytest.mark.parametrize("p", LEAN_P_GRID)
+    @pytest.mark.parametrize(
+        "phi", [np.zeros(5), -np.zeros(5), np.zeros(1), np.zeros(0)], ids=["zero", "negative-zero", "one-zero", "empty"]
+    )
+    def test_zero_and_empty_raise_like_reference(self, p, phi):
+        for oracle in (lmo_lp, lmo_lp_reference):
+            with pytest.raises(ZeroDirection, match="phi = 0"):
+                oracle(p, 1.0, phi)
+
+    @pytest.mark.parametrize("p", LEAN_P_GRID)
+    def test_non_finite_entries_match_reference(self, p):
+        for phi in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 0.0]):
+            with np.errstate(invalid="ignore"):  # NaN positions agree; NaN bits carry nothing
+                np.testing.assert_array_equal(lmo_lp(p, 2.0, phi), lmo_lp_reference(p, 2.0, phi))
+
+
+class TestL2NormRange:
+    """The l2 norms rescale by the max entry only where the squares over- or
+    underflow, so normal inputs keep the unscaled result's bits."""
+
+    @pytest.mark.parametrize("x", [[1e300, 0.0], [-1e300, 0.0], [1e-200, 0.0], [0.0, 5e-324]])
+    def test_huge_and_tiny_entries(self, x):
+        want = abs(x[0]) or x[1]
+        ball = LpBall(p=2.0, radius=1.0, dim=2)
+        assert lp_norm(x, 2.0) == want
+        assert ball.dual_norm(np.array(x)) == want
+        assert ball.batch_norm(np.array([x, [3.0, 4.0]])).tolist() == [want, 5.0]
+        assert LevelSet(w=1.0, dim=2).batch_norm(np.array(x)) == want
+
+    def test_normal_inputs_keep_their_bits(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((200, 17)) * 10.0 ** rng.uniform(-100, 100, (200, 1))
+        X[::7] *= 1e200  # rows that need rescaling sit between normal ones
+        with np.errstate(over="ignore"):
+            squares = (X * X).sum(axis=-1)
+        batch = LpBall(p=2.0, radius=1.0, dim=17).batch_norm(X)
+        for x, n, s in zip(X, batch, squares):
+            if np.finfo(float).tiny <= s < np.inf:
+                assert same_bits(n, np.sqrt(s))
+                assert same_bits(lp_norm(x, 2.0), np.linalg.norm(x))
+            assert n == pytest.approx(lp_norm(x, 2.0), rel=1e-14)
+            assert n == pytest.approx(np.abs(x).max() * np.linalg.norm(x / np.abs(x).max()), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [([1e308, 1e308], 1e308 * np.sqrt(2.0)), ([1.5e308, 1.5e308], np.inf), ([np.inf, 1.0], np.inf), ([np.nan, 1.0], np.nan), ([0.0, -0.0], 0.0), ([], 0.0)]
+    )
+    def test_non_finite_and_zero(self, x, want):
+        with np.errstate(over="ignore"):
+            got = [lp_norm(x, 2.0), LpBall(p=2.0, radius=1.0, dim=2).batch_norm(np.array([x]).reshape(1, -1))[0]]
+        np.testing.assert_equal(got, [want, want])
+
+
 class TestLmoL1:
     def test_unique_max(self):
         np.testing.assert_allclose(lmo_l1(1.0, np.array([3.0, -5.0, 1.0])), [0.0, -1.0, 0.0])

@@ -154,7 +154,7 @@ class TestBatchedFtl:
     @pytest.mark.parametrize(
         "p, losses, what",
         [
-            (2.0, [[1.0, 0.0], [1e300, 0.0], [1.0, 0.0]], "dual norm of a loss overflows at round 2"),
+            (2.0, [[1.0, 0.0], [1.5e308, 1.5e308], [1.0, 0.0]], "dual norm of a loss overflows at round 2"),
             (3.0, [[1e308, 1e308]] * 3, "cumulative loss overflows at round 2"),
             # <S_2, V_2> = -||S_2||_1.5 overflows
             (3.0, [[0.75e308, 0.75e308]] * 2, "regret overflows at round 2"),
@@ -165,6 +165,13 @@ class TestBatchedFtl:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=what):
                 run_ftl(LpBall(p=p, radius=1.0, dim=2), fixed_stream(np.array(losses)), len(losses))
+
+    def test_adversarial_kicks_stay_perpendicular_to_a_huge_base(self):
+        # ||base||^2 overflows, ||base|| does not: the kicks are still
+        # projected off the base, so they are the whole second coordinate
+        C = adversarial_stream(np.array([1e300, 0.0]), 0.5, seed=0).materialize(4)
+        assert C[:, 0].tolist() == [1e300] * 4
+        assert np.abs(C[:, 1]).tolist() == [0.5] * 4
 
     def test_stream_dim_must_match_set(self):
         with pytest.raises(ConfigError, match="2.*3"):
