@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -289,9 +289,9 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
 
     The reference optima come first.  The 30 (location, rule, p) runs share
     nothing else, so each one, from its problem to its CSV and sidecar, runs
-    in a worker process (:func:`_map_runs`).  The plots and manifests are
-    written here afterwards, in run order, so no output depends on the
-    number of CPUs.
+    in a worker process (:func:`_map_runs`).  The plots and then the
+    manifest are written here afterwards, in run order, so no output depends
+    on the number of CPUs, and a manifest exists only once every file does.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -309,9 +309,8 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
         ]
     results = iter(_map_runs(_fig2_run, jobs))
 
-    combined: dict = {"suite": "fig2", "files": [], "runs": []}
+    manifest: dict = {"suite": "fig2", "files": [], "runs": []}
     for cfg in cfgs:
-        manifest: dict = {"config": asdict(cfg), "files": [], "runs": []}
         for rule_name in cfg.step_rules:
             series = []
             for p in cfg.p_grid:
@@ -328,46 +327,53 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
             )
             (out_dir / svg_name).write_text(svg)
             manifest["files"].append(svg_name)
-        _write_manifest(out_dir, manifest)
-        combined["files"].extend(manifest["files"])
-        combined["runs"].extend(manifest["runs"])
-    _write_manifest(out_dir, combined)
-    return combined
+    _write_manifest(out_dir, manifest)
+    return manifest
+
+
+def _online_run(job: tuple) -> dict:
+    """One p of the online suite: FTL on the unit lp ball against the
+    adversarial stream, its Theorem-4 bound and its CSV.  Returns the run's
+    manifest entry."""
+    p, dim, T, seed, out_dir = job
+    base = np.zeros(dim)
+    base[0] = 1.0
+    feasible = LpBall(p=p, radius=1.0, dim=dim)
+    stream = adversarial_stream(base, flip_scale=0.5, seed=seed)
+    trace = run_ftl(feasible, stream, T)
+    uc = feasible.uc_params()
+    bound = trace.bound_curve(uc.alpha, uc.q)
+    csv_name = f"online_p{p:g}.csv"
+    trace.to_csv(out_dir / csv_name, bound=bound)
+    return {
+        "p": p,
+        "q": uc.q,
+        "alpha": uc.alpha,
+        "T": T,
+        "M_loss": trace.M_loss,
+        "L_T": trace.L_T,
+        "final_regret": float(trace.regret[-1]),
+        "final_bound": float(bound[-1]),
+        "regret_ok": bool(np.all(trace.regret <= bound + 1e-9)),
+        "csv": csv_name,
+    }
 
 
 def run_online_suite(
     out_dir, seed: int = 0, T: int = 10000, p_grid=(2.0, 2.5, 3.0, 5.0), dim: int = 8
 ) -> dict:
     """FTL regret sweep over lp balls with an adversarial stream whose
-    running gradient average stays bounded below."""
+    running gradient average stays bounded below.
+
+    The p runs share nothing, so each one, from its ball and stream to its
+    CSV, runs in a worker process (:func:`_map_runs`).  The manifest is
+    written here afterwards, in p order, so no output depends on the number
+    of CPUs.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"suite": "online", "files": [], "runs": []}
-    base = np.zeros(dim)
-    base[0] = 1.0
-    for p in p_grid:
-        feasible = LpBall(p=p, radius=1.0, dim=dim)
-        stream = adversarial_stream(base, flip_scale=0.5, seed=seed)
-        trace = run_ftl(feasible, stream, T)
-        uc = feasible.uc_params()
-        bound = trace.bound_curve(uc.alpha, uc.q)
-        csv_name = f"online_p{p:g}.csv"
-        trace.to_csv(out_dir / csv_name, bound=bound)
-        manifest["files"].append(csv_name)
-        manifest["runs"].append(
-            {
-                "p": p,
-                "q": uc.q,
-                "alpha": uc.alpha,
-                "T": T,
-                "M_loss": trace.M_loss,
-                "L_T": trace.L_T,
-                "final_regret": float(trace.regret[-1]),
-                "final_bound": float(bound[-1]),
-                "regret_ok": bool(np.all(trace.regret <= bound + 1e-9)),
-                "csv": csv_name,
-            }
-        )
+    runs = _map_runs(_online_run, [(p, dim, T, seed, out_dir) for p in p_grid])
+    manifest = {"suite": "online", "files": [run["csv"] for run in runs], "runs": runs}
     _write_manifest(out_dir, manifest)
     return manifest
 

@@ -117,6 +117,10 @@ def check_definition1(
         """The (n, m) membership excess of the points at one weight."""
         radial = (eta * (1.0 - eta)) * uc.alpha * dist_q
         combo = eta * X + (1.0 - eta) * Y
+        if not radial.any():
+            # no perturbation (eta in {0, 1}): every direction gives the same point
+            once = feasible.batch_membership_excess(combo[:, None, :])  # (n, 1)
+            return np.broadcast_to(once, (len(combo), len(Z)))
         return feasible.batch_membership_excess(combo[:, None, :] + radial[:, None, None] * Z[None, :, :])
 
     # numpy's loops and the stacked SVD release the GIL, so the weights run

@@ -1,4 +1,4 @@
-"""The fig2 suite's process pool: outputs, cleanup and error paths."""
+"""The suites' process pool: outputs, cleanup and error paths."""
 
 import multiprocessing
 import os
@@ -9,7 +9,7 @@ import pytest
 from ucfw import experiments
 from ucfw.cli import EXIT_ERROR, main
 from ucfw.errors import StaleOptimum, UCFWError
-from ucfw.experiments import run_fig2
+from ucfw.experiments import run_fig2, run_online_suite
 
 
 def tree(root):
@@ -21,7 +21,62 @@ def worker_pid(_job):
     return os.getpid()
 
 
-class TestFig2Pool:
+class SuitePool:
+    """Outputs, cleanup and error paths that every suite running over
+    :func:`experiments._map_runs` shares.  A subclass names the suite, a
+    small ``run`` of it that writes ``n_files`` files from ``n_runs`` runs, and
+    the experiments function that each worker's job calls."""
+
+    suite: str
+    n_runs: int
+    n_files: int
+    worker_call: str
+
+    def _fail_in_workers(self, monkeypatch):
+        parent, real = os.getpid(), getattr(experiments, self.worker_call)
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise StaleOptimum("raised in a worker")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, self.worker_call, failing)
+
+    def test_outputs_do_not_depend_on_the_pool_size(self, monkeypatch, tmp_path):
+        trees = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+            manifest = self.run(tmp_path / str(cpus))
+            assert multiprocessing.active_children() == []
+            trees.append(tree(tmp_path / str(cpus)))
+        assert len(manifest["runs"]) == self.n_runs
+        assert len(trees[0]) == self.n_files
+        assert trees[0] == trees[1]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, tmp_path):
+        self._fail_in_workers(monkeypatch)
+        with pytest.raises(UCFWError, match="raised in a worker") as info:
+            self.run(tmp_path)
+        assert type(info.value) is StaleOptimum
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_worker_error_exits_2(self, monkeypatch, tmp_path, capsys):
+        self._fail_in_workers(monkeypatch)
+        assert main(["suite", self.suite, "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: raised in a worker\n"
+        assert multiprocessing.active_children() == []
+
+
+class TestFig2Pool(SuitePool):
+    suite, worker_call = "fig2", "run_single"
+    n_runs = 30
+    n_files = 30 * 2 + 6 + 1  # CSVs and sidecars, SVGs, manifest
+
+    def run(self, out_dir) -> dict:
+        return run_fig2(out_dir, seed=0, dim=6, horizon=40)
+
     @pytest.mark.parametrize("cpus, in_parent", [(1, True), (2, False)])
     def test_map_runs_uses_workers_only_with_cpus_to_spare(self, monkeypatch, cpus, in_parent):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
@@ -41,38 +96,25 @@ class TestFig2Pool:
             thread.join(10.0)
         assert not thread.is_alive()
 
-    def test_outputs_do_not_depend_on_the_pool_size(self, monkeypatch, tmp_path):
-        trees = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
-            manifest = run_fig2(tmp_path / str(cpus), seed=0, dim=6, horizon=40)
-            assert multiprocessing.active_children() == []
-            trees.append(tree(tmp_path / str(cpus)))
-        assert len(manifest["runs"]) == 30
-        assert len(trees[0]) == 30 * 2 + 6 + 1  # CSVs and sidecars, SVGs, manifest
-        assert trees[0] == trees[1]
+    def test_failing_plot_leaves_no_manifest(self, monkeypatch, tmp_path):
+        real = experiments.line_plot_svg
 
-    def _fail_in_workers(self, monkeypatch):
-        parent, real = os.getpid(), experiments.run_single
+        def line_plot_svg(series, title, **kwargs):
+            if title.startswith("flat"):
+                raise RuntimeError("plot failed")
+            return real(series, title=title, **kwargs)
 
-        def run_single(*args, **kwargs):
-            if os.getpid() != parent:
-                raise StaleOptimum("raised in a worker")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(experiments, "run_single", run_single)
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch, tmp_path):
-        self._fail_in_workers(monkeypatch)
-        with pytest.raises(UCFWError, match="raised in a worker") as info:
-            run_fig2(tmp_path, seed=0, dim=6, horizon=40)
-        assert type(info.value) is StaleOptimum
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(experiments, "line_plot_svg", line_plot_svg)
+        with pytest.raises(RuntimeError, match="plot failed"):
+            self.run(tmp_path)
+        assert (tmp_path / "curved_exact.svg").exists()
         assert not (tmp_path / "manifest.json").exists()
 
-    def test_worker_error_exits_2(self, monkeypatch, tmp_path, capsys):
-        self._fail_in_workers(monkeypatch)
-        assert main(["suite", "fig2", "--out", str(tmp_path)]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: raised in a worker\n"
-        assert multiprocessing.active_children() == []
+
+class TestOnlinePool(SuitePool):
+    suite, worker_call = "online", "run_ftl"
+    n_runs = 4
+    n_files = 4 + 1  # CSVs, manifest
+
+    def run(self, out_dir) -> dict:
+        return run_online_suite(out_dir, seed=0, T=300, dim=4)

@@ -396,6 +396,28 @@ class TestStreamedDefinition1:
                     SamplerConfig(n_pairs=37, n_directions=7, seed=7, boundary_bias=1.0)):
             assert_same_report(check_definition1(feasible, uc, cfg), *monolithic_definition1(feasible, uc, cfg))
 
+    def test_weights_0_and_1_evaluate_each_pair_once(self):
+        evaluated = []
+
+        class CountingBall(LpBall):
+            def batch_membership_excess(self, X):
+                evaluated.append(math.prod(np.shape(X)[:-1]))  # list.append is atomic
+                return super().batch_membership_excess(X)
+
+        ball, cfg = LpBall(p=3.0, radius=1.0, dim=5), SamplerConfig(n_pairs=30, n_directions=7, seed=2)
+        want = monolithic_definition1(ball, ball.uc_params(), cfg)
+        report = check_definition1(CountingBall(p=3.0, radius=1.0, dim=5), ball.uc_params(), cfg)
+        assert sum(evaluated) == 9 * 30 * 7 + 2 * 30
+        assert_same_report(report, *want)
+
+    def test_witness_at_weight_1_names_the_first_direction(self):
+        spots = [(1.0, 4, 0, 2.0)]
+        report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+        assert report.witness == {
+            "eta": 1.0, "pair_index": 4, "direction_index": 0, "chord_length": 1.0, "excess": 2.0,
+        }
+        assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
+
     def test_tie_across_weights_keeps_the_earlier_eta(self):
         spots = [(0.3, 5, 2, 1.0), (0.7, 1, 0, 1.0)]
         report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
