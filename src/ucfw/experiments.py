@@ -9,6 +9,8 @@ output directory; reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +28,7 @@ from .geometry import (
     LpBall,
     SchattenBall,
     UCParams,
+    _json_int,
     set_from_json,
 )
 from .objectives import (
@@ -182,16 +185,21 @@ def run_solve(config: dict, out_dir) -> dict:
     try:
         feasible = set_from_json(config["set"])
         objective = objective_from_json(config["objective"])
-        rule_name = config.get("rule", "short")
-        T = int(config.get("T", 1000))
-        seed = int(config.get("seed", 0))
     except KeyError as exc:
         raise ConfigError(f"solve config missing field {exc}") from exc
-    if rule_name not in STEP_RULES:
-        raise ConfigError(f"unknown step rule {rule_name!r}")
+    rule_name = config.get("rule", "short")
+    if not isinstance(rule_name, str) or rule_name not in STEP_RULES:
+        raise ConfigError(f"rule must be one of {', '.join(STEP_RULES)}, got {rule_name!r}")
+    T = _json_int(config.get("T", 1000), "T", 1)
+    seed = _json_int(config.get("seed", 0), "seed", 0)
+    stop_gap = config.get("stop_gap", 1e-12)
+    if isinstance(stop_gap, bool) or not isinstance(stop_gap, numbers.Real) or not 0.0 <= stop_gap < math.inf:
+        raise ConfigError(f"stop_gap must be a finite number >= 0, got {stop_gap!r}")
+    stop_gap = float(stop_gap)
     if not isinstance(feasible, LpBall):
         raise ConfigError("solve currently drives lp-ball problems")
-    stop_gap = float(config.get("stop_gap", 1e-12))
+    if objective.x0.size != feasible.dim:
+        raise ConfigError(f"objective dim {objective.x0.size} does not match set dim {feasible.dim}")
 
     x_init = x_init_for(feasible, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
@@ -555,9 +563,9 @@ def run_online_config(config: dict, out_dir) -> dict:
     try:
         feasible = set_from_json(config["set"])
         stream = stream_from_json(config["stream"])
-        T = int(config.get("T", 1000))
     except KeyError as exc:
         raise ConfigError(f"online config missing field {exc}") from exc
+    T = _json_int(config.get("T", 1000), "T", 1)
     trace = run_ftl(feasible, stream, T)
     uc = feasible.uc
     bound = None

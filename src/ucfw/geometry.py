@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParams, NotUniformlyConvex, SVDFailure, ZeroDirection
+from .errors import ConfigError, InvalidParams, NotUniformlyConvex, SVDFailure, ZeroDirection
 
 __all__ = [
     "UCParams",
@@ -537,6 +538,8 @@ class LevelSet(FeasibleSet):
     def __post_init__(self) -> None:
         if not 0.0 < self.w < np.inf:
             raise InvalidParams(f"LevelSet requires a finite w > 0, got {self.w}")
+        if self.dim < 1:
+            raise InvalidParams("dim must be >= 1")
 
     @property
     def radius(self) -> float:  # type: ignore[override]
@@ -575,8 +578,6 @@ def set_from_json(desc: dict) -> FeasibleSet:
     Families: ``lp`` (p, radius, dim), ``l1`` (radius, dim), ``schatten``
     (p, rows, cols, radius), ``levelset`` (kind="sqnorm", w, dim).
     """
-    from .errors import ConfigError
-
     try:
         family = desc["family"]
         if family == "lp":
@@ -599,3 +600,11 @@ def set_from_json(desc: dict) -> FeasibleSet:
     except (TypeError, ValueError, InvalidParams) as exc:
         raise ConfigError(f"bad set descriptor: {exc}") from exc
     raise ConfigError(f"unknown set family {desc.get('family')!r}")
+
+
+def _json_int(value, name: str, minimum: int) -> int:
+    """A config field that must be an integer >= ``minimum``; a float, bool
+    or string is a :class:`ConfigError` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import FeasibleSet, _block_rows, _row_dots, _write_csv, lp_norm
+from .geometry import FeasibleSet, _block_rows, _json_int, _row_dots, _write_csv, lp_norm
 
 __all__ = [
     "LossStream",
@@ -107,9 +107,13 @@ def stream_from_json(desc: dict) -> LossStream:
         if tag == "fixed":
             return fixed_stream(np.asarray(desc["losses"], dtype=float))
         if tag == "drifting":
-            return drifting_mean_stream(desc["base"], float(desc["noise_scale"]), int(desc["seed"]))
+            return drifting_mean_stream(
+                desc["base"], float(desc["noise_scale"]), _json_int(desc["seed"], "stream seed", 0)
+            )
         if tag == "adversarial":
-            return adversarial_stream(desc["base"], float(desc["flip_scale"]), int(desc["seed"]))
+            return adversarial_stream(
+                desc["base"], float(desc["flip_scale"]), _json_int(desc["seed"], "stream seed", 0)
+            )
     except KeyError as exc:
         raise ConfigError(f"stream descriptor missing field {exc}") from exc
     raise ConfigError(f"unknown stream tag {desc.get('tag')!r}")

@@ -74,8 +74,11 @@ def exact_line_search(f: SmoothObjective, x: np.ndarray, d: np.ndarray, g: np.nd
     """argmin_{gamma in [0,1]} f(x + gamma d), where g is the gradient of f
     at x that the caller already holds.
 
-    Analytic for quadratics; golden-section/Brent on [0, 1] to width 1e-10
-    otherwise.
+    Analytic for quadratics.  Otherwise bisection on the derivative
+    phi'(gamma) = <grad f(x + gamma d), d>, which does not decrease for a
+    convex f: 0 when phi'(0) = <g, d> >= 0, 1 when phi'(1) <= 0, else the
+    midpoint of a bracket of width at most 1e-10 around the root (at most
+    35 gradient calls, no value calls).
     """
     if not d.any():
         return 0.0
@@ -85,13 +88,22 @@ def exact_line_search(f: SmoothObjective, x: np.ndarray, d: np.ndarray, g: np.nd
         if curv <= 0.0:
             return 1.0 if slope > 0.0 else 0.0
         return min(max(slope / curv, 0.0), 1.0)  # keeps NaN, like np.clip
-    from scipy.optimize import minimize_scalar  # deferred: costly to import
+    if float(np.dot(g, d)) >= 0.0:
+        return 0.0
 
-    res = minimize_scalar(
-        lambda g: f.value(x + g * d), bounds=(0.0, 1.0), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(np.clip(res.x, 0.0, 1.0))
+    def slope_at(gamma: float) -> float:
+        return float(np.dot(f.gradient(x + gamma * d), d))
+
+    if slope_at(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if slope_at(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -193,9 +205,11 @@ def run_fw(
     if keep_points:  # rows t = 0..T; an early stop leaves the tail untouched
         iterates = np.empty((T + 1, *x.shape))
         vertices = np.empty_like(iterates)
+    # scalar columns are filled row by row (zeros is lazily zeroed), so a
+    # run that stops early touches only the pages of the rows it wrote
     gammas = np.zeros(T + 1)
     gaps = np.empty(T + 1)
-    primals = np.full(T + 1, np.nan)
+    primals = np.empty(T + 1)
     dists = np.empty(T + 1)
     gnorms = np.empty(T + 1)
 
@@ -206,8 +220,7 @@ def run_fw(
         _check_iterates(feasible, X[:n], lo)
         dists[lo:hi] = feasible.batch_norm(V[:n] - X[:n])
         gnorms[lo:hi] = feasible.batch_dual_norm(G[:n])
-        if f_star is not None:
-            primals[lo:hi] = f.batch_value(X[:n]) - f_star
+        primals[lo:hi] = np.nan if f_star is None else f.batch_value(X[:n]) - f_star
         if keep_points:
             iterates[lo:hi] = X[:n]
             vertices[lo:hi] = V[:n]

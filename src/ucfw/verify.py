@@ -9,7 +9,7 @@ max/min only, so evaluation order cannot change a report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -148,7 +148,7 @@ def check_definition1(
         passed=worst <= cfg.tol,
         worst_violation=max(worst, 0.0),
         witness=witness,
-        config={"alpha": uc.alpha, "q": uc.q, **_cfg_dict(cfg)},
+        config={"alpha": uc.alpha, "q": uc.q, **asdict(cfg)},
     )
 
 
@@ -172,7 +172,7 @@ def check_lemma1(
         passed=worst <= cfg.tol,
         worst_violation=max(worst, 0.0),
         witness=witness if worst > cfg.tol else None,
-        config={"alpha": uc.alpha, "q": uc.q, **_cfg_dict(cfg)},
+        config={"alpha": uc.alpha, "q": uc.q, **asdict(cfg)},
     )
 
 
@@ -203,7 +203,7 @@ def check_local_scaling(
         passed=worst <= cfg.tol,
         worst_violation=max(worst, 0.0),
         witness=witness if worst > cfg.tol else None,
-        config={"alpha": alpha, "q": q, **_cfg_dict(cfg)},
+        config={"alpha": alpha, "q": q, **asdict(cfg)},
     )
 
 
@@ -289,13 +289,3 @@ def _worst_gap(gap: np.ndarray, index: np.ndarray, lhs: np.ndarray, rhs: np.ndar
         return -np.inf, None
     i = int(np.argmax(gap))
     return float(gap[i]), {"sample_index": int(index[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
-
-
-def _cfg_dict(cfg: SamplerConfig) -> dict:
-    return {
-        "n_pairs": cfg.n_pairs,
-        "n_directions": cfg.n_directions,
-        "seed": cfg.seed,
-        "tol": cfg.tol,
-        "boundary_bias": cfg.boundary_bias,
-    }

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -291,6 +292,7 @@ class TestNonFiniteDescriptors:
             ({"family": "l1", "radius": float("inf"), "dim": 3}, "radius"),
             ({"family": "schatten", "p": 2.5, "rows": 2, "cols": 2, "radius": float("inf")}, "radius"),
             ({"family": "levelset", "kind": "sqnorm", "w": float("nan"), "dim": 3}, "w"),
+            ({"family": "levelset", "w": 4, "dim": 0}, "dim"),
         ],
     )
     def test_verify_rejects_set(self, capsys, desc, field):
@@ -303,11 +305,103 @@ class TestNonFiniteDescriptors:
         assert field in err and err.count("\n") == 1
 
 
+class TestConfigFields:
+    """A malformed solve or online field exits 2 with one error line that
+    names the field, and writes no trace."""
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"T": 3.7}, "T must be an integer >= 1"),
+            ({"T": True}, "T must be an integer >= 1"),
+            ({"T": "5"}, "T must be an integer >= 1"),
+            ({"T": 1e30}, "T must be an integer >= 1"),
+            ({"seed": 2.9}, "seed must be an integer >= 0"),
+            ({"stop_gap": -1}, "stop_gap must be a finite number >= 0"),
+            ({"stop_gap": "nan"}, "stop_gap must be a finite number >= 0"),
+            ({"stop_gap": float("nan")}, "stop_gap must be a finite number >= 0"),
+            ({"rule": ["short"]}, "rule must be one of deterministic, short, exact"),
+            ({"set": {"family": "lp", "p": 3.0, "radius": 1.0, "dim": 5}},
+             "objective dim 4 does not match set dim 5"),
+        ],
+        ids=["T-float", "T-bool", "T-string", "T-1e30", "seed-float", "stop_gap-negative",
+             "stop_gap-string", "stop_gap-nan", "rule-list", "dim-mismatch"],
+    )
+    def test_solve_rejects(self, tmp_path, capsys, patch, message):
+        out = tmp_path / "run"
+        code = main(["solve", "--config", json.dumps(dict(TestSolveVerb.CONFIG, **patch)), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"T": "5"}, "T must be an integer >= 1"),
+            ({"T": 3.7}, "T must be an integer >= 1"),
+            ({"stream": dict(TestOnlineVerb.CONFIG["stream"], seed=2.9)}, "stream seed must be an integer >= 0"),
+        ],
+        ids=["T-string", "T-float", "seed-float"],
+    )
+    def test_online_rejects(self, tmp_path, capsys, patch, message):
+        out = tmp_path / "online"
+        code = main(["online", "--config", json.dumps(dict(TestOnlineVerb.CONFIG, **patch)), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (out / "online.csv").exists()
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's ucfw."""
+    src = str(Path(ucfw.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+
+
 class TestImportCost:
     def test_import_defers_scipy_and_thread_pools(self):
-        """scipy and concurrent.futures load on first use, not at import."""
+        """Neither scipy nor concurrent.futures loads at import."""
         code = "import sys, ucfw; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
-        src = str(Path(ucfw.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-        assert out.stdout.strip() == "[]"
+        assert _run_python(code).stdout.strip() == "[]"
+
+
+class TestNumpyOnlyRuntime:
+    def test_every_verb_runs_without_scipy(self, tmp_path):
+        """With scipy blocked, so that importing it raises, ucfw imports,
+        the non-quadratic exact line search runs and every verb exits 0."""
+        code = textwrap.dedent(f"""
+            import json, sys
+            sys.modules["scipy"] = None  # any scipy import now raises ImportError
+
+            import numpy as np
+            import ucfw
+            from ucfw.cli import main
+
+            class Quartic:
+                def value(self, x):
+                    return float(np.sum(x**4) + np.sum((x - 1.0) ** 2))
+
+                def gradient(self, x):
+                    return 4.0 * x**3 + 2.0 * (x - 1.0)
+
+            f, x, d = Quartic(), np.zeros(2), np.array([1.0, 0.5])
+            gamma = ucfw.exact_line_search(f, x, d, f.gradient(x))
+            assert 0.0 < gamma < 1.0 and abs(np.dot(f.gradient(x + gamma * d), d)) < 1e-8, gamma
+
+            out = {str(tmp_path)!r}
+            solve = dict({TestSolveVerb.CONFIG!r}, rule="exact")
+            online = {TestOnlineVerb.CONFIG!r}
+            runs = [
+                ["solve", "--config", json.dumps(solve), "--out", out + "/solve"],
+                ["online", "--config", json.dumps(online), "--out", out + "/online"],
+                ["suite", "online", "--out", out + "/suite_online"],
+                ["verify", "--set", {L3_SET!r}, "--check", "definition1",
+                 "--pairs", "50", "--directions", "10"],
+            ]
+            codes = [main(argv) for argv in runs]
+            assert codes == [0, 0, 0, 0], codes
+            print("ok")
+        """)
+        assert _run_python(code).stdout.splitlines()[-1] == "ok"

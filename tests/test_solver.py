@@ -1,8 +1,13 @@
 """The Frank-Wolfe loop: step rules, trace invariants, serialization."""
 
 import csv
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from ucfw import (
     run_fw,
     short_step,
 )
+import ucfw
 from ucfw import solver
 from ucfw.experiments import fit_loglog_slope, problem_constants, x_init_for
 from ucfw.geometry import _BLOCK, _block_rows, lp_norm
@@ -646,6 +652,34 @@ class TestBlockedBookkeeping:
         assert len(trace) == T + 1
         assert trace.iterates is None and trace.vertices is None
         assert peak < 2 * 2**20
+
+    def test_early_stop_leaves_the_horizon_untouched(self):
+        """A run that stops at t = 0 writes one row of its length-(T+1)
+        scalar columns and faults in none of the rest; filling one such
+        column up front would take 30 MiB at this T."""
+        code = textwrap.dedent("""
+            import os, resource
+            import numpy as np
+            from ucfw import LpBall, QuadraticObjective, StepRule, run_fw
+
+            # ru_maxrss survives exec, so this process reports the peak of
+            # whatever spawned it; a forked child starts from its own pages
+            pid = os.fork()
+            if pid:
+                os._exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            ball = LpBall(p=2.0, radius=5.0, dim=2)
+            f = QuadraticObjective(A=np.ones(2), x0=np.array([1.0, 0.0]))
+            peaks = []
+            for T in (1000, 4_000_000):
+                trace = run_fw(ball, f, np.array([1.0, 0.0]), StepRule.short(), T)
+                assert len(trace) == 1 and np.isnan(trace.primal_gap[0])
+                peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB
+            print(peaks[1] - peaks[0])
+        """)
+        src = str(Path(ucfw.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert int(out.stdout) < 8 * 1024
 
     def test_no_per_iteration_bookkeeping_calls(self):
         feasible = CountingBall(LpBall(p=3.0, radius=1.0, dim=5))
