@@ -42,7 +42,6 @@ from .geometry import (
     lp_norm,
     levelset_uc_params,
     set_from_json,
-    sqnorm_level_set,
 )
 from .objectives import (
     HEBDescriptor,

@@ -24,14 +24,19 @@ EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
 
-def _env_seed() -> int | None:
+def _seed(flag: int | None = None) -> int | None:
+    """``UCFW_SEED`` when it is set, else the verb's ``--seed`` (None for a
+    verb without one); a value below 0 is a config error naming its source."""
     raw = os.environ.get("UCFW_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"UCFW_SEED must be an integer, got {raw!r}") from exc
+    seed, source = flag, "--seed"
+    if raw is not None:
+        try:
+            seed, source = int(raw), "UCFW_SEED"
+        except ValueError as exc:
+            raise ConfigError(f"UCFW_SEED must be an integer, got {raw!r}") from exc
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{source} must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _load_json(arg: str) -> dict:
@@ -51,7 +56,7 @@ def _load_json(arg: str) -> dict:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
-    seed = _env_seed()
+    seed = _seed()
     if seed is not None:
         config["seed"] = seed
     manifest = ex.run_solve(config, args.out)
@@ -60,10 +65,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    seed = _env_seed()
-    if seed is None:
-        seed = args.seed
-    result = ex.run_suite(args.tag, args.out, seed=seed)
+    result = ex.run_suite(args.tag, args.out, seed=_seed(args.seed))
     summary = {k: v for k, v in result.items() if k not in ("runs", "results", "positive", "negative", "files")}
     summary["out"] = str(args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -76,10 +78,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     feasible = set_from_json(_load_json(args.set))
-    seed = _env_seed()
-    if seed is None:
-        seed = args.seed
-    cfg = vf.SamplerConfig(n_pairs=args.pairs, n_directions=args.directions, seed=seed)
+    cfg = vf.SamplerConfig(n_pairs=args.pairs, n_directions=args.directions, seed=_seed(args.seed))
 
     uc = feasible.uc
     if args.alpha is not None or args.q is not None:
@@ -96,7 +95,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_online(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
-    seed = _env_seed()
+    seed = _seed()
     if seed is not None and "stream" in config and isinstance(config["stream"], dict):
         config["stream"]["seed"] = seed
     manifest = ex.run_online_config(config, args.out)

@@ -313,9 +313,12 @@ class FeasibleSet:
     exposing an LMO, a membership oracle, and its declared
     uniform-convexity parameters.
 
-    Subclasses supply the norm pair and the LMO; membership and boundary
-    points follow from the norm and the radius.  Instances are immutable
-    after construction; all oracle calls are pure.
+    Subclasses supply ``batch_norm`` and ``batch_dual_norm``, each over
+    points stacked along the first axes, and an ``lmo`` that takes one point
+    or a stack of them.  The single-point ``norm``, ``dual_norm`` and
+    ``membership_excess`` are the batched oracles on one point; membership
+    and boundary points follow from the norm and the radius.  Instances are
+    immutable after construction; all oracle calls are pure.
     """
 
     dim: int
@@ -331,39 +334,32 @@ class FeasibleSet:
     def uc_params(self) -> UCParams:
         raise NotUniformlyConvex(type(self).__name__)
 
-    def norm(self, x: np.ndarray) -> float:
+    def batch_norm(self, X: np.ndarray) -> np.ndarray:
+        """Norms of points stacked along the first axes."""
         raise NotImplementedError
 
-    def batch_norm(self, X: np.ndarray) -> np.ndarray:
-        """Norms of points stacked along the first axes; the base class
-        takes the rows of a 2-D array one at a time."""
-        return np.array([self.norm(x) for x in X], dtype=float)
-
-    def dual_norm(self, phi: np.ndarray) -> float:
+    def batch_dual_norm(self, Phi: np.ndarray) -> np.ndarray:
+        """Dual norms of points stacked along the first axes."""
         raise NotImplementedError
 
     def lmo(self, phi: np.ndarray) -> np.ndarray:
+        """Maximize ``<phi, v>`` over the set, for one point or for each
+        point of a stack."""
         raise NotImplementedError(f"{type(self).__name__} has no closed-form LMO")
 
-    def batch_dual_norm(self, Phi: np.ndarray) -> np.ndarray:
-        """Dual norms of the rows of a 2-D array."""
-        return np.array([self.dual_norm(phi) for phi in Phi], dtype=float)
+    def norm(self, x: np.ndarray) -> float:
+        return float(self.batch_norm(x))
 
-    def batch_lmo(self, Phi: np.ndarray) -> np.ndarray:
-        """The LMO applied to each row of a 2-D array, rows stacked."""
-        out = np.empty(np.shape(Phi))
-        for i, phi in enumerate(Phi):
-            out[i] = self.lmo(phi)
-        return out
-
-    def membership_excess(self, x: np.ndarray) -> float:
-        """How far the defining inequality is exceeded (<= 0 means inside):
-        ``||x|| - radius``."""
-        return self.norm(x) - self.radius
+    def dual_norm(self, phi: np.ndarray) -> float:
+        return float(self.batch_dual_norm(phi))
 
     def batch_membership_excess(self, X: np.ndarray) -> np.ndarray:
-        """Membership excess of points stacked along the first axes."""
+        """How far the defining inequality is exceeded (<= 0 means inside)
+        by points stacked along the first axes: ``||x|| - radius``."""
         return self.batch_norm(X) - self.radius
+
+    def membership_excess(self, x: np.ndarray) -> float:
+        return float(self.batch_membership_excess(x))
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         return self.membership_excess(x) <= tol
@@ -401,23 +397,14 @@ class LpBall(FeasibleSet):
     def uc_params(self) -> UCParams:
         return lp_ball_uc_params(self.p, self.radius, norm_tag=f"lp:{self.p}")
 
-    def norm(self, x):
-        return lp_norm(x, self.p)
-
     def batch_norm(self, X):
         return _batch_lp_norm(X, self.p)
-
-    def dual_norm(self, phi):
-        return lp_norm(phi, dual_exponent(self.p))
 
     def batch_dual_norm(self, Phi):
         return _batch_lp_norm(Phi, dual_exponent(self.p))
 
     def lmo(self, phi):
         return lmo_lp(self.p, self.radius, phi)
-
-    def batch_lmo(self, Phi):
-        return lmo_lp(self.p, self.radius, Phi)
 
     def descriptor(self) -> dict:
         return {"family": "lp", "p": self.p, "radius": self.radius, "dim": self.dim}
@@ -435,23 +422,14 @@ class L1Ball(FeasibleSet):
         if self.dim < 1:
             raise InvalidParams("dim must be >= 1")
 
-    def norm(self, x):
-        return lp_norm(x, 1.0)
-
     def batch_norm(self, X):
         return _batch_lp_norm(X, 1.0)
-
-    def dual_norm(self, phi):
-        return lp_norm(phi, np.inf)
 
     def batch_dual_norm(self, Phi):
         return _batch_lp_norm(Phi, np.inf)
 
     def lmo(self, phi):
         return lmo_l1(self.radius, phi)
-
-    def batch_lmo(self, Phi):
-        return lmo_l1(self.radius, Phi)
 
     def descriptor(self) -> dict:
         return {"family": "l1", "radius": self.radius, "dim": self.dim}
@@ -492,26 +470,16 @@ class SchattenBall(FeasibleSet):
     def uc_params(self) -> UCParams:
         return lp_ball_uc_params(self.p, self.radius, norm_tag=f"schatten:{self.p}")
 
-    def norm(self, x):
-        return lp_norm(self._sv(x), self.p)
-
     def batch_norm(self, X):
         return _batch_lp_norm(self._sv(X), self.p)
-
-    def dual_norm(self, phi):
-        return lp_norm(self._sv(phi), dual_exponent(self.p))
 
     def batch_dual_norm(self, Phi):
         return _batch_lp_norm(self._sv(Phi), dual_exponent(self.p))
 
     def lmo(self, phi):
-        G = np.asarray(phi, dtype=float).reshape(self.rows, self.cols)
-        return lmo_schatten(self.p, self.radius, G).ravel()
-
-    def batch_lmo(self, Phi):
-        Phi = np.asarray(Phi, dtype=float)
-        V = lmo_schatten(self.p, self.radius, Phi.reshape(len(Phi), self.rows, self.cols))
-        return V.reshape(Phi.shape)
+        phi = np.asarray(phi, dtype=float)
+        V = lmo_schatten(self.p, self.radius, phi.reshape(*phi.shape[:-1], self.rows, self.cols))
+        return V.reshape(phi.shape)
 
     def descriptor(self) -> dict:
         return {
@@ -528,8 +496,9 @@ class LevelSet(FeasibleSet):
     """The sublevel set {x : ||x||_2^2 <= w} of f = ||.||_2^2, which is
     2-smooth and (2, 2)-uniformly convex: the l2 ball of radius sqrt(w).
 
-    Membership is the defining inequality ``||x||^2 - w``.  Only membership
-    and the level-set (alpha, q) parameters are offered; there is no LMO.
+    Membership is the defining inequality ``||x||^2 - w``.  The l2 norm
+    pair, membership and the level-set (alpha, q) parameters are offered;
+    there is no LMO.
     """
 
     w: float
@@ -548,28 +517,17 @@ class LevelSet(FeasibleSet):
     def uc_params(self) -> UCParams:
         return levelset_uc_params(mu=2.0, r_exp=2.0, L=2.0, w=self.w)
 
-    def norm(self, x):
-        return lp_norm(x, 2.0)
-
     def batch_norm(self, X):
         return _batch_lp_norm(X, 2.0)
 
-    def dual_norm(self, phi):
-        return lp_norm(phi, 2.0)
-
-    def membership_excess(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.dot(x, x)) - self.w
+    def batch_dual_norm(self, Phi):
+        return _batch_lp_norm(Phi, 2.0)
 
     def batch_membership_excess(self, X):
         return (np.asarray(X, dtype=float) ** 2).sum(axis=-1) - self.w
 
     def descriptor(self) -> dict:
         return {"family": "levelset", "kind": "sqnorm", "w": self.w, "dim": self.dim}
-
-
-# the catalog's name for its one level set
-sqnorm_level_set = LevelSet
 
 
 def set_from_json(desc: dict) -> FeasibleSet:
@@ -581,20 +539,22 @@ def set_from_json(desc: dict) -> FeasibleSet:
     try:
         family = desc["family"]
         if family == "lp":
-            return LpBall(p=float(desc["p"]), radius=float(desc["radius"]), dim=int(desc["dim"]))
+            return LpBall(
+                p=float(desc["p"]), radius=float(desc["radius"]), dim=_json_int(desc["dim"], "dim", 1)
+            )
         if family == "l1":
-            return L1Ball(radius=float(desc["radius"]), dim=int(desc["dim"]))
+            return L1Ball(radius=float(desc["radius"]), dim=_json_int(desc["dim"], "dim", 1))
         if family == "schatten":
             return SchattenBall(
                 p=float(desc["p"]),
-                rows=int(desc["rows"]),
-                cols=int(desc["cols"]),
+                rows=_json_int(desc["rows"], "rows", 1),
+                cols=_json_int(desc["cols"], "cols", 1),
                 radius=float(desc["radius"]),
             )
         if family == "levelset":
             if desc.get("kind", "sqnorm") != "sqnorm":
                 raise ConfigError(f"unknown levelset kind {desc.get('kind')!r}")
-            return LevelSet(w=float(desc["w"]), dim=int(desc["dim"]))
+            return LevelSet(w=float(desc["w"]), dim=_json_int(desc["dim"], "dim", 1))
     except KeyError as exc:
         raise ConfigError(f"set descriptor missing field {exc}") from exc
     except (TypeError, ValueError, InvalidParams) as exc:

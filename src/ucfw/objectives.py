@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import FeasibleSet, L1Ball, LpBall, _row_dots, dual_exponent
+from .geometry import FeasibleSet, L1Ball, LpBall, _json_int, _row_dots, dual_exponent
 
 __all__ = [
     "HEBDescriptor",
@@ -239,7 +239,7 @@ def objective_from_json(desc: dict) -> QuadraticObjective:
         if desc["family"] != "quadratic":
             raise ConfigError(f"unknown objective family {desc.get('family')!r}")
         return quadratic_from_descriptor(
-            dim=int(desc["dim"]),
+            dim=_json_int(desc["dim"], "dim", 1),
             cond=float(desc["cond"]),
             x0_direction=desc["x0_direction"],
             x0_scale=float(desc["x0_scale"]),

@@ -206,7 +206,7 @@ def run_ftl(
 
             nonzero = S.any(axis=1)
             V = np.empty_like(S)
-            V[nonzero] = feasible.batch_lmo(-S[nonzero])
+            V[nonzero] = feasible.lmo(-S[nonzero])
             V[~nonzero] = x1_policy  # S = 0 there, so the hindsight term is 0
             hindsight[lo:hi] = _row_dots(S, V)
             n_next = min(hi, T - 1) - lo  # rows whose next round exists

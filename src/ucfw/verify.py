@@ -163,7 +163,7 @@ def check_lemma1(
     G = np.array([f.gradient(x) for x in X])
     live = np.flatnonzero(np.any(G, axis=1))  # a zero gradient has no LMO vertex
     G, X = G[live], X[live]
-    D = feasible.batch_lmo(-G) - X
+    D = feasible.lmo(-G) - X
     lhs = _row_dots(-G, D)
     rhs = 0.5 * uc.alpha * feasible.batch_norm(D) ** uc.q * feasible.batch_dual_norm(G)
     worst, witness = _worst_gap(rhs - lhs, live, lhs, rhs)

@@ -247,6 +247,38 @@ class TestEnvSeed:
         code = main(["verify", "--set", L3_SET, "--check", "definition1"])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--set", L3_SET, "--check", "definition1", "--pairs", "20", "--directions", "5"],
+            ["solve", "--config", json.dumps(TestSolveVerb.CONFIG)],
+            ["online", "--config", json.dumps(TestOnlineVerb.CONFIG)],
+            ["suite", "online"],
+        ],
+        ids=["verify", "solve", "online", "suite"],
+    )
+    def test_negative_env_seed_is_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("UCFW_SEED", "-1")
+        code = main([*argv, *(["--out", str(tmp_path / "out")] if argv[0] != "verify" else [])])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: UCFW_SEED must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--set", L3_SET, "--check", "definition1", "--seed", "-1"],
+            ["suite", "online", "--seed", "-1"],
+        ],
+        ids=["verify", "suite"],
+    )
+    def test_negative_flag_seed_is_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.delenv("UCFW_SEED", raising=False)
+        code = main([*argv, *(["--out", str(tmp_path / "out")] if argv[0] == "suite" else [])])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestNonFiniteDescriptors:
     """NaN and infinite descriptor values are config errors: exit 2 with a
@@ -293,6 +325,12 @@ class TestNonFiniteDescriptors:
             ({"family": "schatten", "p": 2.5, "rows": 2, "cols": 2, "radius": float("inf")}, "radius"),
             ({"family": "levelset", "kind": "sqnorm", "w": float("nan"), "dim": 3}, "w"),
             ({"family": "levelset", "w": 4, "dim": 0}, "dim"),
+            ({"family": "lp", "p": 3.0, "radius": 1.0, "dim": 2.9}, "dim"),
+            ({"family": "lp", "p": 3.0, "radius": 1.0, "dim": True}, "dim"),
+            ({"family": "l1", "radius": 1.0, "dim": 3.5}, "dim"),
+            ({"family": "schatten", "p": 2.5, "rows": 2.5, "cols": 2, "radius": 1.0}, "rows"),
+            ({"family": "schatten", "p": 2.5, "rows": 2, "cols": True, "radius": 1.0}, "cols"),
+            ({"family": "levelset", "w": 4, "dim": 3.5}, "dim"),
         ],
     )
     def test_verify_rejects_set(self, capsys, desc, field):
@@ -323,9 +361,17 @@ class TestConfigFields:
             ({"rule": ["short"]}, "rule must be one of deterministic, short, exact"),
             ({"set": {"family": "lp", "p": 3.0, "radius": 1.0, "dim": 5}},
              "objective dim 4 does not match set dim 5"),
+            ({"set": {"family": "lp", "p": 3.0, "radius": 1.0, "dim": 4.7},
+              "objective": dict(TestSolveVerb.CONFIG["objective"], dim=4.2)},
+             "dim must be an integer >= 1, got 4.7"),
+            ({"objective": dict(TestSolveVerb.CONFIG["objective"], dim=4.2)},
+             "dim must be an integer >= 1, got 4.2"),
+            ({"objective": dict(TestSolveVerb.CONFIG["objective"], dim=True)},
+             "dim must be an integer >= 1, got True"),
         ],
         ids=["T-float", "T-bool", "T-string", "T-1e30", "seed-float", "stop_gap-negative",
-             "stop_gap-string", "stop_gap-nan", "rule-list", "dim-mismatch"],
+             "stop_gap-string", "stop_gap-nan", "rule-list", "dim-mismatch", "dims-float",
+             "objective-dim-float", "objective-dim-bool"],
     )
     def test_solve_rejects(self, tmp_path, capsys, patch, message):
         out = tmp_path / "run"

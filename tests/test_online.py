@@ -25,8 +25,8 @@ from ucfw.online import OnlineTrace, stream_from_json
 
 
 class OraclesOnly(FeasibleSet):
-    """A set with only the single-vector oracles, so batched callers go
-    through the base class's row loops."""
+    """A set written to the bare subclass contract: batched norms and one
+    LMO, everything else from the base class."""
 
     def __init__(self, ball):
         self.ball, self.dim, self.radius = ball, ball.dim, ball.radius
@@ -34,8 +34,11 @@ class OraclesOnly(FeasibleSet):
     def lmo(self, phi):
         return self.ball.lmo(phi)
 
-    def dual_norm(self, phi):
-        return self.ball.dual_norm(phi)
+    def batch_norm(self, X):
+        return self.ball.batch_norm(X)
+
+    def batch_dual_norm(self, Phi):
+        return self.ball.batch_dual_norm(Phi)
 
     def descriptor(self):
         return {"family": "oracles-only"}
@@ -184,7 +187,7 @@ class TestBatchedFtl:
         Phi = rng.standard_normal((400, 5)) * rng.choice([1e-150, 1e-3, 1.0, 1e4, 1e150], (400, 1))
         Phi[::3, 1] = 0.0
         Phi[::5] = np.round(Phi[::5] * 1e-150) + 1.0  # ties
-        V = feasible.batch_lmo(Phi)
+        V = feasible.lmo(Phi)
         rows = np.array([feasible.lmo(phi) for phi in Phi])
         assert V.view(np.uint64).tolist() == rows.view(np.uint64).tolist()
 
@@ -192,7 +195,7 @@ class TestBatchedFtl:
     def test_batch_lmo_zero_row(self, name):
         Phi = np.array([[1.0, 0.0, 0.0, 0.0, 2.0], [0.0] * 5])
         with pytest.raises(ZeroDirection):
-            FTL_SETS[name].batch_lmo(Phi)
+            FTL_SETS[name].lmo(Phi)
 
 
 class TestToCsv:

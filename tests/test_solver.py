@@ -457,8 +457,8 @@ def per_iteration_fw(feasible, f, x_init, rule, T, stop_gap=1e-12, f_star=None):
 
 
 class OraclesOnly(FeasibleSet):
-    """An lp ball with only the single-vector oracles, so run_fw's batched
-    pass goes through the base class's row loops."""
+    """An lp ball written to the bare subclass contract: batched norms and
+    one LMO, so run_fw's single-point oracles come from the base class."""
 
     def __init__(self, ball):
         self.ball, self.dim, self.radius = ball, ball.dim, ball.radius
@@ -466,14 +466,11 @@ class OraclesOnly(FeasibleSet):
     def lmo(self, phi):
         return self.ball.lmo(phi)
 
-    def norm(self, x):
-        return self.ball.norm(x)
+    def batch_norm(self, X):
+        return self.ball.batch_norm(X)
 
-    def dual_norm(self, phi):
-        return self.ball.dual_norm(phi)
-
-    def membership_excess(self, x):
-        return self.ball.membership_excess(x)
+    def batch_dual_norm(self, Phi):
+        return self.ball.batch_dual_norm(Phi)
 
     def descriptor(self):
         return {"family": "oracles-only"}

@@ -8,6 +8,7 @@ import pytest
 import ucfw.verify
 from ucfw import (
     L1Ball,
+    LevelSet,
     LpBall,
     QuadraticObjective,
     SamplerConfig,
@@ -25,7 +26,6 @@ from ucfw import (
     reference_optimum,
     run_fw,
     sample_feasible,
-    sqnorm_level_set,
 )
 from ucfw.experiments import problem_constants, x_init_for
 
@@ -67,7 +67,7 @@ class TestDefinition1:
         assert check_definition1(ball, near_zero, CFG).passed
 
     def test_levelset_catalog(self):
-        ls = sqnorm_level_set(w=4.0, dim=4)
+        ls = LevelSet(w=4.0, dim=4)
         assert check_definition1(ls, ls.uc_params(), CFG).passed
 
     def test_report_serializes(self):
@@ -347,7 +347,7 @@ def assert_same_report(report, passed, worst, witness):
     assert report.witness == witness
 
 
-DEFINITION1_SETS = {**BATCH_SETS, "levelset": sqnorm_level_set(w=4.0, dim=4)}
+DEFINITION1_SETS = {**BATCH_SETS, "levelset": LevelSet(w=4.0, dim=4)}
 
 
 class EtaProbe(FeasibleSet):
