@@ -46,7 +46,9 @@ __all__ = [
     "ExperimentConfig",
     "fit_loglog_slope",
     "problem_constants",
-    "run_single",
+    "fw_reference",
+    "fw_experiment",
+    "ftl_experiment",
     "run_solve",
     "run_fig2",
     "run_online_suite",
@@ -55,7 +57,12 @@ __all__ = [
     "run_suite",
 ]
 
-DEFAULT_P_GRID = (2.5, 3.0, 5.0, 7.0, 10.0)
+# the curved-vs-flat protocol: a quadratic with condition number 100 over lp
+# balls of radius 5, with ||x0||_2 = 3 radii, which keeps c > 0
+FIG2_P_GRID = (2.5, 3.0, 5.0, 7.0, 10.0)
+FIG2_COND = 100.0
+FIG2_RADIUS = 5.0
+FIG2_X0_SCALE_FACTOR = 3.0
 STEP_RULES = {"deterministic": StepRule.deterministic(), "short": StepRule.short(), "exact": StepRule.exact()}
 # the Frank-Wolfe reference fallback runs this many times the plotted horizon
 REFERENCE_MULTIPLIER = 50
@@ -73,37 +80,29 @@ def fit_loglog_slope(t, y, t_min: float, t_max: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Curved-vs-flat grid configuration (defaults reproduce the protocol:
-    quadratic with condition number 100 over lp balls of radius 5)."""
+    """One optimum location of the curved-vs-flat grid (defaults reproduce
+    the protocol; its other constants are the ``FIG2_*`` module constants)."""
 
     dim: int = 100
-    cond: float = 100.0
-    radius: float = 5.0
-    p_grid: tuple = DEFAULT_P_GRID
-    step_rules: tuple = ("deterministic", "short", "exact")
     horizon: int = 1000
     seed: int = 0
     optimum_location: str = "curved"  # "curved" | "flat"
-    x0_scale_factor: float = 3.0  # ||x0||_2 = factor * radius, keeps c > 0
 
     def __post_init__(self) -> None:
         if self.optimum_location not in ("curved", "flat"):
             raise ConfigError(f"unknown optimum_location {self.optimum_location!r}")
-        for rule in self.step_rules:
-            if rule not in STEP_RULES:
-                raise ConfigError(f"unknown step rule {rule!r}")
         if self.horizon < 1 or self.dim < 2:
             raise ConfigError("need horizon >= 1 and dim >= 2")
 
 
 def build_problem(cfg: ExperimentConfig, p: float) -> tuple[LpBall, QuadraticObjective]:
     direction = "ones" if cfg.optimum_location == "curved" else "e1"
-    feasible = LpBall(p=p, radius=cfg.radius, dim=cfg.dim)
+    feasible = LpBall(p=p, radius=FIG2_RADIUS, dim=cfg.dim)
     objective = quadratic_from_descriptor(
         dim=cfg.dim,
-        cond=cfg.cond,
+        cond=FIG2_COND,
         x0_direction=direction,
-        x0_scale=cfg.x0_scale_factor * cfg.radius,
+        x0_scale=FIG2_X0_SCALE_FACTOR * FIG2_RADIUS,
     )
     return feasible, objective
 
@@ -132,24 +131,37 @@ def x_init_for(feasible: FeasibleSet, seed: int) -> np.ndarray:
     return feasible.lmo(rng.standard_normal(feasible.dim))
 
 
-def run_single(
-    feasible: LpBall,
-    f: QuadraticObjective,
-    rule_name: str,
-    T: int,
-    seed: int,
-    x_star=None,
-    f_star=None,
-    stop_gap: float = 1e-12,
+def fw_reference(feasible: FeasibleSet, f: QuadraticObjective, T: int, seed: int, stop_gap: float) -> tuple:
+    """f* and its certificate, the Frank-Wolfe gap at the reference optimum,
+    for a run of horizon T from ``x_init_for(feasible, seed)``: the
+    reference starts there and may take ``REFERENCE_MULTIPLIER * T`` steps.
+    An objective that is not finite there is a :class:`ConfigError`."""
+    x_init = x_init_for(feasible, seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        x_star, f_star = reference_optimum(feasible, f, x_init, REFERENCE_MULTIPLIER * T, stop_gap=stop_gap)
+        f_init = f.value(x_init)
+    if not (np.isfinite(f_star) and np.isfinite(f_init)):
+        raise ConfigError("objective is not finite on the set; reduce the objective's x0_scale")
+    return f_star, fw_gap_at(feasible, f, x_star)
+
+
+def fw_experiment(
+    feasible: LpBall, f: QuadraticObjective, rule_name: str, T: int, seed: int, reference: tuple,
+    out_dir: Path, stem: str, sidecar: dict | None = None, stop_gap: float = 1e-12,
 ):
-    """One traced run plus the applicable bound-curve columns.
+    """One traced run from ``x_init_for(feasible, seed)`` against
+    ``reference = (f_star, certificate)`` (:func:`fw_reference`), with its
+    bound overlays as extra columns of ``<stem>.csv``, and its metadata, the
+    certificate and the ``sidecar`` keys in ``<stem>.json``.  Returns the
+    trace.
 
     Bound curves attach only to short-step / exact-line-search runs with
     primal gaps; the T2 curve anchors at the first iteration with h_t <= 1.
     """
-    rule = STEP_RULES[rule_name]
-    x_init = x_init_for(feasible, seed)
-    trace = run_fw(feasible, f, x_init, rule, T, stop_gap=stop_gap, x_star=x_star, f_star=f_star)
+    f_star, certificate = reference
+    trace = run_fw(
+        feasible, f, x_init_for(feasible, seed), STEP_RULES[rule_name], T, stop_gap=stop_gap, f_star=f_star
+    )
 
     extra: dict[str, np.ndarray] = {}
     if rule_name in ("short", "exact") and trace.has_primal_gaps and len(trace) > 0:
@@ -175,7 +187,11 @@ def run_single(
             b3 = bnd.theorem3_bound(consts["alpha"], consts["q"], mu_p, theta, consts["L"], h0)
             extra["bound_t3"] = np.asarray(b3.evaluate(ts), dtype=float)
         trace.metadata["constants"] = consts
-    return trace, extra
+    trace.metadata["f_star_certificate"] = certificate
+    trace.metadata.update(sidecar or {})
+    trace.to_csv(out_dir / f"{stem}.csv", extra_columns=extra)
+    trace.write_sidecar(out_dir / f"{stem}.json")
+    return trace
 
 
 def run_solve(config: dict, out_dir) -> dict:
@@ -201,22 +217,10 @@ def run_solve(config: dict, out_dir) -> dict:
     if objective.x0.size != feasible.dim:
         raise ConfigError(f"objective dim {objective.x0.size} does not match set dim {feasible.dim}")
 
-    x_init = x_init_for(feasible, seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
-        x_star, f_star = reference_optimum(
-            feasible, objective, x_init, REFERENCE_MULTIPLIER * T, stop_gap=min(stop_gap, 1e-12)
-        )
-        f_init = objective.value(x_init)
-    if not (np.isfinite(f_star) and np.isfinite(f_init)):
-        raise ConfigError("objective is not finite on the set; reduce the objective's x0_scale")
-    trace, extra = run_single(
-        feasible, objective, rule_name, T, seed, x_star=x_star, f_star=f_star, stop_gap=stop_gap
+    reference = fw_reference(feasible, objective, T, seed, min(stop_gap, 1e-12))
+    trace = fw_experiment(
+        feasible, objective, rule_name, T, seed, reference, out_dir, "trace", {"config": config}, stop_gap
     )
-    csv_path = out_dir / "trace.csv"
-    trace.to_csv(csv_path, extra_columns=extra)
-    trace.metadata["config"] = config
-    trace.metadata["f_star_certificate"] = fw_gap_at(feasible, objective, x_star)
-    trace.write_sidecar(out_dir / "trace.json")
     manifest = {
         "files": ["trace.csv", "trace.json"],
         "stopped_at": trace.metadata["stopped_at"],
@@ -224,16 +228,6 @@ def run_solve(config: dict, out_dir) -> dict:
     }
     _write_manifest(out_dir, manifest)
     return manifest
-
-
-def _fig2_reference(cfg: ExperimentConfig, p: float) -> tuple:
-    """x*, f* and the certificate of f* for one (location, p) problem."""
-    feasible, objective = build_problem(cfg, p)
-    x_init = x_init_for(feasible, cfg.seed)
-    x_star, f_star = reference_optimum(
-        feasible, objective, x_init, REFERENCE_MULTIPLIER * cfg.horizon, stop_gap=1e-13
-    )
-    return x_star, f_star, fw_gap_at(feasible, objective, x_star)
 
 
 def _run_name(cfg: ExperimentConfig, rule_name: str, p: float) -> str:
@@ -244,16 +238,9 @@ def _fig2_run(job: tuple) -> tuple[dict, tuple]:
     """One (location, rule, p) run of the curved-vs-flat protocol: its
     trace with bound overlays, CSV and sidecar.  Returns the run's manifest
     entry and its running-min gap series for the plot."""
-    cfg, rule_name, p, (x_star, f_star, certificate), out_dir = job
-    feasible, objective = build_problem(cfg, p)
-    trace, extra = run_single(
-        feasible, objective, rule_name, cfg.horizon, cfg.seed, x_star=x_star, f_star=f_star,
-    )
-    trace.metadata["f_star_certificate"] = certificate
+    cfg, rule_name, p, reference, out_dir = job
     name = _run_name(cfg, rule_name, p)
-    csv_name = f"{name}.csv"
-    trace.to_csv(out_dir / csv_name, extra_columns=extra)
-    trace.write_sidecar(out_dir / f"{name}.json")
+    trace = fw_experiment(*build_problem(cfg, p), rule_name, cfg.horizon, cfg.seed, reference, out_dir, name)
     min_gap = trace.min_fw_gap
     entry = {
         "location": cfg.optimum_location,
@@ -263,8 +250,8 @@ def _fig2_run(job: tuple) -> tuple[dict, tuple]:
         "stopped_at": trace.metadata["stopped_at"],
         "final_min_fw_gap": float(min_gap[-1]),
         "min_gap_slope": fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon),
-        "f_star_certificate": certificate,
-        "csv": csv_name,
+        "f_star_certificate": reference[1],
+        "csv": f"{name}.csv",
     }
     return entry, (f"p={p:g}", trace.t[1:], min_gap[1:])
 
@@ -309,19 +296,21 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
     ]
     jobs = []
     for cfg in cfgs:
-        references = {p: _fig2_reference(cfg, p) for p in cfg.p_grid}
+        references = {
+            p: fw_reference(*build_problem(cfg, p), cfg.horizon, cfg.seed, 1e-13) for p in FIG2_P_GRID
+        }
         jobs += [
             (cfg, rule_name, p, references[p], out_dir)
-            for rule_name in cfg.step_rules
-            for p in cfg.p_grid
+            for rule_name in STEP_RULES
+            for p in FIG2_P_GRID
         ]
     results = iter(_map_runs(_fig2_run, jobs))
 
     manifest: dict = {"suite": "fig2", "files": [], "runs": []}
     for cfg in cfgs:
-        for rule_name in cfg.step_rules:
+        for rule_name in STEP_RULES:
             series = []
-            for p in cfg.p_grid:
+            for p in FIG2_P_GRID:
                 entry, line = next(results)
                 manifest["files"].extend([entry["csv"], f"{_run_name(cfg, rule_name, p)}.json"])
                 manifest["runs"].append(entry)
@@ -339,6 +328,22 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
     return manifest
 
 
+def ftl_experiment(feasible: FeasibleSet, stream, T: int, out_dir: Path, csv_name: str) -> tuple:
+    """FTL for T rounds against ``stream``, with its Theorem-4 bound when
+    the set has (alpha, q) and L_T > 0, written to ``out_dir / csv_name``.
+    Returns the trace, the bound and whether the regret stays under it; the
+    last two are None without a bound."""
+    trace = run_ftl(feasible, stream, T)
+    uc = feasible.uc
+    if uc is None or trace.degenerate:
+        bound = regret_ok = None
+    else:
+        bound = trace.bound_curve(uc.alpha, uc.q)
+        regret_ok = bool(np.all(trace.regret <= bound + 1e-9))
+    trace.to_csv(out_dir / csv_name, bound=bound)
+    return trace, bound, regret_ok
+
+
 def _online_run(job: tuple) -> dict:
     """One p of the online suite: FTL on the unit lp ball against the
     adversarial stream, its Theorem-4 bound and its CSV.  Returns the run's
@@ -348,11 +353,9 @@ def _online_run(job: tuple) -> dict:
     base[0] = 1.0
     feasible = LpBall(p=p, radius=1.0, dim=dim)
     stream = adversarial_stream(base, flip_scale=0.5, seed=seed)
-    trace = run_ftl(feasible, stream, T)
-    uc = feasible.uc_params()
-    bound = trace.bound_curve(uc.alpha, uc.q)
     csv_name = f"online_p{p:g}.csv"
-    trace.to_csv(out_dir / csv_name, bound=bound)
+    trace, bound, regret_ok = ftl_experiment(feasible, stream, T, out_dir, csv_name)
+    uc = feasible.uc
     return {
         "p": p,
         "q": uc.q,
@@ -362,7 +365,7 @@ def _online_run(job: tuple) -> dict:
         "L_T": trace.L_T,
         "final_regret": float(trace.regret[-1]),
         "final_bound": float(bound[-1]),
-        "regret_ok": bool(np.all(trace.regret <= bound + 1e-9)),
+        "regret_ok": regret_ok,
         "csv": csv_name,
     }
 
@@ -477,7 +480,7 @@ def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerCo
     x_star, f_star = reference_optimum(feasible, f, x_init, 50_000, stop_gap=1e-13)
     if check == "local_scaling":
         return vf.check_local_scaling(feasible, f, x_star, uc.alpha, uc.q, cfg)
-    trace = run_fw(feasible, f, x_init, StepRule.short(), 2000, x_star=x_star, f_star=f_star)
+    trace = run_fw(feasible, f, x_init, StepRule.short(), 2000, f_star=f_star)
     consts = problem_constants(feasible, f)
     return vf.check_lemma3(trace, consts["c"], consts["alpha"], consts["q"], consts["L"])
 
@@ -521,10 +524,7 @@ def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: in
     rep.config["control"] = "l1_flat_face_local_scaling"
     negatives.append(rep)
 
-    trace_flat = run_fw(
-        diamond, f_flat, np.array([1.0, 0.0]), StepRule.short(), 1500,
-        x_star=xs_flat, f_star=fs_flat,
-    )
+    trace_flat = run_fw(diamond, f_flat, np.array([1.0, 0.0]), StepRule.short(), 1500, f_star=fs_flat)
     rep = vf.check_lemma3(trace_flat, c=1.0, alpha=0.25, q=2.0, L=1.0)
     rep.config["control"] = "l1_flat_face_lemma3"
     negatives.append(rep)
@@ -566,12 +566,7 @@ def run_online_config(config: dict, out_dir) -> dict:
     except KeyError as exc:
         raise ConfigError(f"online config missing field {exc}") from exc
     T = _json_int(config.get("T", 1000), "T", 1)
-    trace = run_ftl(feasible, stream, T)
-    uc = feasible.uc
-    bound = None
-    if uc is not None and not trace.degenerate:
-        bound = trace.bound_curve(uc.alpha, uc.q)
-    trace.to_csv(out_dir / "online.csv", bound=bound)
+    trace, _, regret_ok = ftl_experiment(feasible, stream, T, out_dir, "online.csv")
     manifest = {
         "files": ["online.csv"],
         "final_regret": float(trace.regret[-1]),
@@ -579,8 +574,8 @@ def run_online_config(config: dict, out_dir) -> dict:
         "M_loss": trace.M_loss,
         "degenerate": trace.degenerate,
     }
-    if bound is not None:
-        manifest["regret_ok"] = bool(np.all(trace.regret <= bound + 1e-9))
+    if regret_ok is not None:
+        manifest["regret_ok"] = regret_ok
     _write_manifest(out_dir, manifest)
     return manifest
 

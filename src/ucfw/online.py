@@ -170,14 +170,22 @@ def run_ftl(
     regret_t = sum_{s<=t} <c_s, x_s> - <S_t, V_t>.  A zero S_t makes round
     t+1 play ``x1_policy`` and is listed in ``fallback_rounds``.  A stream
     whose cumulative loss, dual norms or regret overflow raises
-    :class:`ConfigError`.
+    :class:`ConfigError`, and a T too large to allocate
+    :class:`InvalidParams`.
     """
     if T < 1:
         raise InvalidParams("T must be >= 1")
     if stream.dim != feasible.dim:
         raise ConfigError(f"stream dim {stream.dim} does not match set dim {feasible.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        C = stream.materialize(T)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            C = stream.materialize(T)
+        losses = np.empty(T)
+        avg_dual = np.empty(T)
+        hindsight = np.empty(T)
+        loss_dual = np.empty(T)
+    except (ValueError, MemoryError) as exc:
+        raise InvalidParams(f"T = {T} is too large to allocate: {exc}") from exc
 
     if x1_policy is None:
         rng = np.random.default_rng(_X1_SEED)
@@ -186,10 +194,6 @@ def run_ftl(
 
     actions = np.empty_like(C)
     actions[0] = x1_policy
-    losses = np.empty(T)
-    avg_dual = np.empty(T)
-    hindsight = np.empty(T)
-    loss_dual = np.empty(T)
     fallback_rounds: list[int] = []
 
     rows = _block_rows(stream.dim)

@@ -113,9 +113,8 @@ class RunTrace:
     ``primal_gap`` is NaN when no reference optimum was supplied.
     ``dist_to_vertex`` and ``grad_dual_norm`` are measured in the set's norm
     pair; the short step itself uses Euclidean quantities, matching the L2
-    declaration of the smoothness constant.  ``iterates`` and ``vertices``
-    hold the points x_t and v_t row by row when the run was asked to keep
-    them (``run_fw(..., keep_points=True)``) and are None otherwise.
+    declaration of the smoothness constant.  ``best_x`` is the first
+    iterate of least objective value and ``best_value`` its value.
     """
 
     t: np.ndarray
@@ -124,8 +123,8 @@ class RunTrace:
     primal_gap: np.ndarray
     dist_to_vertex: np.ndarray
     grad_dual_norm: np.ndarray
-    iterates: Optional[np.ndarray] = None
-    vertices: Optional[np.ndarray] = None
+    best_x: Optional[np.ndarray] = None
+    best_value: float = np.nan
     metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -164,27 +163,23 @@ def run_fw(
     rule: StepRule,
     T: int,
     stop_gap: float = 1e-12,
-    x_star: Optional[np.ndarray] = None,
     f_star: Optional[float] = None,
-    keep_points: bool = False,
 ) -> RunTrace:
     """Run the Frank-Wolfe loop: LMO, step size, convex update.
 
     Stops after T iterations or as soon as the Frank-Wolfe gap drops to
-    ``stop_gap``.  When ``x_star``/``f_star`` are given the trace carries
-    primal gaps.
+    ``stop_gap``.  When ``f_star`` is given the trace carries primal gaps.
 
     Each iteration makes one gradient call, one LMO call and the step rule.
     Everything else a trace row records (the feasibility guard, primal gap,
     distance to the vertex and dual gradient norm) is computed in one
     batched pass per block of rows, and at the stop, before the trace is
-    returned.  A NaN gap raises at once.
+    returned.  So is the objective value, from which the trace keeps its
+    first iterate of least value.  A NaN gap raises at once.
 
     Points live only in block buffers of at most 64 KiB each
     (:func:`~ucfw.geometry._block_rows`), so memory does not grow with T
-    beyond the trace's scalar columns.  ``keep_points=True`` copies every
-    block into ``(T+1)``-row arrays that the trace returns as ``iterates``
-    and ``vertices``.
+    beyond the trace's scalar columns.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -192,8 +187,6 @@ def run_fw(
     excess = feasible.membership_excess(x)
     if not excess <= FEASIBILITY_TOL:  # also catches NaN
         raise InfeasibleStart(f"x_init violates membership by {excess:g}")
-    if f_star is None and x_star is not None:
-        f_star = f.value(x_star)
 
     # row i of the block buffers is iteration lo + i; X's spare last row
     # takes the next block's first iterate
@@ -202,28 +195,31 @@ def run_fw(
     V = np.empty((rows, *x.shape))
     G = np.empty_like(V)
     step = np.empty(x.shape)
-    if keep_points:  # rows t = 0..T; an early stop leaves the tail untouched
-        iterates = np.empty((T + 1, *x.shape))
-        vertices = np.empty_like(iterates)
     # scalar columns are filled row by row (zeros is lazily zeroed), so a
     # run that stops early touches only the pages of the rows it wrote
-    gammas = np.zeros(T + 1)
-    gaps = np.empty(T + 1)
-    primals = np.empty(T + 1)
-    dists = np.empty(T + 1)
-    gnorms = np.empty(T + 1)
+    try:
+        gammas = np.zeros(T + 1)
+        gaps = np.empty(T + 1)
+        primals = np.empty(T + 1)
+        dists = np.empty(T + 1)
+        gnorms = np.empty(T + 1)
+    except (ValueError, MemoryError) as exc:
+        raise InvalidParams(f"T = {T} is too large to allocate: {exc}") from exc
+    best_x, best_value = None, np.nan  # the first iterate of least value
 
     def settle(lo: int, hi: int) -> None:
         """The batched part of rows lo..hi-1, held in the first hi-lo rows
         of the block buffers."""
+        nonlocal best_x, best_value
         n = hi - lo
         _check_iterates(feasible, X[:n], lo)
         dists[lo:hi] = feasible.batch_norm(V[:n] - X[:n])
         gnorms[lo:hi] = feasible.batch_dual_norm(G[:n])
-        primals[lo:hi] = np.nan if f_star is None else f.batch_value(X[:n]) - f_star
-        if keep_points:
-            iterates[lo:hi] = X[:n]
-            vertices[lo:hi] = V[:n]
+        values = f.batch_value(X[:n])
+        primals[lo:hi] = np.nan if f_star is None else values - f_star
+        i = int(np.argmin(values))
+        if best_x is None or values[i] < best_value:
+            best_x, best_value = X[i].copy(), float(values[i])
 
     # bound once; lmo still goes through the set's method, so wrapping
     # feasible.lmo (a tracer, a test probe) sees every call
@@ -269,8 +265,8 @@ def run_fw(
         primal_gap=primals[:n],
         dist_to_vertex=dists[:n],
         grad_dual_norm=gnorms[:n],
-        iterates=iterates[:n] if keep_points else None,
-        vertices=vertices[:n] if keep_points else None,
+        best_x=best_x,
+        best_value=best_value,
         metadata={
             "set": feasible.descriptor(),
             "objective": f.descriptor(),
@@ -308,16 +304,14 @@ def reference_optimum(
     system (:func:`_lp_ball_quadratic_optimum`).  Every other problem falls
     back to :func:`run_fw` with exact line search from ``x_init`` for
     ``horizon`` steps (or until the gap drops to ``stop_gap``), returning
-    the first iterate of least value; a numerical breakdown raises
-    :class:`UCFWError`.  The experiment suites give it 50x the plotted
-    horizon.
+    the run's first iterate of least value, so its memory does not grow with
+    ``horizon``; a numerical breakdown raises :class:`UCFWError`.  The
+    experiment suites give it 50x the plotted horizon.
     """
     if isinstance(f, QuadraticObjective) and f.diagonal and isinstance(feasible, LpBall):
         return _lp_ball_quadratic_optimum(feasible, f)
-    trace = run_fw(feasible, f, x_init, StepRule.exact(), horizon, stop_gap=stop_gap, keep_points=True)
-    values = f.batch_value(trace.iterates)
-    best = int(np.argmin(values))
-    return trace.iterates[best].copy(), float(values[best])
+    trace = run_fw(feasible, f, x_init, StepRule.exact(), horizon, stop_gap=stop_gap)
+    return trace.best_x, trace.best_value
 
 
 def _fw_vertex(lmo, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -151,7 +151,7 @@ def _l3_trace():
     f = QuadraticObjective(A=np.ones(8), x0=np.ones(8) * (3.0 / np.sqrt(8)))
     x_init = x_init_for(ball, 0)
     x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-15)
-    trace = run_fw(ball, f, x_init, StepRule.short(), 2000, x_star=x_star, f_star=f_star)
+    trace = run_fw(ball, f, x_init, StepRule.short(), 2000, f_star=f_star)
     return ball, f, trace
 
 

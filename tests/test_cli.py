@@ -1,14 +1,21 @@
 """The command line entry point: verbs, exit codes, outputs."""
 
+import contextlib
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ucfw
 from ucfw.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
@@ -368,10 +375,13 @@ class TestConfigFields:
              "dim must be an integer >= 1, got 4.2"),
             ({"objective": dict(TestSolveVerb.CONFIG["objective"], dim=True)},
              "dim must be an integer >= 1, got True"),
+            # integers that numpy refuses to allocate before it tries
+            ({"T": 10**30}, f"T = {10**30} is too large to allocate"),
+            ({"T": 2**62}, f"T = {2**62} is too large to allocate"),
         ],
         ids=["T-float", "T-bool", "T-string", "T-1e30", "seed-float", "stop_gap-negative",
              "stop_gap-string", "stop_gap-nan", "rule-list", "dim-mismatch", "dims-float",
-             "objective-dim-float", "objective-dim-bool"],
+             "objective-dim-float", "objective-dim-bool", "T-int-10**30", "T-int-2**62"],
     )
     def test_solve_rejects(self, tmp_path, capsys, patch, message):
         out = tmp_path / "run"
@@ -387,8 +397,10 @@ class TestConfigFields:
             ({"T": "5"}, "T must be an integer >= 1"),
             ({"T": 3.7}, "T must be an integer >= 1"),
             ({"stream": dict(TestOnlineVerb.CONFIG["stream"], seed=2.9)}, "stream seed must be an integer >= 0"),
+            ({"T": 10**30}, f"T = {10**30} is too large to allocate"),
+            ({"T": 2**62}, f"T = {2**62} is too large to allocate"),
         ],
-        ids=["T-string", "T-float", "seed-float"],
+        ids=["T-string", "T-float", "seed-float", "T-int-10**30", "T-int-2**62"],
     )
     def test_online_rejects(self, tmp_path, capsys, patch, message):
         out = tmp_path / "online"
@@ -397,6 +409,123 @@ class TestConfigFields:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (out / "online.csv").exists()
+
+
+MISSING = object()  # a config field left out
+
+
+def _field(valid, *invalid):
+    """A config field: mostly a valid value, else one of ``invalid`` (a
+    wrong type, an out-of-range value or MISSING)."""
+    return st.integers(0, 19).flatmap(lambda k: st.sampled_from(invalid) if k == 10 else valid)
+
+
+def _present(desc):
+    """``desc`` without its MISSING fields, at every depth."""
+    if isinstance(desc, dict):
+        return {k: _present(v) for k, v in desc.items() if v is not MISSING}
+    return desc
+
+
+_NUMBER_FAULTS = (-1.0, 0.0, float("nan"), float("inf"), 1e300, "1", None, MISSING)
+
+
+@st.composite
+def _set_desc(draw, dim, families):
+    return {
+        "family": draw(_field(st.sampled_from(families), "bogus", 3, MISSING)),
+        "p": draw(_field(st.floats(1.05, 12.0), 1.0, 0.5, *_NUMBER_FAULTS)),
+        "radius": draw(_field(st.floats(0.1, 10.0), *_NUMBER_FAULTS)),
+        "w": draw(_field(st.floats(0.1, 10.0), *_NUMBER_FAULTS)),
+        "dim": draw(_field(st.just(dim), dim + 1, 0, 2.5, True, "3", None, MISSING)),
+        "rows": 1,
+        "cols": draw(_field(st.just(dim), 0, 1.5, MISSING)),
+    }
+
+
+def _vector(dim):
+    return _field(
+        st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim),
+        [1.0] * (dim + 1), [0.0] * dim, [float("nan")] * dim, [1e300] * dim, "ones", None, MISSING,
+    )
+
+
+@st.composite
+def _solve_configs(draw):
+    dim = draw(st.integers(1, 5))
+    return _present({
+        # solve drives lp balls and refuses the other families
+        "set": draw(_field(_set_desc(dim, ["lp"] * 6 + ["l1", "schatten", "levelset"]), None, MISSING)),
+        "objective": {
+            "family": draw(_field(st.just("quadratic"), "bogus", MISSING)),
+            "dim": draw(_field(st.just(dim), dim + 1, 0, 4.2, True, MISSING)),
+            "cond": draw(_field(st.floats(1.0, 1e4), 0.5, *_NUMBER_FAULTS)),
+            "x0_direction": draw(st.one_of(st.sampled_from(["ones", "e1"]), _vector(dim))),
+            "x0_scale": draw(_field(st.floats(0.01, 100.0), *_NUMBER_FAULTS)),
+        },
+        "rule": draw(_field(st.sampled_from(["deterministic", "short", "exact"]), "bogus", ["short"], 3, MISSING)),
+        "T": draw(_field(st.integers(1, 50), 0, -3, 2.5, "5", True, None, MISSING)),
+        "seed": draw(_field(st.integers(0, 2**32), -1, 1.5, "0", None, MISSING)),
+        "stop_gap": draw(_field(
+            st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]), -1.0, float("nan"), float("inf"), "x", MISSING,
+        )),
+    })
+
+
+@st.composite
+def _online_configs(draw):
+    dim = draw(st.integers(1, 5))
+    n_losses = draw(st.integers(0, 50))
+    return _present({
+        "set": draw(_field(_set_desc(dim, ["lp", "lp", "l1", "schatten", "levelset"]), None, MISSING)),
+        "stream": {
+            "tag": draw(_field(st.sampled_from(["adversarial", "drifting", "fixed"]), "bogus", None, MISSING)),
+            "base": draw(_vector(dim)),
+            "flip_scale": draw(_field(st.floats(-2.0, 2.0), *_NUMBER_FAULTS)),
+            "noise_scale": draw(_field(st.floats(0.0, 2.0), *_NUMBER_FAULTS)),
+            "seed": draw(_field(st.integers(0, 2**32), -1, 1.5, "0", None, MISSING)),
+            "losses": draw(_field(
+                st.lists(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim),
+                         min_size=n_losses, max_size=n_losses),
+                [[1e308] * dim] * 3, [[1.0] * (dim + 1)], [], "x", MISSING,
+            )),
+        },
+        "T": draw(_field(st.integers(1, 50), 0, -3, 2.5, "5", True, None, MISSING)),
+    })
+
+
+def _assert_contract(verb: str, config: dict, csv_name: str, column: str) -> None:
+    """Exit 0, 1 or 2 and no traceback; exit 2 is one ``error:`` line; a
+    written CSV has no NaN in ``column``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([verb, "--config", json.dumps(config), "--out", str(out)])
+        err = err.getvalue()
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_ERROR)
+        assert "Traceback" not in err
+        if code == EXIT_ERROR:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if (out / csv_name).exists():
+            with open(out / csv_name, newline="") as fh:
+                cells = [float(row[column]) for row in csv.DictReader(fh)]
+            assert not any(math.isnan(c) for c in cells), column
+
+
+class TestFailureContract:
+    """Valid, wrongly typed, out-of-range and missing config fields, run
+    through the CLI in-process, keep the exit-code contract."""
+
+    @given(config=_solve_configs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_solve(self, config):
+        _assert_contract("solve", config, "trace.csv", "fw_gap")
+
+    @given(config=_online_configs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_online(self, config):
+        _assert_contract("online", config, "online.csv", "regret")
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:

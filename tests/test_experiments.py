@@ -70,7 +70,7 @@ class SuitePool:
 
 
 class TestFig2Pool(SuitePool):
-    suite, worker_call = "fig2", "run_single"
+    suite, worker_call = "fig2", "fw_experiment"
     n_runs = 30
     n_files = 30 * 2 + 6 + 1  # CSVs and sidecars, SVGs, manifest
 

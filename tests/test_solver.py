@@ -118,6 +118,31 @@ def _projection_problem():
     return ball, f
 
 
+class RecordingQuadratic(QuadraticObjective):
+    """A copy of a quadratic that keeps every gradient input.  run_fw makes
+    one gradient call per iteration, at x_t, and the analytic exact line
+    search makes none, so the inputs are the run's iterates."""
+
+    def __init__(self, f):
+        super().__init__(f.A, f.x0)
+        self.inputs = []
+
+    def gradient(self, x):
+        self.inputs.append(np.array(x))
+        return super().gradient(x)
+
+
+def run_fw_recording(feasible, f, *args, **kwargs):
+    """run_fw on a recording copy of the quadratic f.  Returns the trace and
+    the run's points row by row: the iterates x_t and the vertices
+    v_t = lmo(-grad f(x_t)), as the loop computes them."""
+    probe = RecordingQuadratic(f)
+    trace = run_fw(feasible, probe, *args, **kwargs)
+    iterates = np.array(probe.inputs)
+    vertices = np.array([solver._fw_vertex(feasible.lmo, f.gradient(x), x)[0] for x in iterates])
+    return trace, iterates, vertices
+
+
 class TestRunFw:
     def test_start_at_interior_optimum(self):
         ball = LpBall(p=2.0, radius=5.0, dim=2)
@@ -128,12 +153,11 @@ class TestRunFw:
 
     def test_projection_onto_disk(self):
         ball, f = _projection_problem()
-        trace = run_fw(
-            ball, f, np.array([0.0, 1.0]), StepRule.short(), 200,
-            x_star=np.array([1.0, 0.0]), f_star=0.5, keep_points=True,
+        trace, iterates, _ = run_fw_recording(
+            ball, f, np.array([0.0, 1.0]), StepRule.short(), 200, f_star=0.5,
         )
         assert trace.primal_gap[-1] <= 1e-6
-        assert np.linalg.norm(trace.iterates[-1] - [1.0, 0.0]) <= 1e-3
+        assert np.linalg.norm(iterates[-1] - [1.0, 0.0]) <= 1e-3
 
     def test_deterministic_rule_sublinear_on_disk(self):
         ball = LpBall(p=2.0, radius=1.0, dim=2)
@@ -149,32 +173,28 @@ class TestRunFw:
 
     def test_gap_dominates_primal_gap(self):
         ball, f = _projection_problem()
-        trace = run_fw(
-            ball, f, np.array([0.0, 1.0]), StepRule.short(), 200,
-            x_star=np.array([1.0, 0.0]), f_star=0.5,
-        )
+        trace = run_fw(ball, f, np.array([0.0, 1.0]), StepRule.short(), 200, f_star=0.5)
         assert np.all(trace.fw_gap + 1e-12 >= trace.primal_gap)
 
     def test_iterates_feasible_and_updates_convex(self):
         ball = LpBall(p=3.0, radius=1.0, dim=5)
         f = QuadraticObjective(A=np.linspace(1, 3, 5), x0=np.ones(5))
-        trace = run_fw(ball, f, x_init_for(ball, 0), StepRule.exact(), 100, keep_points=True)
-        assert ball.batch_membership_excess(trace.iterates).max() <= 1e-9
+        trace, iterates, vertices = run_fw_recording(ball, f, x_init_for(ball, 0), StepRule.exact(), 100)
+        assert ball.batch_membership_excess(iterates).max() <= 1e-9
         for i in range(len(trace) - 1):
             g = trace.gamma[i]
-            expect = (1 - g) * trace.iterates[i] + g * trace.vertices[i]
-            np.testing.assert_allclose(trace.iterates[i + 1], expect, atol=1e-14)
+            expect = (1 - g) * iterates[i] + g * vertices[i]
+            np.testing.assert_allclose(iterates[i + 1], expect, atol=1e-14)
 
     def test_monotone_descent_and_per_step_decrease(self):
         ball = LpBall(p=3.0, radius=1.0, dim=8)
         f = QuadraticObjective(A=np.ones(8), x0=np.ones(8))
-        trace = run_fw(ball, f, x_init_for(ball, 1), StepRule.short(), 300,
-                       x_star=None, f_star=None, keep_points=True)
-        vals = np.array([f.value(x) for x in trace.iterates])
+        trace, iterates, vertices = run_fw_recording(ball, f, x_init_for(ball, 1), StepRule.short(), 300)
+        vals = np.array([f.value(x) for x in iterates])
         assert np.all(np.diff(vals) <= 1e-12)
         for i in range(len(trace) - 1):
             g = trace.fw_gap[i]
-            d = trace.vertices[i] - trace.iterates[i]
+            d = vertices[i] - iterates[i]
             dec = 0.5 * g * min(1.0, g / (f.L * float(np.dot(d, d)))) if np.any(d) else 0.0
             assert vals[i + 1] <= vals[i] - dec + 1e-12
 
@@ -186,9 +206,8 @@ class TestRunFw:
         assert consts["c"] > 0.0
         x_init = x_init_for(ball, 0)
         x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-15)
-        trace = run_fw(ball, f, x_init, StepRule.short(), 2000,
-                       x_star=x_star, f_star=f_star, keep_points=True)
-        lhs = np.array([ball.norm(x - x_star) for x in trace.iterates]) ** consts["q"]
+        trace, iterates, _ = run_fw_recording(ball, f, x_init, StepRule.short(), 2000, f_star=f_star)
+        lhs = np.array([ball.norm(x - x_star) for x in iterates]) ** consts["q"]
         rhs = (2.0 / (consts["c"] * consts["alpha"])) * trace.primal_gap
         assert np.all(lhs <= rhs + 1e-6)
 
@@ -200,11 +219,11 @@ class TestRunFw:
         x_init = x_init_for(ball, 0)
         assert x_init.shape == (9,)
         x_star, f_star = reference_optimum(ball, f, x_init, 25_000, stop_gap=1e-13)
-        trace = run_fw(ball, f, x_init, StepRule(rule), 500, f_star=f_star, keep_points=True)
-        assert ball.batch_membership_excess(trace.iterates).max() <= 1e-9
+        trace, iterates, _ = run_fw_recording(ball, f, x_init, StepRule(rule), 500, f_star=f_star)
+        assert ball.batch_membership_excess(iterates).max() <= 1e-9
         assert trace.min_fw_gap[-1] < 1e-9 * trace.min_fw_gap[0]
         assert abs(trace.primal_gap[-1]) <= 1e-6
-        np.testing.assert_allclose(trace.iterates[-1], x_star, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(iterates[-1], x_star, rtol=0.0, atol=1e-6)
 
 
 class TestTraceSerialization:
@@ -221,9 +240,9 @@ class TestTraceSerialization:
     def test_identical_runs_bitwise(self):
         ball = LpBall(p=3.0, radius=1.0, dim=6)
         f = QuadraticObjective(A=np.linspace(1, 2, 6), x0=np.ones(6))
-        t1 = run_fw(ball, f, x_init_for(ball, 3), StepRule.short(), 100, keep_points=True)
-        t2 = run_fw(ball, f, x_init_for(ball, 3), StepRule.short(), 100, keep_points=True)
-        np.testing.assert_array_equal(t1.iterates, t2.iterates)
+        _, iterates1, _ = run_fw_recording(ball, f, x_init_for(ball, 3), StepRule.short(), 100)
+        _, iterates2, _ = run_fw_recording(ball, f, x_init_for(ball, 3), StepRule.short(), 100)
+        np.testing.assert_array_equal(iterates1, iterates2)
 
     def test_sidecar(self, tmp_path):
         ball, f = _projection_problem()
@@ -330,6 +349,29 @@ class TestReferenceFallback:
         assert calls == [1]
         assert x_star.tobytes() == x_old.tobytes()
         assert f_star == f_old and isinstance(f_star, float)
+
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
+        # the run's 2 x 3001 x 100 points alone would take 4.6 MiB
+        dim, horizon = 100, 3000
+        ball = L1Ball(radius=1.0, dim=dim)
+        f = QuadraticObjective(A=np.linspace(1.0, 100.0, dim), x0=np.full(dim, 0.1))
+        rows = []
+
+        def counted_run_fw(*args, **kwargs):
+            trace = run_fw(*args, **kwargs)
+            rows.append(len(trace))
+            return trace
+
+        monkeypatch.setattr(solver, "run_fw", counted_run_fw)
+        x_init = x_init_for(ball, 0)
+        tracemalloc.start()
+        try:
+            reference_optimum(ball, f, x_init, horizon, stop_gap=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == [horizon + 1]
+        assert peak < 2 * 2**20
 
     def test_nan_gradient_raises(self):
         f = _GradientTurnsNaN(A=np.array([1.0, 2.0, 3.0]), x0=np.array([0.5, 3.0, -1.0]))
@@ -498,9 +540,10 @@ FW_CASES = {
 }
 
 
-def assert_matches_per_iteration(trace, ref):
+def assert_matches_per_iteration(trace, iterates, vertices, ref):
+    points = {"iterates": iterates, "vertices": vertices}
     for name in ("t", "gamma", "fw_gap", "primal_gap", "iterates", "vertices"):
-        got = getattr(trace, name)
+        got = points[name] if name in points else getattr(trace, name)
         assert got.shape == ref[name].shape, name
         assert got.tobytes() == ref[name].tobytes(), name
     for name in ("dist_to_vertex", "grad_dual_norm"):
@@ -587,19 +630,20 @@ class TestBlockedBookkeeping:
         feasible, f = FW_CASES[name]
         x_init = feasible.lmo(np.ones(6))
         f_star = None if name == "l1" else 0.25
-        trace = run_fw(feasible, f, x_init, StepRule(rule), T, f_star=f_star, keep_points=True)
+        trace, iterates, vertices = run_fw_recording(feasible, f, x_init, StepRule(rule), T, f_star=f_star)
         ref = per_iteration_fw(feasible, f, x_init, StepRule(rule), T, f_star=f_star)
-        assert_matches_per_iteration(trace, ref)
+        assert_matches_per_iteration(trace, iterates, vertices, ref)
 
     @pytest.mark.parametrize("rule", ["deterministic", "short", "exact"])
     @pytest.mark.parametrize("name", list(FW_CASES))
     def test_early_stop_on_gap(self, name, rule):
         feasible, f = FW_CASES[name]
         stop_gap = 3e-3 if rule == "deterministic" else 1e-9
-        trace = run_fw(feasible, f, np.zeros(6), StepRule(rule), 1000, stop_gap=stop_gap, f_star=0.0,
-                       keep_points=True)
+        trace, iterates, vertices = run_fw_recording(
+            feasible, f, np.zeros(6), StepRule(rule), 1000, stop_gap=stop_gap, f_star=0.0
+        )
         ref = per_iteration_fw(feasible, f, np.zeros(6), StepRule(rule), 1000, stop_gap, f_star=0.0)
-        assert_matches_per_iteration(trace, ref)
+        assert_matches_per_iteration(trace, iterates, vertices, ref)
         assert trace.metadata["stopped_at"] == len(trace) - 1
         if rule == "deterministic":  # stops after 4 to 980 iterations
             assert len(trace) < 1001 and trace.fw_gap[-1] <= stop_gap
@@ -616,23 +660,28 @@ class TestBlockedBookkeeping:
         ball = LpBall(p=3.0, radius=2.0, dim=dim) if family == "p3" else L1Ball(radius=1.0, dim=dim)
         feasible, f = _fw_case(ball)
         x_init = feasible.lmo(np.ones(dim))
-        trace = run_fw(feasible, f, x_init, StepRule(rule), T, f_star=0.25, keep_points=True)
+        trace, iterates, vertices = run_fw_recording(feasible, f, x_init, StepRule(rule), T, f_star=0.25)
         ref = per_iteration_fw(feasible, f, x_init, StepRule(rule), T, f_star=0.25)
         assert len(trace) == T + 1
-        assert_matches_per_iteration(trace, ref)
+        assert_matches_per_iteration(trace, iterates, vertices, ref)
 
     @pytest.mark.parametrize("rule", ["deterministic", "short", "exact"])
     @pytest.mark.parametrize("name", list(FW_CASES))
     def test_points_are_optional(self, name, rule):
+        """A run keeps one point, its first iterate of least value; a caller
+        that wants every point records them, which changes nothing else."""
         feasible, f = FW_CASES[name]
         x_init = feasible.lmo(np.ones(6))
-        kept = run_fw(feasible, f, x_init, StepRule(rule), 600, f_star=0.25, keep_points=True)
+        kept, iterates, vertices = run_fw_recording(feasible, f, x_init, StepRule(rule), 600, f_star=0.25)
         lean = run_fw(feasible, f, x_init, StepRule(rule), 600, f_star=0.25)
-        assert lean.iterates is None and lean.vertices is None
-        assert kept.iterates.shape == kept.vertices.shape == (len(kept), 6)
+        assert iterates.shape == vertices.shape == (len(kept), 6)
         for column in ("t", "gamma", "fw_gap", "primal_gap", "dist_to_vertex", "grad_dual_norm"):
             assert getattr(lean, column).tobytes() == getattr(kept, column).tobytes(), column
         assert lean.metadata == kept.metadata
+        values = f.batch_value(iterates)
+        best = int(np.argmin(values))
+        assert lean.best_x.tobytes() == iterates[best].tobytes()
+        assert lean.best_value == values[best] and isinstance(lean.best_value, float)
 
     def test_point_memory_does_not_grow_with_T(self):
         # the points of a whole run would take 2 x 4001 x 1000 floats (64 MB)
@@ -647,7 +696,7 @@ class TestBlockedBookkeeping:
         finally:
             tracemalloc.stop()
         assert len(trace) == T + 1
-        assert trace.iterates is None and trace.vertices is None
+        assert trace.best_x.shape == (dim,)
         assert peak < 2 * 2**20
 
     def test_early_stop_leaves_the_horizon_untouched(self):
@@ -732,7 +781,6 @@ class TestRunTraceCsv:
         trace = RunTrace(
             t=np.arange(n), gamma=cols[0], fw_gap=cols[1], primal_gap=cols[2],
             dist_to_vertex=cols[3], grad_dual_norm=cols[4],
-            iterates=np.zeros((n, 1)), vertices=np.zeros((n, 1)),
         )
         extra = {"bound_t1": cols[5], "count": list(range(n)), "bound_t2": cols[6].tolist()}
         trace.to_csv(tmp_path / "got.csv", extra_columns=extra)

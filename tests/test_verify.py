@@ -149,7 +149,7 @@ class TestLemma3:
     def _trace(self, ball, f, T=1500):
         x_init = x_init_for(ball, 0)
         x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-14)
-        return run_fw(ball, f, x_init, StepRule.short(), T, x_star=x_star, f_star=f_star)
+        return run_fw(ball, f, x_init, StepRule.short(), T, f_star=f_star)
 
     def test_l3_distance_control(self):
         ball = LpBall(p=3.0, radius=1.0, dim=6)
