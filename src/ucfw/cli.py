@@ -2,8 +2,9 @@
 
 Verbs: ``solve --config``, ``suite <tag>``, ``verify --set --check``,
 ``online --config``.  The environment variable ``UCFW_SEED`` overrides every
-config seed.  Exit codes: 0 all checks pass, 1 a check reported a violation,
-2 config or runtime error, reported as one ``error:`` line.
+config seed.  Each verb prints its run's record or summary.  Exit codes: 1
+when its ``pass`` is false (a check ran and found a violation), 0 otherwise,
+and 2 for a config or runtime error, reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -54,26 +55,24 @@ def _load_json(arg: str) -> dict:
     return obj
 
 
+def _report(summary: dict) -> int:
+    """Print a verb's summary; the exit code is 1 iff its ``pass`` is False."""
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    return EXIT_VIOLATION if summary.get("pass") is False else EXIT_OK
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
     seed = _seed()
     if seed is not None:
         config["seed"] = seed
-    manifest = ex.run_solve(config, args.out)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _report(ex.run_solve(config, args.out))
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     result = ex.run_suite(args.tag, args.out, seed=_seed(args.seed))
     summary = {k: v for k, v in result.items() if k not in ("runs", "results", "positive", "negative", "files")}
-    summary["out"] = str(args.out)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if result.get("pass") is False:
-        return EXIT_VIOLATION
-    if args.tag == "online" and not all(r["regret_ok"] for r in result["runs"]):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _report({**summary, "out": str(args.out)})
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -98,11 +97,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
     seed = _seed()
     if seed is not None and "stream" in config and isinstance(config["stream"], dict):
         config["stream"]["seed"] = seed
-    manifest = ex.run_online_config(config, args.out)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
-    if manifest.get("regret_ok") is False:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _report(ex.run_online_config(config, args.out))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,10 +145,7 @@ def main(argv=None) -> int:
         args.out = f"out/{args.tag}"
     try:
         return args.func(args)
-    except UCFWError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (UCFWError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # any other failure is a runtime error too: exit 1 means a violation

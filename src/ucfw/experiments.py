@@ -4,6 +4,8 @@ the full geometric verification battery.
 
 Every driver writes CSV traces plus a JSON manifest (written last) into an
 output directory; reruns with the same config and seed are byte-identical.
+Each Frank-Wolfe or FTL run returns one record (:func:`fw_experiment`,
+:func:`ftl_experiment`), which the manifest holds as written.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .geometry import (
     SchattenBall,
     UCParams,
     _json_int,
+    _write_json,
     set_from_json,
 )
 from .objectives import (
@@ -153,7 +156,8 @@ def fw_experiment(
     ``reference = (f_star, certificate)`` (:func:`fw_reference`), with its
     bound overlays as extra columns of ``<stem>.csv``, and its metadata, the
     certificate and the ``sidecar`` keys in ``<stem>.json``.  Returns the
-    trace.
+    trace and the run's record: its CSV, rows, stop, final running-min
+    Frank-Wolfe gap and the reference's certificate.
 
     Bound curves attach only to short-step / exact-line-search runs with
     primal gaps; the T2 curve anchors at the first iteration with h_t <= 1.
@@ -191,7 +195,14 @@ def fw_experiment(
     trace.metadata.update(sidecar or {})
     trace.to_csv(out_dir / f"{stem}.csv", extra_columns=extra)
     trace.write_sidecar(out_dir / f"{stem}.json")
-    return trace
+    record = {
+        "csv": f"{stem}.csv",
+        "rows": len(trace),
+        "stopped_at": trace.metadata["stopped_at"],
+        "final_min_fw_gap": float(trace.min_fw_gap[-1]),
+        "f_star_certificate": certificate,
+    }
+    return trace, record
 
 
 def run_solve(config: dict, out_dir) -> dict:
@@ -218,42 +229,31 @@ def run_solve(config: dict, out_dir) -> dict:
         raise ConfigError(f"objective dim {objective.x0.size} does not match set dim {feasible.dim}")
 
     reference = fw_reference(feasible, objective, T, seed, min(stop_gap, 1e-12))
-    trace = fw_experiment(
+    _, record = fw_experiment(
         feasible, objective, rule_name, T, seed, reference, out_dir, "trace", {"config": config}, stop_gap
     )
-    manifest = {
-        "files": ["trace.csv", "trace.json"],
-        "stopped_at": trace.metadata["stopped_at"],
-        "final_min_fw_gap": float(trace.min_fw_gap[-1]),
-    }
-    _write_manifest(out_dir, manifest)
+    manifest = {"files": ["trace.csv", "trace.json"], **record}
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
-
-
-def _run_name(cfg: ExperimentConfig, rule_name: str, p: float) -> str:
-    return f"{cfg.optimum_location}_{rule_name}_p{p:g}"
 
 
 def _fig2_run(job: tuple) -> tuple[dict, tuple]:
     """One (location, rule, p) run of the curved-vs-flat protocol: its
-    trace with bound overlays, CSV and sidecar.  Returns the run's manifest
-    entry and its running-min gap series for the plot."""
+    trace with bound overlays, CSV and sidecar.  Returns the run's record
+    and its running-min gap series for the plot."""
     cfg, rule_name, p, reference, out_dir = job
-    name = _run_name(cfg, rule_name, p)
-    trace = fw_experiment(*build_problem(cfg, p), rule_name, cfg.horizon, cfg.seed, reference, out_dir, name)
+    trace, record = fw_experiment(
+        *build_problem(cfg, p), rule_name, cfg.horizon, cfg.seed, reference, out_dir,
+        f"{cfg.optimum_location}_{rule_name}_p{p:g}",
+    )
     min_gap = trace.min_fw_gap
-    entry = {
-        "location": cfg.optimum_location,
-        "rule": rule_name,
-        "p": p,
-        "rows": len(trace),
-        "stopped_at": trace.metadata["stopped_at"],
-        "final_min_fw_gap": float(min_gap[-1]),
-        "min_gap_slope": fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon),
-        "f_star_certificate": reference[1],
-        "csv": f"{name}.csv",
-    }
-    return entry, (f"p={p:g}", trace.t[1:], min_gap[1:])
+    record.update(
+        location=cfg.optimum_location,
+        rule=rule_name,
+        p=p,
+        min_gap_slope=fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon),
+    )
+    return record, (f"p={p:g}", trace.t[1:], min_gap[1:])
 
 
 def _map_runs(fn, jobs: list) -> list:
@@ -311,9 +311,9 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
         for rule_name in STEP_RULES:
             series = []
             for p in FIG2_P_GRID:
-                entry, line = next(results)
-                manifest["files"].extend([entry["csv"], f"{_run_name(cfg, rule_name, p)}.json"])
-                manifest["runs"].append(entry)
+                record, line = next(results)
+                manifest["files"].extend([record["csv"], record["csv"].removesuffix(".csv") + ".json"])
+                manifest["runs"].append(record)
                 series.append(line)
             svg_name = f"{cfg.optimum_location}_{rule_name}.svg"
             svg = line_plot_svg(
@@ -324,50 +324,45 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
             )
             (out_dir / svg_name).write_text(svg)
             manifest["files"].append(svg_name)
-    _write_manifest(out_dir, manifest)
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
-def ftl_experiment(feasible: FeasibleSet, stream, T: int, out_dir: Path, csv_name: str) -> tuple:
+def ftl_experiment(feasible: FeasibleSet, stream, T: int, out_dir: Path, csv_name: str) -> dict:
     """FTL for T rounds against ``stream``, with its Theorem-4 bound when
     the set has (alpha, q) and L_T > 0, written to ``out_dir / csv_name``.
-    Returns the trace, the bound and whether the regret stays under it; the
-    last two are None without a bound."""
+    Returns the run's record; with a bound it holds the bound's last value
+    and ``pass``, whether the regret stays under the bound."""
     trace = run_ftl(feasible, stream, T)
-    uc = feasible.uc
-    if uc is None or trace.degenerate:
-        bound = regret_ok = None
-    else:
+    record = {
+        "csv": csv_name,
+        "T": T,
+        "final_regret": float(trace.regret[-1]),
+        "L_T": trace.L_T,
+        "M_loss": trace.M_loss,
+        "degenerate": trace.degenerate,
+    }
+    uc, bound = feasible.uc, None
+    if uc is not None and not trace.degenerate:
         bound = trace.bound_curve(uc.alpha, uc.q)
-        regret_ok = bool(np.all(trace.regret <= bound + 1e-9))
+        record["final_bound"] = float(bound[-1])
+        record["pass"] = bool(np.all(trace.regret <= bound + 1e-9))
     trace.to_csv(out_dir / csv_name, bound=bound)
-    return trace, bound, regret_ok
+    return record
 
 
 def _online_run(job: tuple) -> dict:
     """One p of the online suite: FTL on the unit lp ball against the
     adversarial stream, its Theorem-4 bound and its CSV.  Returns the run's
-    manifest entry."""
+    record."""
     p, dim, T, seed, out_dir = job
     base = np.zeros(dim)
     base[0] = 1.0
     feasible = LpBall(p=p, radius=1.0, dim=dim)
     stream = adversarial_stream(base, flip_scale=0.5, seed=seed)
-    csv_name = f"online_p{p:g}.csv"
-    trace, bound, regret_ok = ftl_experiment(feasible, stream, T, out_dir, csv_name)
+    record = ftl_experiment(feasible, stream, T, out_dir, f"online_p{p:g}.csv")
     uc = feasible.uc
-    return {
-        "p": p,
-        "q": uc.q,
-        "alpha": uc.alpha,
-        "T": T,
-        "M_loss": trace.M_loss,
-        "L_T": trace.L_T,
-        "final_regret": float(trace.regret[-1]),
-        "final_bound": float(bound[-1]),
-        "regret_ok": regret_ok,
-        "csv": csv_name,
-    }
+    return {**record, "p": p, "q": uc.q, "alpha": uc.alpha}
 
 
 def run_online_suite(
@@ -379,13 +374,18 @@ def run_online_suite(
     The p runs share nothing, so each one, from its ball and stream to its
     CSV, runs in a worker process (:func:`_map_runs`).  The manifest is
     written here afterwards, in p order, so no output depends on the number
-    of CPUs.
+    of CPUs.  Its ``pass`` is false if any run's regret leaves its bound.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = _map_runs(_online_run, [(p, dim, T, seed, out_dir) for p in p_grid])
-    manifest = {"suite": "online", "files": [run["csv"] for run in runs], "runs": runs}
-    _write_manifest(out_dir, manifest)
+    manifest = {
+        "suite": "online",
+        "files": [run["csv"] for run in runs],
+        "runs": runs,
+        "pass": all(run.get("pass", True) for run in runs),
+    }
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -428,7 +428,7 @@ def run_bounds_grid(out_dir, steps: int = 100_000) -> dict:
         "pass": bool(worst_excess < 1e-12),
         "results": results,
     }
-    _write_manifest(out_dir, manifest)
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -537,10 +537,9 @@ def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: in
             all(r.passed for r in positives) and all(not r.passed for r in negatives)
         ),
     }
-    with open(out_dir / "verify_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(out_dir, {"suite": "verify_all", "files": ["verify_report.json"], "pass": report["pass"]})
+    _write_json(out_dir / "verify_report.json", report)
+    manifest = {"suite": "verify_all", "files": ["verify_report.json"], "pass": report["pass"]}
+    _write_json(out_dir / "manifest.json", manifest)
     return report
 
 
@@ -566,22 +565,6 @@ def run_online_config(config: dict, out_dir) -> dict:
     except KeyError as exc:
         raise ConfigError(f"online config missing field {exc}") from exc
     T = _json_int(config.get("T", 1000), "T", 1)
-    trace, _, regret_ok = ftl_experiment(feasible, stream, T, out_dir, "online.csv")
-    manifest = {
-        "files": ["online.csv"],
-        "final_regret": float(trace.regret[-1]),
-        "L_T": trace.L_T,
-        "M_loss": trace.M_loss,
-        "degenerate": trace.degenerate,
-    }
-    if regret_ok is not None:
-        manifest["regret_ok"] = regret_ok
-    _write_manifest(out_dir, manifest)
+    manifest = {"files": ["online.csv"], **ftl_experiment(feasible, stream, T, out_dir, "online.csv")}
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
-
-
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    # written last so a complete manifest implies a complete bundle
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

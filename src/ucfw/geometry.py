@@ -13,6 +13,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -65,6 +66,14 @@ def _write_csv(path, header: list, columns: list) -> None:
         for lo in range(0, len(columns[0]), _BLOCK):
             block = zip(*(c[lo : lo + _BLOCK].tolist() for c in columns))
             fh.write("".join(row % r for r in block))
+
+
+def _write_json(path, obj) -> None:
+    """Write ``obj`` as JSON with indent 2, sorted keys and a trailing
+    newline: every manifest, sidecar and report takes this form."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -496,9 +505,8 @@ class LevelSet(FeasibleSet):
     """The sublevel set {x : ||x||_2^2 <= w} of f = ||.||_2^2, which is
     2-smooth and (2, 2)-uniformly convex: the l2 ball of radius sqrt(w).
 
-    Membership is the defining inequality ``||x||^2 - w``.  The l2 norm
-    pair, membership and the level-set (alpha, q) parameters are offered;
-    there is no LMO.
+    Membership is the defining inequality ``||x||^2 - w``.  The LMO is the
+    l2 ball's, at radius sqrt(w).
     """
 
     w: float
@@ -522,6 +530,9 @@ class LevelSet(FeasibleSet):
 
     def batch_dual_norm(self, Phi):
         return _batch_lp_norm(Phi, 2.0)
+
+    def lmo(self, phi):
+        return lmo_lp(2.0, self.radius, phi)
 
     def batch_membership_excess(self, X):
         return (np.asarray(X, dtype=float) ** 2).sum(axis=-1) - self.w

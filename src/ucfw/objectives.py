@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import FeasibleSet, L1Ball, LpBall, _json_int, _row_dots, dual_exponent
+from .geometry import FeasibleSet, L1Ball, LpBall, _json_int, _row_dots, dual_exponent, lp_norm
 
 __all__ = [
     "HEBDescriptor",
@@ -230,7 +230,10 @@ def quadratic_from_descriptor(
         direction = np.asarray(x0_direction, dtype=float)
         if direction.shape != (dim,) or not np.any(direction) or not np.all(np.isfinite(direction)):
             raise ConfigError("explicit x0_direction must be a finite nonzero dim-vector")
-    x0 = direction * (x0_scale / np.linalg.norm(direction))
+    norm = lp_norm(direction, 2.0)  # rescaled when the squares underflow
+    scale = x0_scale / norm
+    # a subnormal norm overflows the scale; the unit direction takes it then
+    x0 = direction * scale if scale < np.inf else (direction / norm) * x0_scale
     return QuadraticObjective(A=diag, x0=x0)
 
 

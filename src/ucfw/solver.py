@@ -8,14 +8,13 @@ execute concurrently without shared state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import InfeasibleStart, InvalidParams, UCFWError, ZeroDirection
-from .geometry import FeasibleSet, LpBall, _block_rows, _write_csv
+from .geometry import FeasibleSet, LpBall, _block_rows, _write_csv, _write_json
 from .objectives import QuadraticObjective, SmoothObjective
 
 __all__ = [
@@ -151,9 +150,7 @@ class RunTrace:
         )
 
     def write_sidecar(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.metadata)
 
 
 def run_fw(

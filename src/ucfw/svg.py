@@ -24,28 +24,20 @@ def line_plot_svg(
     title: str,
     xlabel: str,
     ylabel: str,
-    logx: bool = True,
-    logy: bool = True,
-    floor: float = 1e-300,
 ) -> str:
-    """Render named (x, y) series; non-positive values are dropped on log axes."""
+    """Render named (x, y) series on log-log axes; points with x <= 0 or
+    y <= 1e-300 are dropped."""
     pts = []
     for _, x, y in series:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        keep = np.isfinite(x) & np.isfinite(y)
-        if logx:
-            keep &= x > 0
-        if logy:
-            keep &= y > floor
+        keep = np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 1e-300)
         pts.append((x[keep], y[keep]))
 
-    xs = np.concatenate([p[0] for p in pts if len(p[0])] or [np.array([1.0])])
-    ys = np.concatenate([p[1] for p in pts if len(p[1])] or [np.array([1.0])])
-    fx = np.log10 if logx else (lambda v: v)
-    fy = np.log10 if logy else (lambda v: v)
-    x_lo, x_hi = float(fx(xs).min()), float(fx(xs).max())
-    y_lo, y_hi = float(fy(ys).min()), float(fy(ys).max())
+    xs = np.log10(np.concatenate([p[0] for p in pts if len(p[0])] or [np.array([1.0])]))
+    ys = np.log10(np.concatenate([p[1] for p in pts if len(p[1])] or [np.array([1.0])]))
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_hi - x_lo < 1e-12:
         x_hi = x_lo + 1.0
     if y_hi - y_lo < 1e-12:
@@ -54,10 +46,10 @@ def line_plot_svg(
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def sx(v):
-        return _ML + (fx(v) - x_lo) / (x_hi - x_lo) * pw
+        return _ML + (np.log10(v) - x_lo) / (x_hi - x_lo) * pw
 
     def sy(v):
-        return _MT + ph - (fy(v) - y_lo) / (y_hi - y_lo) * ph
+        return _MT + ph - (np.log10(v) - y_lo) / (y_hi - y_lo) * ph
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -66,7 +58,7 @@ def line_plot_svg(
         f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="14">{title}</text>',
     ]
     # decade grid lines and labels
-    for tick in _ticks(y_lo, y_hi) if logy else []:
+    for tick in _ticks(y_lo, y_hi):
         yy = sy(10.0**tick)
         parts.append(
             f'<line x1="{_ML}" y1="{yy:.2f}" x2="{_W - _MR}" y2="{yy:.2f}" stroke="#dddddd"/>'
@@ -74,7 +66,7 @@ def line_plot_svg(
         parts.append(
             f'<text x="{_ML - 6}" y="{yy + 4:.2f}" text-anchor="end">1e{tick}</text>'
         )
-    for tick in _ticks(x_lo, x_hi) if logx else []:
+    for tick in _ticks(x_lo, x_hi):
         xx = sx(10.0**tick)
         parts.append(
             f'<line x1="{xx:.2f}" y1="{_MT}" x2="{xx:.2f}" y2="{_MT + ph}" stroke="#dddddd"/>'

@@ -12,12 +12,14 @@ import tempfile
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ucfw
+from ucfw import experiments
 from ucfw.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 
 L3_SET = json.dumps({"family": "lp", "p": 3.0, "radius": 1.0, "dim": 4})
@@ -87,8 +89,29 @@ class TestSolveVerb:
         assert (out / "trace.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == ["trace.csv", "trace.json"]
+        assert set(manifest) == {
+            "files", "csv", "rows", "stopped_at", "final_min_fw_gap", "f_star_certificate",
+        }
+        assert manifest["rows"] == manifest["stopped_at"] + 1
         printed = json.loads(capsys.readouterr().out)
+        assert printed == manifest
         assert printed["final_min_fw_gap"] >= 0.0
+
+    @pytest.mark.parametrize("tiny", [4.3e-236, 5e-324], ids=["squares-underflow", "subnormal"])
+    def test_tiny_explicit_direction_runs(self, tmp_path, capsys, tiny):
+        """A direction whose squared norm underflows, or whose norm is
+        subnormal, still scales x0 to x0_scale, without numpy warnings."""
+        config = json.loads(json.dumps(self.CONFIG))
+        config["set"]["dim"] = config["objective"]["dim"] = 2
+        config["objective"]["x0_direction"] = [tiny, 0.0]
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", json.dumps(config), "--out", str(out)])
+        assert code == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        assert (out / "trace.csv").exists()
 
     def test_unknown_rule_is_config_error(self, tmp_path):
         config = dict(self.CONFIG, rule="momentum")
@@ -111,6 +134,25 @@ class TestSuiteVerb:
         assert summary["pass"] is True
         assert (out / "manifest.json").exists()
 
+    def test_online_run_over_its_bound_exits_1(self, tmp_path, capsys, monkeypatch):
+        """One run whose ``pass`` is false makes the suite's ``pass`` false,
+        and the suite exits 1 through the same rule as every verb."""
+        real = experiments.ftl_experiment
+
+        def ftl_experiment(feasible, *args):
+            record = real(feasible, *args)
+            return {**record, "pass": record["pass"] and feasible.p != 3.0}
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(experiments, "ftl_experiment", ftl_experiment)
+        out = tmp_path / "online"
+        assert main(["suite", "online", "--out", str(out)]) == EXIT_VIOLATION
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == {"suite": "online", "pass": False, "out": str(out)}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pass"] is False
+        assert [run["pass"] for run in manifest["runs"]] == [True, True, False, True]
+
 
 class TestOnlineVerb:
     CONFIG = {
@@ -125,8 +167,22 @@ class TestOnlineVerb:
         code = main(["online", "--config", json.dumps(self.CONFIG), "--out", str(out)])
         assert code == EXIT_OK
         manifest = json.loads(capsys.readouterr().out)
-        assert manifest["regret_ok"] is True
+        assert manifest["pass"] is True
+        assert manifest["final_regret"] <= manifest["final_bound"]
+        assert manifest["csv"] == "online.csv" and manifest["T"] == 500
         assert (out / "online.csv").exists()
+
+    @pytest.mark.parametrize("w", [0.25, 4.0, 9.0])
+    def test_level_set_regret_within_bound(self, tmp_path, capsys, w):
+        """A level set is the l2 ball of radius sqrt(w): FTL runs on its LMO
+        and stays under the level-set Theorem-4 bound."""
+        config = dict(self.CONFIG, set={"family": "levelset", "kind": "sqnorm", "w": w, "dim": 4})
+        out = tmp_path / "online"
+        assert main(["online", "--config", json.dumps(config), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["pass"] is True and not manifest["degenerate"]
+        header = (out / "online.csv").read_text().splitlines()[0]
+        assert header == "t,loss,cum_grad_dual_norm,regret,bound"
 
     def test_stream_dim_mismatch_is_config_error(self, tmp_path, capsys):
         config = dict(self.CONFIG, set={"family": "lp", "p": 2.0, "radius": 1.0, "dim": 3},
@@ -139,11 +195,8 @@ class TestOnlineVerb:
 
     @pytest.mark.parametrize(
         "set_desc",
-        [
-            {"family": "levelset", "kind": "sqnorm", "w": 1.0, "dim": 4},  # no LMO
-            {"family": "lp", "p": 2000, "radius": 1.0, "dim": 4},  # alpha underflows
-        ],
-        ids=["levelset", "p2000"],
+        [{"family": "lp", "p": 2000, "radius": 1.0, "dim": 4}],  # alpha underflows
+        ids=["p2000"],
     )
     def test_runtime_error_exits_2_without_traceback(self, tmp_path, capsys, set_desc):
         config = dict(self.CONFIG, set=set_desc)
@@ -152,6 +205,18 @@ class TestOnlineVerb:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unexpected_exception_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch):
+        """An exception outside the package's own errors is a runtime error
+        too: exit 2 with one line naming its type, never exit 1."""
+
+        def run_ftl(*args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(experiments, "run_ftl", run_ftl)
+        code = main(["online", "--config", json.dumps(self.CONFIG), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: RuntimeError: unexpected\n"
 
     def test_p2000_names_p(self, tmp_path, capsys):
         config = dict(self.CONFIG, set={"family": "lp", "p": 2000, "radius": 1.0, "dim": 4})
@@ -211,7 +276,7 @@ class TestOnlineVerb:
         code = main(["online", "--config", json.dumps(config), "--out", str(out)])
         assert code == EXIT_OK
         manifest = json.loads(capsys.readouterr().out)
-        assert "regret_ok" not in manifest
+        assert "pass" not in manifest and "final_bound" not in manifest
         header = (out / "online.csv").read_text().splitlines()[0]
         assert header == "t,loss,cum_grad_dual_norm,regret"
 
@@ -494,15 +559,60 @@ def _online_configs(draw):
     })
 
 
+_CHECKS = ["definition1", "lemma1", "local_scaling", "lemma3"]
+_OVERRIDES = {
+    flag: _field(valid, -1.0, 0.0, float("nan"), float("inf"))
+    for flag, valid in (("--alpha", st.floats(0.01, 100.0)), ("--q", st.floats(2.0, 6.0)))
+}
+
+
+@st.composite
+def _verify_argvs(draw):
+    dim = draw(st.integers(1, 5))
+    argv = [
+        "verify",
+        "--set", json.dumps(_present(draw(_set_desc(dim, ["lp", "lp", "l1", "schatten", "levelset"])))),
+        "--check", draw(st.sampled_from(_CHECKS)),
+        "--pairs", str(draw(_field(st.integers(1, 50), 0, -1))),
+        "--directions", str(draw(_field(st.integers(1, 5), 0, -1))),
+        "--seed", str(draw(_field(st.integers(0, 2**32), -1))),
+    ]
+    # catalog constants, both overrides, or only one of them (an error)
+    for flag in draw(st.sampled_from([(), ("--alpha", "--q"), ("--alpha",), ("--q",)])):
+        argv += [flag, repr(draw(_OVERRIDES[flag]))]
+    return argv
+
+
+def _not_a_seed(text: str) -> bool:
+    """True when ``UCFW_SEED=text`` is refused: not an integer, or below 0."""
+    try:
+        return int(text) < 0
+    except ValueError:
+        return True
+
+
+# --seed and UCFW_SEED values that fail before a suite runs: a negative
+# flag alone, or an environment value that is no integer >= 0
+_BAD_SEEDS = st.one_of(
+    st.tuples(st.just("--seed"), st.integers(max_value=-1).map(str)),
+    st.tuples(st.just("UCFW_SEED"), st.text("0123456789+-_. e", max_size=6).filter(_not_a_seed)),
+)
+
+
+def _run_cli(argv: list) -> tuple[int, str, str]:
+    """``main(argv)`` in-process, with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _assert_contract(verb: str, config: dict, csv_name: str, column: str) -> None:
     """Exit 0, 1 or 2 and no traceback; exit 2 is one ``error:`` line; a
     written CSV has no NaN in ``column``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([verb, "--config", json.dumps(config), "--out", str(out)])
-        err = err.getvalue()
+        code, _, err = _run_cli([verb, "--config", json.dumps(config), "--out", str(out)])
         assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_ERROR)
         assert "Traceback" not in err
         if code == EXIT_ERROR:
@@ -526,6 +636,43 @@ class TestFailureContract:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_online(self, config):
         _assert_contract("online", config, "online.csv", "regret")
+
+    @given(argv=_verify_argvs())
+    @example(argv=["verify", "--set", L3_SET, "--check", "definition1", "--alpha", "2.0", "--q", "3.0",
+                   "--pairs", "50", "--directions", "5"])  # an inflated alpha: exit 1
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_verify(self, argv):
+        """Exit 1 only with a printed report whose ``pass`` is false, and
+        exit 0 only with one whose ``pass`` is true."""
+        with mock.patch.dict(os.environ):
+            os.environ.pop("UCFW_SEED", None)
+            code, out, err = _run_cli(argv)
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_ERROR)
+        assert "Traceback" not in err
+        if code == EXIT_ERROR:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+            assert json.loads(out)["pass"] is (code == EXIT_OK)
+
+    @given(tag=st.sampled_from(["fig2", "online", "verify_all", "bounds_grid"]), seed=_BAD_SEEDS)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_suite_bad_seed(self, tag, seed):
+        """A refused seed exits 2 with one line naming its source, before
+        the suite writes anything."""
+        source, value = seed
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            out = Path(tmp) / "out"
+            argv = ["suite", tag, "--out", str(out)]
+            if source == "--seed":
+                os.environ.pop("UCFW_SEED", None)
+                argv += ["--seed", value]
+            else:
+                os.environ["UCFW_SEED"] = value
+            code, printed, err = _run_cli(argv)
+            assert code == EXIT_ERROR
+            assert printed == "" and err.startswith(f"error: {source} must be an integer") and err.count("\n") == 1
+            assert not out.exists()
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:

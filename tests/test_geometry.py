@@ -367,9 +367,17 @@ class TestLevelSet:
         pt = ls.boundary_point(np.array([1.0, 2.0, -1.0]))
         assert np.dot(pt, pt) == pytest.approx(4.0, abs=1e-9)
 
-    def test_no_lmo(self):
-        with pytest.raises(NotImplementedError):
-            LevelSet(w=1.0, dim=2).lmo(np.ones(2))
+    def test_lmo_is_the_l2_ball_lmo(self):
+        """One direction or a stack: the l2 ball's LMO at radius sqrt(w),
+        bit for bit, on the level ||v||^2 = w; a zero direction raises."""
+        ls = LevelSet(w=9.0, dim=4)
+        Phi = np.random.default_rng(3).standard_normal((5, 4))
+        V = ls.lmo(Phi)
+        assert np.array_equal(V, lmo_lp(2.0, 3.0, Phi))
+        assert np.array_equal(ls.lmo(Phi[0]), lmo_lp(2.0, 3.0, Phi[0]))
+        assert np.allclose(ls.batch_membership_excess(V), 0.0, atol=1e-12)
+        with pytest.raises(ZeroDirection):
+            ls.lmo(np.zeros(4))
 
     def test_is_the_l2_ball_of_radius_sqrt_w(self):
         ls = LevelSet(4.0, 3)
