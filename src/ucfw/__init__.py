@@ -12,7 +12,6 @@ from .bounds import (
     check_trace,
     iterate_recursion,
     lemma3_distance_constant,
-    recursion_bound,
     theorem1_bound,
     theorem2_bound,
     theorem3_bound,
@@ -23,7 +22,6 @@ from .errors import (
     InvalidParams,
     NotUniformlyConvex,
     StaleOptimum,
-    SVDFailure,
     UCFWError,
     ZeroDirection,
 )
@@ -47,10 +45,8 @@ from .objectives import (
     HEBDescriptor,
     QuadraticObjective,
     SmoothObjective,
-    dual_floor_factor,
     grad_floor_quadratic,
     heb_from_uniform_convexity,
-    lp_smoothness_from_l2,
     objective_from_json,
 )
 from .online import (

@@ -26,7 +26,6 @@ from .errors import InvalidParams
 __all__ = [
     "RecursionConstants",
     "RateBound",
-    "recursion_bound",
     "theorem1_bound",
     "theorem2_bound",
     "theorem3_bound",
@@ -81,11 +80,6 @@ class RecursionConstants:
         return out
 
 
-def recursion_bound(eta: float, C: float, h0: float) -> RecursionConstants:
-    """Closed-form envelope constants for the descent recursion."""
-    return RecursionConstants(eta=eta, C=C, h0=h0)
-
-
 def iterate_recursion(eta, C, h0, steps: int) -> np.ndarray:
     """Brute-force worst-case trajectory h_{t+1} = h_t max(1/2, 1 - C h_t^eta).
 
@@ -115,8 +109,6 @@ class RateBound:
     linear_factor: Optional[float] = None
     recursion: Optional[RecursionConstants] = None
     h0: float = 0.0
-    H: Optional[float] = None
-    stated_linear_factor: Optional[float] = None  # the theorem's rho wording, kept for reporting
 
     def __post_init__(self) -> None:
         if (self.linear_factor is None) == (self.recursion is None):
@@ -153,11 +145,8 @@ def _require_positive(**kwargs: float) -> None:
             raise InvalidParams(f"{name} must be positive, got {val}")
 
 
-def _linear(tag: str, factor_arg: float, h0: float, stated: float, H=None) -> RateBound:
-    factor = max(0.5, 1.0 - factor_arg)
-    return RateBound(
-        theorem_tag=tag, linear_factor=factor, h0=h0, H=H, stated_linear_factor=stated
-    )
+def _linear(tag: str, factor_arg: float, h0: float) -> RateBound:
+    return RateBound(theorem_tag=tag, linear_factor=max(0.5, 1.0 - factor_arg), h0=h0)
 
 
 def theorem1_bound(c: float, alpha: float, q: float, L: float, h0: float) -> RateBound:
@@ -172,8 +161,7 @@ def theorem1_bound(c: float, alpha: float, q: float, L: float, h0: float) -> Rat
     if h0 < 0.0:
         raise InvalidParams("h0 must be non-negative")
     if q == 2.0:
-        stated = max(0.5, 1.0 - c * alpha / L)
-        return _linear("T1", c * alpha / (4.0 * L), h0, stated)
+        return _linear("T1", c * alpha / (4.0 * L), h0)
     eta = 1.0 - 2.0 / q
     C = (c * alpha / 2.0) ** (2.0 / q) / (2.0 * L)
     return RateBound(theorem_tag="T1", recursion=RecursionConstants(eta, C, h0), h0=h0)
@@ -203,11 +191,10 @@ def theorem2_bound(c: float, alpha: float, q: float, L: float, h0: float) -> Rat
     H = lemma3_distance_constant(c, alpha, q, L)
     h_anchor = min(h0, 1.0)
     if q == 2.0:
-        stated = max(0.5, 1.0 - c * alpha / L)
-        return _linear("T2", 1.0 / (2.0 * L * H**2), h_anchor, stated, H=H)
+        return _linear("T2", 1.0 / (2.0 * L * H**2), h_anchor)
     eta = 1.0 - 2.0 / (q * (q - 1.0))
     C = 1.0 / (2.0 * L * H**2)
-    return RateBound(theorem_tag="T2", recursion=RecursionConstants(eta, C, h_anchor), h0=h_anchor, H=H)
+    return RateBound(theorem_tag="T2", recursion=RecursionConstants(eta, C, h_anchor), h0=h_anchor)
 
 
 def theorem3_bound(

@@ -83,7 +83,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.alpha is not None or args.q is not None:
         if args.alpha is None or args.q is None:
             raise ConfigError("override --alpha and --q together")
-        uc = UCParams(alpha=args.alpha, q=args.q, norm_tag="override")
+        uc = UCParams(alpha=args.alpha, q=args.q)
     if uc is None:
         raise ConfigError("set has no uniform-convexity parameters; pass --alpha/--q")
 

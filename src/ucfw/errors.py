@@ -21,10 +21,6 @@ class NotUniformlyConvex(UCFWError):
     """The set has no (alpha, q) uniform-convexity parameters (e.g. l1 ball)."""
 
 
-class SVDFailure(UCFWError):
-    """Singular value decomposition did not converge."""
-
-
 class InfeasibleStart(UCFWError):
     """The initial iterate is not in the feasible set."""
 

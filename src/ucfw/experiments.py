@@ -34,13 +34,7 @@ from .geometry import (
     _write_json,
     set_from_json,
 )
-from .objectives import (
-    QuadraticObjective,
-    grad_floor_quadratic,
-    lp_smoothness_from_l2,
-    objective_from_json,
-    quadratic_from_descriptor,
-)
+from .objectives import QuadraticObjective, grad_floor_quadratic, objective_from_json, quadratic_from_descriptor
 from .online import adversarial_stream, run_ftl, stream_from_json
 from .solver import StepRule, fw_gap_at, reference_optimum, run_fw
 from .svg import line_plot_svg
@@ -110,22 +104,16 @@ def build_problem(cfg: ExperimentConfig, p: float) -> tuple[LpBall, QuadraticObj
     return feasible, objective
 
 
-def problem_constants(feasible: LpBall, f: QuadraticObjective) -> dict:
-    """Theorem constants in the set's norm pair: gradient floor c (dual lp
-    norm), catalog (alpha, q), and the lp-converted smoothness constant."""
+def problem_constants(feasible: FeasibleSet, f: QuadraticObjective) -> dict:
+    """Theorem constants in the set's norm pair: gradient floor c (dual
+    norm), catalog (alpha, q), and the converted smoothness constant."""
     uc = feasible.uc_params()
     return {
         "c": grad_floor_quadratic(f, feasible),
         "alpha": uc.alpha,
         "q": uc.q,
-        "L": lp_smoothness_from_l2(f.L, feasible.dim, feasible.p),
+        "L": f.L * feasible.norm_equivalence().smoothness,
     }
-
-
-def _heb_in_lp_norm(f: QuadraticObjective, feasible: LpBall):
-    # ||.||_p <= d^{max(0, 1/p - 1/2)} ||.||_2, so scale mu_heb accordingly
-    factor = feasible.dim ** max(0.0, 1.0 / feasible.p - 0.5)
-    return f.heb.mu_heb * factor, f.heb.theta
 
 
 def x_init_for(feasible: FeasibleSet, seed: int) -> np.ndarray:
@@ -149,7 +137,7 @@ def fw_reference(feasible: FeasibleSet, f: QuadraticObjective, T: int, seed: int
 
 
 def fw_experiment(
-    feasible: LpBall, f: QuadraticObjective, rule_name: str, T: int, seed: int, reference: tuple,
+    feasible: FeasibleSet, f: QuadraticObjective, rule_name: str, T: int, seed: int, reference: tuple,
     out_dir: Path, stem: str, sidecar: dict | None = None, stop_gap: float = 1e-12,
 ):
     """One traced run from ``x_init_for(feasible, seed)`` against
@@ -187,8 +175,9 @@ def fw_experiment(
                 extra["bound_t2"] = col
                 trace.metadata["t2_anchor"] = anchor
         if f.heb is not None and h0 > 0.0:
-            mu_p, theta = _heb_in_lp_norm(f, feasible)
-            b3 = bnd.theorem3_bound(consts["alpha"], consts["q"], mu_p, theta, consts["L"], h0)
+            # ||x|| <= heb ||x||_2 carries the Euclidean error bound to the set's norm
+            mu_heb = f.heb.mu_heb * feasible.norm_equivalence().heb
+            b3 = bnd.theorem3_bound(consts["alpha"], consts["q"], mu_heb, f.heb.theta, consts["L"], h0)
             extra["bound_t3"] = np.asarray(b3.evaluate(ts), dtype=float)
         trace.metadata["constants"] = consts
     trace.metadata["f_star_certificate"] = certificate
@@ -406,7 +395,7 @@ def run_bounds_grid(out_dir, steps: int = 100_000) -> dict:
     for i in range(eg.shape[0]):
         for j in range(eg.shape[1]):
             for m in range(eg.shape[2]):
-                rc = bnd.recursion_bound(float(eg[i, j, m]), float(cg[i, j, m]), float(hg[i, j, m]))
+                rc = bnd.RecursionConstants(float(eg[i, j, m]), float(cg[i, j, m]), float(hg[i, j, m]))
                 curve = rc.evaluate(t)
                 excess = float(np.max(traj[:, i, j, m] - curve))
                 worst_excess = max(worst_excess, excess)
@@ -450,8 +439,8 @@ def catalog_sets() -> list[tuple[str, FeasibleSet]]:
 
 
 def _ball_quadratic(feasible: FeasibleSet) -> QuadraticObjective:
-    """1/2 ||x - x0||^2 with x0 three radii out along the ones direction,
-    declaring its analytic gradient floor over the lp ball."""
+    """1/2 ||x - x0||_2^2 with x0 three radii out along the ones direction,
+    declaring its analytic gradient floor over the set."""
     dim = feasible.dim
     x0 = np.ones(dim) * (3.0 * feasible.radius / np.sqrt(dim))
     plain = QuadraticObjective(A=np.ones(dim), x0=x0)
@@ -461,18 +450,17 @@ def _ball_quadratic(feasible: FeasibleSet) -> QuadraticObjective:
 def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerConfig) -> vf.CheckReport:
     """One positive check as ``ucfw verify`` and :func:`run_verify_all` run it.
 
-    lemma1, local_scaling and lemma3 take the ball quadratic of an lp ball.
-    The last two measure against a reference optimum from ``x_init_for``
-    at the sampler seed, with 50 000 exact-line-search steps to a 1e-13 gap
-    (exact for this quadratic); lemma3 reads a 2000-step short-step run
-    with the catalog constants.
+    lemma1, local_scaling and lemma3 take the set's ball quadratic.  The
+    last two measure against a reference optimum from ``x_init_for`` at the
+    sampler seed, with 50 000 exact-line-search steps to a 1e-13 gap (exact
+    for this quadratic over an lp ball); lemma3 reads a 2000-step
+    short-step run with ``uc`` and the quadratic's c and L in the set's
+    norm pair.
     """
     if check == "definition1":
         return vf.check_definition1(feasible, uc, cfg)
     if check not in ("lemma1", "local_scaling", "lemma3"):
         raise ConfigError(f"unknown check {check!r}")
-    if not isinstance(feasible, LpBall):
-        raise ConfigError("this check needs an lp-ball set (p > 1)")
     f = _ball_quadratic(feasible)
     if check == "lemma1":
         return vf.check_lemma1(feasible, uc, f, cfg)
@@ -481,8 +469,8 @@ def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerCo
     if check == "local_scaling":
         return vf.check_local_scaling(feasible, f, x_star, uc.alpha, uc.q, cfg)
     trace = run_fw(feasible, f, x_init, StepRule.short(), 2000, f_star=f_star)
-    consts = problem_constants(feasible, f)
-    return vf.check_lemma3(trace, consts["c"], consts["alpha"], consts["q"], consts["L"])
+    L = f.L * feasible.norm_equivalence().smoothness
+    return vf.check_lemma3(trace, f.grad_floor, uc.alpha, uc.q, L)
 
 
 def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: int = 50) -> dict:
@@ -507,14 +495,14 @@ def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: in
 
     # negative controls: each check with a configuration known to violate it
     neg_cfg = vf.SamplerConfig(n_pairs=n_pairs, n_directions=n_directions, seed=seed, boundary_bias=1.0)
-    inflated = UCParams(alpha=2.0, q=3.0, norm_tag="lp:3.0")
+    inflated = UCParams(alpha=2.0, q=3.0)
     rep = vf.check_definition1(LpBall(p=3.0, radius=1.0, dim=8), inflated, neg_cfg)
     rep.config["control"] = "inflated_alpha_l3"
     negatives.append(rep)
 
     diamond = L1Ball(radius=1.0, dim=2)
     f_flat = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0]))
-    fake_uc = UCParams(alpha=0.1, q=2.0, norm_tag="l1")
+    fake_uc = UCParams(alpha=0.1, q=2.0)
     rep = vf.check_lemma1(diamond, fake_uc, f_flat, neg_cfg)
     rep.config["control"] = "l1_flat_face_lemma1"
     negatives.append(rep)

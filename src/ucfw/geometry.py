@@ -21,10 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParams, NotUniformlyConvex, SVDFailure, ZeroDirection
+from .errors import ConfigError, InvalidParams, NotUniformlyConvex, ZeroDirection
 
 __all__ = [
     "UCParams",
+    "NormEquivalence",
     "FeasibleSet",
     "LpBall",
     "L1Ball",
@@ -229,10 +230,7 @@ def lmo_schatten(p: float, r: float, G: np.ndarray) -> np.ndarray:
     G = np.asarray(G, dtype=float)
     if not np.all(np.any(G, axis=(-2, -1))):
         raise ZeroDirection("lmo_schatten called with G = 0")
-    try:
-        U, sigma, Vt = np.linalg.svd(G, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise SVDFailure(str(exc)) from exc
+    U, sigma, Vt = np.linalg.svd(G, full_matrices=False)
     s = lmo_lp(p, r, sigma)
     return (U * s[..., None, :]) @ Vt
 
@@ -247,11 +245,10 @@ _LOG_TINY = math.log(_TINY)
 
 @dataclass(frozen=True)
 class UCParams:
-    """(alpha, q) uniform-convexity parameters, stated against ``norm_tag``."""
+    """(alpha, q) uniform-convexity parameters, stated in the set's own norm."""
 
     alpha: float
     q: float
-    norm_tag: str
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < math.inf:  # also rejects NaN
@@ -260,7 +257,7 @@ class UCParams:
             raise InvalidParams(f"q must be >= 2 and finite, got {self.q}")
 
 
-def lp_ball_uc_params(p: float, r: float, norm_tag: str) -> UCParams:
+def lp_ball_uc_params(p: float, r: float) -> UCParams:
     """Catalog entry for lp / Schatten-p balls of radius r.
 
     Unit balls: ((p-1)/2, 2) for p in (1, 2] and (1/(p 2^(p-2)), p) for
@@ -276,7 +273,7 @@ def lp_ball_uc_params(p: float, r: float, norm_tag: str) -> UCParams:
         # p = 1 and p = inf balls are polytopes
         raise NotUniformlyConvex(f"p = {p} ball is not uniformly convex")
     if p <= 2.0:
-        return UCParams(alpha=(p - 1.0) / (2.0 * r), q=2.0, norm_tag=norm_tag)
+        return UCParams(alpha=(p - 1.0) / (2.0 * r), q=2.0)
     log_two, log_r = (p - 2.0) * math.log(2.0), (p - 1.0) * math.log(r)
     log_alpha = -(math.log(p) + log_two + log_r)
     if not _LOG_TINY <= log_alpha <= -_LOG_TINY:
@@ -290,7 +287,7 @@ def lp_ball_uc_params(p: float, r: float, norm_tag: str) -> UCParams:
         alpha = 1.0 / (p * 2.0 ** (p - 2.0) * r ** (p - 1.0))
     else:
         alpha = math.exp(log_alpha)
-    return UCParams(alpha=alpha, q=p, norm_tag=norm_tag)
+    return UCParams(alpha=alpha, q=p)
 
 
 def levelset_uc_params(mu: float, r_exp: float, L: float, w: float) -> UCParams:
@@ -304,7 +301,30 @@ def levelset_uc_params(mu: float, r_exp: float, L: float, w: float) -> UCParams:
         raise InvalidParams("mu, L, w must all be positive")
     if r_exp < 2.0:
         raise InvalidParams(f"convexity power must be >= 2, got {r_exp}")
-    return UCParams(alpha=mu / (2.0 * np.sqrt(2.0 * w * L)), q=r_exp, norm_tag="levelset")
+    return UCParams(alpha=mu / (2.0 * np.sqrt(2.0 * w * L)), q=r_exp)
+
+
+# ---------------------------------------------------------------------------
+# norm equivalence (Euclidean constants -> a set's norm pair)
+# ---------------------------------------------------------------------------
+
+
+def _exponent_gap(a: float, b: float) -> float:
+    """max(0, 1/a - 1/b) with the convention 1/inf = 0."""
+    ia = 0.0 if np.isinf(a) else 1.0 / a
+    ib = 0.0 if np.isinf(b) else 1.0 / b
+    return max(0.0, ia - ib)
+
+
+@dataclass(frozen=True)
+class NormEquivalence:
+    """Factors that carry constants stated in the Euclidean norm into a
+    set's norm ``||.||`` and dual norm ``||.||_*``."""
+
+    smoothness: float  # L2-smooth f is (smoothness * L2)-smooth in (||.||, ||.||_*)
+    dual_floor: float  # ||g||_* >= dual_floor * ||g||_2
+    enclosing_radius: float  # the set lies in the l2 ball of this radius
+    heb: float  # ||x|| <= heb * ||x||_2
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +343,12 @@ class FeasibleSet:
     uniform-convexity parameters.
 
     Subclasses supply ``batch_norm`` and ``batch_dual_norm``, each over
-    points stacked along the first axes, and an ``lmo`` that takes one point
-    or a stack of them.  The single-point ``norm``, ``dual_norm`` and
-    ``membership_excess`` are the batched oracles on one point; membership
-    and boundary points follow from the norm and the radius.  Instances are
-    immutable after construction; all oracle calls are pure.
+    points stacked along the first axes, an ``lmo`` that takes one point or
+    a stack of them, and ``lp_equivalent``.  The single-point ``norm``,
+    ``dual_norm`` and ``membership_excess`` are the batched oracles on one
+    point; membership and boundary points follow from the norm and the
+    radius, and the norm-equivalence factors from ``lp_equivalent``.
+    Instances are immutable after construction; all oracle calls are pure.
     """
 
     dim: int
@@ -356,6 +377,25 @@ class FeasibleSet:
         point of a stack."""
         raise NotImplementedError(f"{type(self).__name__} has no closed-form LMO")
 
+    @property
+    def lp_equivalent(self) -> tuple[int, float]:
+        """(n, p) such that the set's norm of a point is the lp norm of an
+        n-vector with the point's Euclidean length."""
+        raise NotImplementedError
+
+    def norm_equivalence(self) -> NormEquivalence:
+        """The factors the rate theorems' Euclidean constants take in this
+        set's norm pair, from ``n^{-max(0, 1/2 - 1/p)} ||.||_2 <= ||.||_p
+        <= n^{max(0, 1/p - 1/2)} ||.||_2`` and the same for the dual p*."""
+        n, p = self.lp_equivalent
+        pstar = dual_exponent(p)
+        return NormEquivalence(
+            smoothness=n ** (_exponent_gap(pstar, 2.0) + _exponent_gap(2.0, p)),
+            dual_floor=n ** (-_exponent_gap(2.0, pstar)),
+            enclosing_radius=self.radius * n ** _exponent_gap(2.0, p),
+            heb=n ** _exponent_gap(p, 2.0),
+        )
+
     def norm(self, x: np.ndarray) -> float:
         return float(self.batch_norm(x))
 
@@ -369,9 +409,6 @@ class FeasibleSet:
 
     def membership_excess(self, x: np.ndarray) -> float:
         return float(self.batch_membership_excess(x))
-
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        return self.membership_excess(x) <= tol
 
     def boundary_point(self, direction: np.ndarray) -> np.ndarray:
         """Scale a direction, or each row of a 2-D stack of them, onto the
@@ -404,7 +441,11 @@ class LpBall(FeasibleSet):
             raise InvalidParams("dim must be >= 1")
 
     def uc_params(self) -> UCParams:
-        return lp_ball_uc_params(self.p, self.radius, norm_tag=f"lp:{self.p}")
+        return lp_ball_uc_params(self.p, self.radius)
+
+    @property
+    def lp_equivalent(self) -> tuple[int, float]:
+        return self.dim, self.p
 
     def batch_norm(self, X):
         return _batch_lp_norm(X, self.p)
@@ -430,6 +471,10 @@ class L1Ball(FeasibleSet):
         _check_radius(self.radius)
         if self.dim < 1:
             raise InvalidParams("dim must be >= 1")
+
+    @property
+    def lp_equivalent(self) -> tuple[int, float]:
+        return self.dim, 1.0
 
     def batch_norm(self, X):
         return _batch_lp_norm(X, 1.0)
@@ -471,13 +516,15 @@ class SchattenBall(FeasibleSet):
     def _sv(self, X) -> np.ndarray:
         """Singular values of each flat point stacked along the first axes."""
         X = np.asarray(X, dtype=float)
-        try:
-            return np.linalg.svd(X.reshape(*X.shape[:-1], self.rows, self.cols), compute_uv=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SVDFailure(str(exc)) from exc
+        return np.linalg.svd(X.reshape(*X.shape[:-1], self.rows, self.cols), compute_uv=False)
 
     def uc_params(self) -> UCParams:
-        return lp_ball_uc_params(self.p, self.radius, norm_tag=f"schatten:{self.p}")
+        return lp_ball_uc_params(self.p, self.radius)
+
+    @property
+    def lp_equivalent(self) -> tuple[int, float]:
+        # the Frobenius norm is the l2 norm of the singular values
+        return min(self.rows, self.cols), self.p
 
     def batch_norm(self, X):
         return _batch_lp_norm(self._sv(X), self.p)
@@ -524,6 +571,10 @@ class LevelSet(FeasibleSet):
 
     def uc_params(self) -> UCParams:
         return levelset_uc_params(mu=2.0, r_exp=2.0, L=2.0, w=self.w)
+
+    @property
+    def lp_equivalent(self) -> tuple[int, float]:
+        return self.dim, 2.0
 
     def batch_norm(self, X):
         return _batch_lp_norm(X, 2.0)

@@ -3,8 +3,9 @@ theorems consume: smoothness L, a gradient-norm floor c, strong convexity,
 and Hoelderian error-bound parameters.
 
 All smoothness constants are declared with respect to the Euclidean norm
-and converted to a set's lp norm pair with the exact dimension-dependent
-norm-equivalence exponents when the bound engine asks for them.
+and converted to a set's norm pair with the set's norm-equivalence factors
+(:meth:`~ucfw.geometry.FeasibleSet.norm_equivalence`) when the bound engine
+asks for them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .geometry import FeasibleSet, L1Ball, LpBall, _json_int, _row_dots, dual_exponent, lp_norm
+from .geometry import FeasibleSet, _json_int, _row_dots, lp_norm
 
 __all__ = [
     "HEBDescriptor",
@@ -23,8 +24,6 @@ __all__ = [
     "QuadraticObjective",
     "heb_from_uniform_convexity",
     "grad_floor_quadratic",
-    "lp_smoothness_from_l2",
-    "dual_floor_factor",
     "objective_from_json",
 ]
 
@@ -148,50 +147,16 @@ class QuadraticObjective(SmoothObjective):
         }
 
 
-# ---------------------------------------------------------------------------
-# norm conversions (L2 declarations -> lp norm pairs)
-# ---------------------------------------------------------------------------
-
-
-def _exponent_gap(a: float, b: float) -> float:
-    """max(0, 1/a - 1/b) with the convention 1/inf = 0."""
-    ia = 0.0 if np.isinf(a) else 1.0 / a
-    ib = 0.0 if np.isinf(b) else 1.0 / b
-    return max(0.0, ia - ib)
-
-
-def lp_smoothness_from_l2(L2: float, d: int, p: float) -> float:
-    """Valid smoothness constant w.r.t. (||.||_p, ||.||_{p*}) given the
-    Euclidean one: L_p = L2 * d^{max(0,1/p*-1/2) + max(0,1/2-1/p)}."""
-    pstar = dual_exponent(p)
-    return L2 * d ** (_exponent_gap(pstar, 2.0) + _exponent_gap(2.0, p))
-
-
-def dual_floor_factor(d: int, p: float) -> float:
-    """Lower-bound factor: ||g||_{p*} >= factor * ||g||_2."""
-    pstar = dual_exponent(p)
-    return d ** (-_exponent_gap(2.0, pstar))
-
-
 def grad_floor_quadratic(f: QuadraticObjective, feasible: FeasibleSet) -> float:
     """Analytic lower bound on inf_{x in C} ||grad f(x)||_* for an
-    origin-centered lp-norm ball.
+    origin-centered norm ball.
 
     ||grad f(x)||_2 >= lambda_min(A) ||x - x0||_2 >= lambda_min * dist_2(x0, C),
-    then converted to the dual lp norm.  Returns 0 when x0 may be feasible.
+    then converted to the dual norm.  Returns 0 when x0 may be feasible.
     """
-    if isinstance(feasible, LpBall):
-        p = feasible.p
-    elif isinstance(feasible, L1Ball):
-        p = 1.0
-    else:
-        raise InvalidParams("grad_floor_quadratic expects an lp-norm ball")
-    r = feasible.radius
-    d = feasible.dim
-    # the lp ball lies inside the l2 ball of radius r * d^{max(0, 1/2 - 1/p)}
-    enclosing = r * d ** _exponent_gap(2.0, p)
-    dist = max(0.0, float(np.linalg.norm(f.x0)) - enclosing)
-    return f.lambda_min * dist * dual_floor_factor(d, p)
+    eq = feasible.norm_equivalence()
+    dist = max(0.0, float(np.linalg.norm(f.x0)) - eq.enclosing_radius)
+    return f.lambda_min * dist * eq.dual_floor
 
 
 # ---------------------------------------------------------------------------

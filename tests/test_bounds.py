@@ -15,7 +15,6 @@ from ucfw import (
     check_trace,
     iterate_recursion,
     lemma3_distance_constant,
-    recursion_bound,
     reference_optimum,
     run_fw,
     theorem1_bound,
@@ -28,13 +27,13 @@ from ucfw.experiments import problem_constants, x_init_for
 
 class TestRecursionConstants:
     def test_eta_one_classic_rate(self):
-        rc = recursion_bound(eta=1.0, C=1.0, h0=1.0)
+        rc = RecursionConstants(eta=1.0, C=1.0, h0=1.0)
         assert rc.k == 0.0
         assert rc.M_rate == pytest.approx(2.0)
         assert rc.evaluate(10) == pytest.approx(0.2)
 
     def test_half_eta_frozen_constants(self):
-        rc = recursion_bound(eta=0.5, C=1.0, h0=1.0)
+        rc = RecursionConstants(eta=0.5, C=1.0, h0=1.0)
         assert rc.k == pytest.approx(math.sqrt(2), rel=1e-10)
         assert rc.M_rate == pytest.approx(23.31, abs=0.01)
         traj = iterate_recursion(0.5, 1.0, 1.0, 10**5)
@@ -42,20 +41,20 @@ class TestRecursionConstants:
         assert np.all(traj <= rc.evaluate(t) + 1e-12)
 
     def test_quarter_eta_against_brute_force(self):
-        rc = recursion_bound(eta=0.25, C=0.1, h0=5.0)
+        rc = RecursionConstants(eta=0.25, C=0.1, h0=5.0)
         traj = iterate_recursion(0.25, 0.1, 5.0, 10**5)
         t = np.arange(10**5 + 1)
         assert np.all(traj <= rc.evaluate(t) + 1e-12)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
-            recursion_bound(eta=0.0, C=1.0, h0=1.0)
+            RecursionConstants(eta=0.0, C=1.0, h0=1.0)
         with pytest.raises(InvalidParams):
-            recursion_bound(eta=0.5, C=0.0, h0=1.0)
+            RecursionConstants(eta=0.5, C=0.0, h0=1.0)
 
     def test_tiny_eta_no_overflow(self):
         # exponents 1/eta blow up; log-space evaluation must stay finite-safe
-        rc = recursion_bound(eta=0.02, C=0.01, h0=10.0)
+        rc = RecursionConstants(eta=0.02, C=0.01, h0=10.0)
         assert math.isinf(rc.M_rate) or rc.M_rate > 0
         val = rc.evaluate(10**6)
         assert np.isfinite(val) or val == np.inf
@@ -79,7 +78,6 @@ class TestTheorem1:
         b = theorem1_bound(c=1.0, alpha=1.0, q=2.0, L=1.0, h0=1.0)
         assert b.is_linear
         assert b.linear_factor == pytest.approx(0.75)
-        assert b.stated_linear_factor == pytest.approx(0.5)
 
     def test_q3_eta(self):
         b = theorem1_bound(c=1.0, alpha=0.5, q=3.0, L=1.0, h0=1.0)

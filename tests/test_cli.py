@@ -69,6 +69,23 @@ class TestVerifyVerb:
             == EXIT_ERROR
         )
 
+    @pytest.mark.parametrize("check", ["lemma1", "local_scaling", "lemma3"])
+    @pytest.mark.parametrize("desc", [{"family": "lp", "p": 3.0, "radius": 1.0, "dim": 4},
+                                      {"family": "l1", "radius": 1.0, "dim": 4}], ids=["l3", "l1"])
+    def test_lemma_checks_report_the_override(self, capsys, desc, check):
+        code = main(
+            ["verify", "--set", json.dumps(desc), "--check", check,
+             "--alpha", "0.1", "--q", "2", "--pairs", "50", "--directions", "5"]
+        )
+        assert code in (EXIT_OK, EXIT_VIOLATION)
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["alpha"], config["q"]) == (0.1, 2.0)
+
+    def test_set_without_alpha_q_needs_overrides(self, capsys):
+        l1 = json.dumps({"family": "l1", "radius": 1.0, "dim": 4})
+        assert main(["verify", "--set", l1, "--check", "lemma3"]) == EXIT_ERROR
+        assert "pass --alpha/--q" in capsys.readouterr().err
+
 
 class TestSolveVerb:
     CONFIG = {

@@ -259,14 +259,14 @@ class TestLmoSchatten:
 
 class TestMembership:
     def test_boundary_point_is_member(self):
-        assert LpBall(p=2.0, radius=1.0, dim=2).contains(np.array([1.0, 0.0]), tol=0.0)
+        assert LpBall(p=2.0, radius=1.0, dim=2).membership_excess(np.array([1.0, 0.0])) <= 0.0
 
     def test_outside_point(self):
-        assert not LpBall(p=3.0, radius=1.0, dim=2).contains(np.array([1.0, 1.0]), tol=0.0)
+        assert LpBall(p=3.0, radius=1.0, dim=2).membership_excess(np.array([1.0, 1.0])) > 0.0
 
     def test_levelset_member(self):
         ls = LevelSet(w=4.0, dim=3)
-        assert ls.contains(np.array([1.0, 1.0, 1.0]), tol=0.0)
+        assert ls.membership_excess(np.array([1.0, 1.0, 1.0])) <= 0.0
 
     def test_convex_combination_stays_feasible(self):
         rng = np.random.default_rng(3)
@@ -282,10 +282,10 @@ class TestCatalog:
     @pytest.mark.parametrize("alpha, q", [(np.inf, 3.0), (0.1, np.inf), (np.nan, 3.0), (0.1, np.nan)])
     def test_non_finite_params_refused(self, alpha, q):
         with pytest.raises(InvalidParams):
-            UCParams(alpha=alpha, q=q, norm_tag="t")
+            UCParams(alpha=alpha, q=q)
 
     def test_l15_unit(self):
-        uc = lp_ball_uc_params(1.5, 1.0, "lp:1.5")
+        uc = lp_ball_uc_params(1.5, 1.0)
         assert (uc.alpha, uc.q) == (0.25, 2.0)
 
     def test_p3_radius_scaling(self):
@@ -295,26 +295,26 @@ class TestCatalog:
         assert u5.alpha == pytest.approx(u1.alpha / 25.0)
 
     def test_alpha_continuous_at_two(self):
-        below = lp_ball_uc_params(2.0, 1.0, "t").alpha
-        above = lp_ball_uc_params(2.0 + 1e-9, 1.0, "t").alpha
+        below = lp_ball_uc_params(2.0, 1.0).alpha
+        above = lp_ball_uc_params(2.0 + 1e-9, 1.0).alpha
         assert above == pytest.approx(below, rel=1e-6)
 
     def test_alpha_decreases_in_radius(self):
-        alphas = [lp_ball_uc_params(3.0, r, "t").alpha for r in (1.0, 2.0, 4.0, 8.0)]
+        alphas = [lp_ball_uc_params(3.0, r).alpha for r in (1.0, 2.0, 4.0, 8.0)]
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
 
     def test_alpha_beyond_double_range_names_p(self):
         with pytest.raises(InvalidParams, match="p = 2000"):
-            lp_ball_uc_params(2000.0, 1.0, "lp:2000")
+            lp_ball_uc_params(2000.0, 1.0)
         with pytest.raises(InvalidParams, match="p = 1000"):
-            lp_ball_uc_params(1000.0, 1e-3, "lp:1000")  # alpha overflows
+            lp_ball_uc_params(1000.0, 1e-3)  # alpha overflows
 
     def test_alpha_in_log_space_past_the_direct_product(self):
         # 2^(p-2) and r^(p-1) overflow and underflow separately; their
         # product is p / 2 exactly
-        uc = lp_ball_uc_params(1100.0, 0.5, "lp:1100")
+        uc = lp_ball_uc_params(1100.0, 0.5)
         assert uc.alpha == pytest.approx(2.0 / 1100.0, rel=1e-12)
-        assert lp_ball_uc_params(3.0, 5.0, "t").alpha == 1.0 / (3.0 * 2.0 * 25.0)
+        assert lp_ball_uc_params(3.0, 5.0).alpha == 1.0 / (3.0 * 2.0 * 25.0)
 
     def test_l1_not_uniformly_convex(self):
         with pytest.raises(NotUniformlyConvex):
@@ -324,7 +324,7 @@ class TestCatalog:
     def test_linf_not_uniformly_convex(self):
         # the l-infinity ball is a polytope (a cube)
         with pytest.raises(NotUniformlyConvex):
-            lp_ball_uc_params(np.inf, 1.0, "lp:inf")
+            lp_ball_uc_params(np.inf, 1.0)
         assert LpBall(p=np.inf, radius=1.0, dim=3).uc is None
 
     def test_levelset_params(self):

@@ -1,4 +1,5 @@
-"""Objective oracles, structural descriptors, and norm conversions."""
+"""Objective oracles, structural descriptors, and the sets' norm
+conversions."""
 
 import numpy as np
 import pytest
@@ -9,16 +10,18 @@ from ucfw import (
     L1Ball,
     LpBall,
     QuadraticObjective,
-    dual_floor_factor,
     grad_floor_quadratic,
     heb_from_uniform_convexity,
-    lp_norm,
-    lp_smoothness_from_l2,
     objective_from_json,
+    sample_feasible,
 )
 from ucfw.errors import ConfigError
-from ucfw.geometry import dual_exponent
+from ucfw.experiments import _ball_quadratic, catalog_sets, problem_constants
 from ucfw.objectives import quadratic_from_descriptor
+
+CATALOG = dict(catalog_sets())
+# the sampled validity tests run on an lp ball and on these catalog sets
+NON_LP_SETS = [CATALOG["schatten_2.5"], CATALOG["levelset_sqnorm_w4"]]
 
 
 class TestHeb:
@@ -107,28 +110,35 @@ class TestQuadratic:
 
 class TestNormConversion:
     def test_l2_identity(self):
-        assert lp_smoothness_from_l2(3.0, 10, 2.0) == 3.0
+        assert 3.0 * LpBall(p=2.0, radius=1.0, dim=10).norm_equivalence().smoothness == 3.0
 
     def test_p_above_two(self):
         # ||.||_p <= ||.||_2 and ||.||_{p*} dual pairing lose d^{1-2/p}
-        assert lp_smoothness_from_l2(1.0, 16, 4.0) == pytest.approx(16.0 ** 0.5)
+        assert LpBall(p=4.0, radius=1.0, dim=16).norm_equivalence().smoothness == pytest.approx(16.0 ** 0.5)
 
     def test_conversion_is_valid_smoothness(self):
         rng = np.random.default_rng(4)
-        d, p = 6, 3.0
-        f = QuadraticObjective(A=np.linspace(1, 2, d), x0=np.zeros(d))
-        Lp = lp_smoothness_from_l2(f.L, d, p)
-        for _ in range(200):
-            x, y = rng.standard_normal(d), rng.standard_normal(d)
-            lhs = lp_norm(f.gradient(x) - f.gradient(y), dual_exponent(p))
-            assert lhs <= Lp * lp_norm(x - y, p) + 1e-12
+        for feasible in [LpBall(p=3.0, radius=1.0, dim=6), *NON_LP_SETS]:
+            d = feasible.dim
+            f = QuadraticObjective(A=np.linspace(1, 2, d), x0=np.zeros(d))
+            Lp = f.L * feasible.norm_equivalence().smoothness
+            for _ in range(200):
+                x, y = rng.standard_normal(d), rng.standard_normal(d)
+                lhs = feasible.dual_norm(f.gradient(x) - f.gradient(y))
+                assert lhs <= Lp * feasible.norm(x - y) + 1e-12
 
     def test_dual_floor_factor(self):
         rng = np.random.default_rng(6)
-        d, p = 8, 3.0
-        factor = dual_floor_factor(d, p)
-        for g in rng.standard_normal((200, d)):
-            assert lp_norm(g, dual_exponent(p)) >= factor * np.linalg.norm(g) - 1e-12
+        for feasible in [LpBall(p=3.0, radius=1.0, dim=8), *NON_LP_SETS]:
+            factor = feasible.norm_equivalence().dual_floor
+            for g in rng.standard_normal((200, feasible.dim)):
+                assert feasible.dual_norm(g) >= factor * np.linalg.norm(g) - 1e-12
+
+    def test_problem_constants_finite_on_catalog(self):
+        for name, feasible in catalog_sets():
+            if feasible.uc is not None:
+                consts = problem_constants(feasible, _ball_quadratic(feasible))
+                assert all(0.0 < v < np.inf for v in consts.values()), (name, consts)
 
 
 class TestGradFloor:
@@ -152,6 +162,15 @@ class TestGradFloor:
         pts *= rng.random(10**5)[:, None] ** 0.5
         grads = (pts - f.x0) * np.array([1.0, 100.0])
         assert np.linalg.norm(grads, axis=1).min() >= c - 1e-9
+        # the floor in the dual norm of non-lp sets, at the verifier's samples
+        for feasible in NON_LP_SETS:
+            d = feasible.dim
+            f = QuadraticObjective(A=np.logspace(0, 2, d), x0=np.ones(d) * (3.0 * feasible.radius / np.sqrt(d)))
+            c = grad_floor_quadratic(f, feasible)
+            assert c > 0.0
+            pts = sample_feasible(feasible, 10**4, rng, 0.5)
+            grads = (pts - f.x0) * f.A
+            assert feasible.batch_dual_norm(grads).min() >= c - 1e-9
 
     def test_l1_ball_uses_dual_sup_norm(self):
         f = QuadraticObjective(A=np.ones(2), x0=np.array([4.0, 4.0]))

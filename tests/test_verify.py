@@ -27,7 +27,7 @@ from ucfw import (
     run_fw,
     sample_feasible,
 )
-from ucfw.experiments import problem_constants, x_init_for
+from ucfw.experiments import catalog_sets, problem_constants, run_check, x_init_for
 
 CFG = SamplerConfig(n_pairs=300, n_directions=25, seed=0)
 
@@ -54,7 +54,7 @@ class TestDefinition1:
 
     def test_inflated_alpha_fails(self):
         ball = LpBall(p=3.0, radius=1.0, dim=5)
-        fake = UCParams(alpha=2.0, q=3.0, norm_tag="lp:3.0")
+        fake = UCParams(alpha=2.0, q=3.0)
         report = check_definition1(ball, fake, CFG)
         assert not report.passed
         assert report.worst_violation > 0.0
@@ -63,7 +63,7 @@ class TestDefinition1:
     def test_tiny_alpha_reduces_to_convexity(self):
         # alpha -> 0 limit: plain convex combinations, always members
         ball = L1Ball(radius=1.0, dim=4)
-        near_zero = UCParams(alpha=1e-300, q=2.0, norm_tag="l1")
+        near_zero = UCParams(alpha=1e-300, q=2.0)
         assert check_definition1(ball, near_zero, CFG).passed
 
     def test_levelset_catalog(self):
@@ -94,7 +94,7 @@ class TestLemma1:
     def test_flat_face_negative_control(self):
         diamond = L1Ball(radius=1.0, dim=2)
         f = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0]))
-        fake = UCParams(alpha=0.1, q=2.0, norm_tag="l1")
+        fake = UCParams(alpha=0.1, q=2.0)
         cfg = SamplerConfig(n_pairs=300, n_directions=25, seed=0, boundary_bias=1.0)
         assert not check_lemma1(diamond, fake, f, cfg).passed
 
@@ -165,6 +165,20 @@ class TestLemma3:
         trace = self._trace(diamond, f)
         report = check_lemma3(trace, c=1.0, alpha=0.25, q=2.0, L=1.0)
         assert not report.passed
+
+
+class TestLemmaChecksOnNonLpSets:
+    """``ucfw verify`` runs the lemma checks on every set with (alpha, q):
+    the catalog's Schatten ball and level set pass them with their catalog
+    constants, as the lp balls do."""
+
+    @pytest.mark.parametrize("check", ["lemma1", "local_scaling", "lemma3"])
+    @pytest.mark.parametrize("name", ["schatten_2.5", "levelset_sqnorm_w4"])
+    def test_catalog_constants_pass(self, name, check):
+        feasible = dict(catalog_sets())[name]
+        report = run_check(check, feasible, feasible.uc_params(), SamplerConfig(seed=0))
+        assert report.passed, report.to_json()
+        assert (report.config["alpha"], report.config["q"]) == (feasible.uc.alpha, feasible.uc.q)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +291,8 @@ class TestBatchedChecksMatchPerSample:
     @pytest.mark.parametrize("name", list(BATCH_SETS))
     def test_lemma1(self, name, objective, alpha_scale):
         feasible = BATCH_SETS[name]
-        uc = feasible.uc or UCParams(alpha=0.1, q=2.0, norm_tag="l1")
-        uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q, norm_tag=uc.norm_tag)
+        uc = feasible.uc or UCParams(alpha=0.1, q=2.0)
+        uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q)
         f = _quad(feasible, objective)
         cfg = SamplerConfig(n_pairs=200, seed=4, boundary_bias=1.0)
         report = check_lemma1(feasible, uc, f, cfg)
@@ -381,7 +395,7 @@ class EtaProbe(FeasibleSet):
         return out
 
 
-PROBE_UC = UCParams(alpha=1e-300, q=2.0, norm_tag="probe")
+PROBE_UC = UCParams(alpha=1e-300, q=2.0)
 PROBE_CFG = SamplerConfig(n_pairs=8, n_directions=4, seed=0, boundary_bias=1.0)
 
 
@@ -390,8 +404,8 @@ class TestStreamedDefinition1:
     @pytest.mark.parametrize("name", list(DEFINITION1_SETS))
     def test_matches_one_stack(self, name, alpha_scale):
         feasible = DEFINITION1_SETS[name]
-        uc = feasible.uc or UCParams(alpha=0.1, q=2.0, norm_tag="l1")
-        uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q, norm_tag=uc.norm_tag)
+        uc = feasible.uc or UCParams(alpha=0.1, q=2.0)
+        uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q)
         for cfg in (SamplerConfig(n_pairs=200, n_directions=20, seed=6),
                     SamplerConfig(n_pairs=37, n_directions=7, seed=7, boundary_bias=1.0)):
             assert_same_report(check_definition1(feasible, uc, cfg), *monolithic_definition1(feasible, uc, cfg))
@@ -444,7 +458,7 @@ class TestStreamedDefinition1:
         feasible = DEFINITION1_SETS[name]
         cfg = SamplerConfig(n_pairs=150, n_directions=10, seed=8, boundary_bias=1.0)
         uc = feasible.uc_params()
-        inflated = UCParams(alpha=uc.alpha * 50.0, q=uc.q, norm_tag=uc.norm_tag)
+        inflated = UCParams(alpha=uc.alpha * 50.0, q=uc.q)
         want = [check_definition1(feasible, u, cfg).to_json() for u in (uc, inflated)]
         monkeypatch.setattr(ucfw.verify, "_POOL_SIZE", pool_size)
         assert [check_definition1(feasible, u, cfg).to_json() for u in (uc, inflated)] == want
