@@ -55,7 +55,9 @@ __all__ = [
 ]
 
 # the curved-vs-flat protocol: a quadratic with condition number 100 over lp
-# balls of radius 5, with ||x0||_2 = 3 radii, which keeps c > 0
+# balls of radius 5, with ||x0||_2 = 3 radii.  The curved x0 lies along the
+# ones vector, so at d = 100 it is outside the ball only for p in {2.5, 3}:
+# for p >= 5, ||x0||_p < 5, so x* = x0 and c = 0
 FIG2_P_GRID = (2.5, 3.0, 5.0, 7.0, 10.0)
 FIG2_COND = 100.0
 FIG2_RADIUS = 5.0

@@ -214,3 +214,5 @@ def objective_from_json(desc: dict) -> QuadraticObjective:
         )
     except KeyError as exc:
         raise ConfigError(f"objective descriptor missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad objective descriptor: {exc}") from exc

@@ -1,17 +1,17 @@
 """Follow-The-Leader for online linear optimization over uniformly convex
 decision sets, with exact regret accounting and regret bound curves.
 
-Each round plays the minimizer of the cumulative past losses.  That
-minimizer, one LMO on the negated cumulative loss vector, is also the
-best fixed action in hindsight for the rounds so far, so one LMO per round
-gives both the next action and the exact regret.  Rounds are computed in
-blocks of rows with batched oracles.
+Each round plays the minimizer of the cumulative past losses, one LMO on
+the negated cumulative loss vector, which is also the best fixed action in
+hindsight for the rounds so far: one LMO per round gives both the next
+action and the exact regret.  Rounds run in blocks with batched oracles, and
+memory is one block of loss vectors plus the trace's scalar columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,10 +36,10 @@ _X1_SEED = 71521  # first-action direction; FTL's x1 is unspecified, any O(1) ch
 class LossStream:
     """Loss-vector generator for online linear optimization.
 
-    ``materialize(T)`` returns the (T, dim) array of loss vectors c_t.
-    ``drifting``: base mean plus seeded Gaussian noise.  ``adversarial``:
-    base mean plus sign-flipped perpendicular kicks, the stream that makes
-    FTL's regret actually track its upper-bound rate.
+    ``blocks(T, rows)`` yields c_1..c_T in arrays of at most ``rows`` rows,
+    ``materialize(T)`` in one.  ``drifting``: base mean plus seeded Gaussian
+    noise.  ``adversarial``: base mean plus sign-flipped perpendicular kicks,
+    the stream that makes FTL's regret actually track its upper-bound rate.
     """
 
     tag: str  # "fixed" | "drifting" | "adversarial"
@@ -49,16 +49,17 @@ class LossStream:
     seed: int = 0
     losses: Optional[np.ndarray] = None
 
-    def materialize(self, T: int) -> np.ndarray:
+    def blocks(self, T: int, rows: int) -> Iterator[np.ndarray]:
+        rng = np.random.default_rng(self.seed)
+        base = np.asarray(self.base, dtype=float)
         if self.tag == "fixed":
             if self.losses is None or len(self.losses) < T:
                 raise InvalidParams(f"fixed stream holds {0 if self.losses is None else len(self.losses)} losses, need {T}")
-            return np.asarray(self.losses, dtype=float)[:T]
-        rng = np.random.default_rng(self.seed)
-        base = np.asarray(self.base, dtype=float)
-        if self.tag == "drifting":
-            return base + self.noise_scale * rng.standard_normal((T, self.dim))
-        if self.tag == "adversarial":
+            block = lambda lo, hi: self.losses[lo:hi]
+        elif self.tag == "drifting":
+            # one generator across blocks draws what one draw of T rows would
+            block = lambda lo, hi: base + self.noise_scale * rng.standard_normal((hi - lo, self.dim))
+        elif self.tag == "adversarial":
             # perpendicular kick direction with strictly alternating signs:
             # the cumulative average oscillates at amplitude ~ 1/t, which is
             # the regime where the regret bound is tight
@@ -69,9 +70,14 @@ class LossStream:
                 u = u - np.dot(u, e) * e
             u /= np.linalg.norm(u)
             start = 1.0 if rng.random() < 0.5 else -1.0
-            signs = start * (-1.0) ** np.arange(T)
-            return base + self.noise_scale * signs[:, None] * u
-        raise InvalidParams(f"unknown stream tag {self.tag!r}")
+            block = lambda lo, hi: base + self.noise_scale * (start * (-1.0) ** np.arange(lo, hi))[:, None] * u
+        else:
+            raise InvalidParams(f"unknown stream tag {self.tag!r}")
+        for lo in range(0, T, rows):
+            yield block(lo, min(lo + rows, T))
+
+    def materialize(self, T: int) -> np.ndarray:
+        return next(self.blocks(T, T))
 
 
 def fixed_stream(losses: np.ndarray) -> LossStream:
@@ -98,6 +104,8 @@ def drifting_mean_stream(base, noise_scale: float, seed: int) -> LossStream:
 
 def adversarial_stream(base, flip_scale: float, seed: int) -> LossStream:
     base = _finite_base(base, flip_scale)
+    if base.size == 1 and base[0] != 0.0:
+        raise ConfigError("an adversarial stream needs a kick direction perpendicular to its base, and a non-zero 1-D base has none")
     return LossStream(tag="adversarial", dim=base.shape[0], base=base, noise_scale=flip_scale, seed=seed)
 
 
@@ -116,6 +124,8 @@ def stream_from_json(desc: dict) -> LossStream:
             )
     except KeyError as exc:
         raise ConfigError(f"stream descriptor missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad stream descriptor: {exc}") from exc
     raise ConfigError(f"unknown stream tag {desc.get('tag')!r}")
 
 
@@ -124,22 +134,20 @@ class OnlineTrace:
     """Per-round FTL record with exact running regret.
 
     ``regret[i]`` compares to the best fixed action in hindsight at round
-    i+1 (it may be non-monotone).  ``L_T`` is the min over rounds of the
-    dual norm of the running gradient average; ``degenerate`` is set when it
-    vanishes and the regret bounds do not apply.
+    i+1 (it may be non-monotone).  ``M_loss`` and ``L_T`` are the max of the
+    dual norms of the losses and the min of those of the running gradient
+    averages; ``degenerate`` is set when L_T vanishes and the regret bounds
+    do not apply.
     """
 
     t: np.ndarray
     loss: np.ndarray
     cum_grad_dual_norm: np.ndarray
     regret: np.ndarray
-    actions: np.ndarray
-    losses_vectors: np.ndarray
     M_loss: float
     L_T: float
     degenerate: bool
     fallback_rounds: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -171,57 +179,56 @@ def run_ftl(
     t+1 play ``x1_policy`` and is listed in ``fallback_rounds``.  A stream
     whose cumulative loss, dual norms or regret overflow raises
     :class:`ConfigError`, and a T too large to allocate
-    :class:`InvalidParams`.
+    :class:`InvalidParams`.  The stream is read one block at a time, so
+    memory is one block of loss vectors plus the trace's scalar columns.
     """
     if T < 1:
         raise InvalidParams("T must be >= 1")
     if stream.dim != feasible.dim:
         raise ConfigError(f"stream dim {stream.dim} does not match set dim {feasible.dim}")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            C = stream.materialize(T)
         losses = np.empty(T)
         avg_dual = np.empty(T)
         hindsight = np.empty(T)
-        loss_dual = np.empty(T)
     except (ValueError, MemoryError) as exc:
         raise InvalidParams(f"T = {T} is too large to allocate: {exc}") from exc
 
     if x1_policy is None:
         rng = np.random.default_rng(_X1_SEED)
         x1_policy = feasible.lmo(rng.standard_normal(feasible.dim))
-    x1_policy = np.asarray(x1_policy, dtype=float)
 
-    actions = np.empty_like(C)
-    actions[0] = x1_policy
-    fallback_rounds: list[int] = []
-
+    # X[i] is round lo + i + 1's action; its spare last row carries to the next block
     rows = _block_rows(stream.dim)
+    X = np.empty((rows + 1, stream.dim))
+    X[0] = x1_policy
     carry = np.zeros(stream.dim)
+    M_loss = -np.inf
+    fallback_rounds: list[int] = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused
-        for lo in range(0, T, rows):
-            hi = min(lo + rows, T)
+        for lo, C in zip(range(0, T, rows), stream.blocks(T, rows)):
+            n = len(C)
+            hi = lo + n
             # S[i] = S_{lo+i+1}, summed in the same order as a running sum
-            S = C[lo:hi].copy()
+            S = C.copy()
             S[0] += carry
             np.cumsum(S, axis=0, out=S)
             carry = S[-1].copy()
             _check_finite("cumulative loss", np.isfinite(S).all(axis=1), lo)
 
             nonzero = S.any(axis=1)
-            V = np.empty_like(S)
+            V = X[1 : n + 1]
             V[nonzero] = feasible.lmo(-S[nonzero])
             V[~nonzero] = x1_policy  # S = 0 there, so the hindsight term is 0
             hindsight[lo:hi] = _row_dots(S, V)
             n_next = min(hi, T - 1) - lo  # rows whose next round exists
-            actions[lo + 1 : lo + 1 + n_next] = V[:n_next]
             fallback_rounds.extend((lo + 2 + np.flatnonzero(~nonzero[:n_next])).tolist())
 
-            losses[lo:hi] = _row_dots(C[lo:hi], actions[lo:hi])
+            losses[lo:hi] = _row_dots(C, X[:n])
+            X[0] = X[n]
             avg_dual[lo:hi] = feasible.batch_dual_norm(S / np.arange(lo + 1, hi + 1)[:, None])
-            loss_dual[lo:hi] = feasible.batch_dual_norm(C[lo:hi])
-            finite = np.isfinite(avg_dual[lo:hi]) & np.isfinite(loss_dual[lo:hi])
-            _check_finite("dual norm of a loss", finite, lo)
+            loss_dual = feasible.batch_dual_norm(C)
+            _check_finite("dual norm of a loss", np.isfinite(avg_dual[lo:hi]) & np.isfinite(loss_dual), lo)
+            M_loss = max(M_loss, float(loss_dual.max()))
         regret = np.cumsum(losses) - hindsight
     _check_finite("regret", np.isfinite(regret), 0)
 
@@ -231,13 +238,10 @@ def run_ftl(
         loss=losses,
         cum_grad_dual_norm=avg_dual,
         regret=regret,
-        actions=actions,
-        losses_vectors=C,
-        M_loss=float(loss_dual.max()),
+        M_loss=M_loss,
         L_T=L_T,
         degenerate=L_T <= 0.0,
         fallback_rounds=fallback_rounds,
-        metadata={"set": feasible.descriptor(), "stream": stream.tag, "T": T},
     )
 
 

@@ -460,10 +460,14 @@ class TestConfigFields:
             # integers that numpy refuses to allocate before it tries
             ({"T": 10**30}, f"T = {10**30} is too large to allocate"),
             ({"T": 2**62}, f"T = {2**62} is too large to allocate"),
+            ({"objective": "quad"}, "bad objective descriptor: string indices must be integers"),
+            ({"objective": dict(TestSolveVerb.CONFIG["objective"], cond="x")},
+             "bad objective descriptor: could not convert string to float: 'x'"),
         ],
         ids=["T-float", "T-bool", "T-string", "T-1e30", "seed-float", "stop_gap-negative",
              "stop_gap-string", "stop_gap-nan", "rule-list", "dim-mismatch", "dims-float",
-             "objective-dim-float", "objective-dim-bool", "T-int-10**30", "T-int-2**62"],
+             "objective-dim-float", "objective-dim-bool", "T-int-10**30", "T-int-2**62",
+             "objective-string", "cond-string"],
     )
     def test_solve_rejects(self, tmp_path, capsys, patch, message):
         out = tmp_path / "run"
@@ -481,8 +485,18 @@ class TestConfigFields:
             ({"stream": dict(TestOnlineVerb.CONFIG["stream"], seed=2.9)}, "stream seed must be an integer >= 0"),
             ({"T": 10**30}, f"T = {10**30} is too large to allocate"),
             ({"T": 2**62}, f"T = {2**62} is too large to allocate"),
+            ({"stream": "adv"}, "bad stream descriptor: string indices must be integers"),
+            ({"stream": dict(TestOnlineVerb.CONFIG["stream"], flip_scale="x")},
+             "bad stream descriptor: could not convert string to float: 'x'"),
+            ({"stream": {"tag": "drifting", "base": [1.0, 0.0, 0.0, 0.0], "noise_scale": "x", "seed": 0}},
+             "bad stream descriptor: could not convert string to float: 'x'"),
+            # no direction is perpendicular to a non-zero 1-D base
+            ({"set": {"family": "lp", "p": 3.0, "radius": 1.0, "dim": 1},
+              "stream": dict(TestOnlineVerb.CONFIG["stream"], base=[1.0])},
+             "an adversarial stream needs a kick direction perpendicular to its base"),
         ],
-        ids=["T-string", "T-float", "seed-float", "T-int-10**30", "T-int-2**62"],
+        ids=["T-string", "T-float", "seed-float", "T-int-10**30", "T-int-2**62", "stream-string",
+             "flip_scale-string", "noise_scale-string", "adversarial-1d"],
     )
     def test_online_rejects(self, tmp_path, capsys, patch, message):
         out = tmp_path / "online"

@@ -44,6 +44,34 @@ class OraclesOnly(FeasibleSet):
         return {"family": "oracles-only"}
 
 
+class RecordingLmo(OraclesOnly):
+    """A copy of a set's oracles that keeps every LMO output row, in call
+    order."""
+
+    def __init__(self, ball):
+        super().__init__(ball)
+        self.outputs = []
+
+    def lmo(self, phi):
+        v = self.ball.lmo(phi)
+        self.outputs.extend(np.atleast_2d(v))
+        return v
+
+
+def run_ftl_recording(feasible, stream, T, x1=None):
+    """run_ftl on a recording copy of ``feasible``.  Returns the trace and
+    the actions x_1..x_T it played.  run_ftl's LMO outputs are, in order,
+    x1 when it is not given, then lmo(-S_t) for every t with S_t != 0: that
+    is round t+1's action, and round t+1 plays x1 when S_t = 0 instead."""
+    probe = RecordingLmo(feasible)
+    trace = run_ftl(probe, stream, T, x1_policy=x1)
+    outputs = iter(probe.outputs)
+    x1 = next(outputs) if x1 is None else x1
+    fallback = set(trace.fallback_rounds)
+    actions = [x1] + [x1 if t in fallback else next(outputs) for t in range(2, T + 1)]
+    return trace, np.array(actions)
+
+
 def per_round_ftl(feasible, C, x1):
     """Reference FTL, one round at a time: two LMO calls per round."""
     T = len(C)
@@ -75,10 +103,10 @@ def per_round_ftl(feasible, C, x1):
 
 def assert_matches_per_round(feasible, C):
     x1 = feasible.lmo(np.linspace(1.0, -0.5, feasible.dim))
-    trace = run_ftl(feasible, fixed_stream(C), len(C), x1_policy=x1)
+    trace, played = run_ftl_recording(feasible, fixed_stream(C), len(C), x1)
     actions, loss, avg_dual, regret, M_loss, fallback_rounds = per_round_ftl(feasible, C, x1)
     for got, ref in [
-        (trace.actions, actions), (trace.loss, loss), (trace.cum_grad_dual_norm, avg_dual),
+        (played, actions), (trace.loss, loss), (trace.cum_grad_dual_norm, avg_dual),
         (trace.regret, regret), (trace.M_loss, M_loss), (trace.L_T, avg_dual.min()),
     ]:
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
@@ -107,16 +135,16 @@ class TestFtlStep:
         ball = LpBall(p=2.0, radius=1.0, dim=3)
         c = np.array([1.0, 2.0, -1.0])
         best = ball.lmo(-c)
-        trace = run_ftl(ball, fixed_stream(np.tile(c, (50, 1))), 50)
+        trace, actions = run_ftl_recording(ball, fixed_stream(np.tile(c, (50, 1))), 50)
         for t in (2, 5, 50):
             assert t not in trace.fallback_rounds
-            np.testing.assert_allclose(trace.actions[t - 1], best, atol=1e-12)
+            np.testing.assert_allclose(actions[t - 1], best, atol=1e-12)
 
     def test_two_round_euclidean(self):
         ball = LpBall(p=2.0, radius=1.0, dim=2)
         losses = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        trace = run_ftl(ball, fixed_stream(losses), 3)
-        np.testing.assert_allclose(trace.actions[2], [-1 / np.sqrt(2)] * 2, rtol=1e-12)
+        _, actions = run_ftl_recording(ball, fixed_stream(losses), 3)
+        np.testing.assert_allclose(actions[2], [-1 / np.sqrt(2)] * 2, rtol=1e-12)
 
     def test_zero_cumulative_falls_back(self):
         ball = LpBall(p=2.0, radius=1.0, dim=2)
@@ -124,7 +152,7 @@ class TestFtlStep:
         losses = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [2.0, 3.0]])
         trace = run_ftl(ball, fixed_stream(losses), 4, x1_policy=x1)
         assert trace.fallback_rounds == [4]
-        np.testing.assert_allclose(trace.actions[3], x1)
+        assert trace.loss[3] == np.dot(losses[3], x1)  # round 4 played x1
 
     def test_rounds_start_at_one(self):
         with pytest.raises(InvalidParams):
@@ -207,7 +235,6 @@ class TestToCsv:
         cols[:, :6] = [[0.0, -0.0, np.inf, -np.inf, np.nan, 1e22]] * 4
         trace = OnlineTrace(
             t=np.arange(1, T + 1), loss=cols[0], cum_grad_dual_norm=cols[1], regret=cols[2],
-            actions=np.zeros((T, 1)), losses_vectors=np.zeros((T, 1)),
             M_loss=1.0, L_T=1.0, degenerate=False,
         )
         bound = cols[3] if with_bound else None
@@ -239,7 +266,7 @@ class TestRunFtl:
         ball = LpBall(p=3.0, radius=1.0, dim=4)
         stream = drifting_mean_stream(np.array([1.0, 0.5, -0.2, 0.1]), 0.3, seed=5)
         T = 20
-        trace = run_ftl(ball, stream, T)
+        trace, actions = run_ftl_recording(ball, stream, T)
         C = stream.materialize(T)
         total = C.sum(axis=0)
         rng = np.random.default_rng(17)
@@ -248,7 +275,7 @@ class TestRunFtl:
         hindsight_sampled = (samples @ total).min()
         hindsight_exact = float(np.dot(total, ball.lmo(-total)))
         assert hindsight_exact <= hindsight_sampled + 1e-6
-        cum_loss = float(sum(np.dot(C[i], trace.actions[i]) for i in range(T)))
+        cum_loss = float(sum(np.dot(C[i], actions[i]) for i in range(T)))
         assert trace.regret[-1] == pytest.approx(cum_loss - hindsight_exact, abs=1e-9)
 
     def test_degenerate_stream_flagged(self):
@@ -340,3 +367,34 @@ class TestStreamJson:
         s = stream_from_json({"tag": "fixed", "losses": [[1.0, 0.0]]})
         with pytest.raises(InvalidParams):
             s.materialize(5)
+
+
+def _stream(tag, dim, T):
+    base = np.linspace(0.0, 1.0, dim)  # zero in 1-D, where a kick needs a zero base
+    if tag == "fixed":
+        return fixed_stream(np.random.default_rng(dim).standard_normal((T, dim)))
+    if tag == "drifting":
+        return drifting_mean_stream(base, 0.7, seed=dim)
+    return adversarial_stream(base, 0.5, seed=dim)
+
+
+class TestStreamBlocks:
+    """A stream's blocks are its materialized losses, cut into rows."""
+
+    @pytest.mark.parametrize("dim", [1, 8, 50])
+    @pytest.mark.parametrize("rows", [1, 7, "block"])
+    @pytest.mark.parametrize("tag", ["fixed", "drifting", "adversarial"])
+    def test_blocks_concatenate_to_materialize(self, tag, rows, dim):
+        T = 10007
+        rows = _block_rows(dim) if rows == "block" else rows
+        stream = _stream(tag, dim, T)
+        blocks = list(stream.blocks(T, rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == stream.materialize(T).tobytes()
+        assert stream.materialize(T).shape == (T, dim)
+
+    def test_adversarial_1d_needs_zero_base(self):
+        with pytest.raises(ConfigError, match="perpendicular"):
+            adversarial_stream(np.array([2.0]), 0.5, seed=0)
+        C = adversarial_stream(np.array([0.0]), 0.5, seed=0).materialize(4)
+        assert np.abs(C[:, 0]).tolist() == [0.5] * 4
