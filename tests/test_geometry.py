@@ -25,6 +25,7 @@ from ucfw import (
 )
 from ucfw.errors import ConfigError
 from ucfw.experiments import catalog_sets
+from ucfw.geometry import _batch_lp_norm, _row_max
 
 JSON_FAMILIES = (
     {"family": "lp", "p": 2.5, "radius": 3.0, "dim": 4},
@@ -230,7 +231,7 @@ class TestLmoSchatten:
         ball = SchattenBall(p=2.5, rows=2, cols=3, radius=2.0)
         G = np.array([[3.0, -1.0, 0.5], [0.0, 2.0, 1.0]])
         sv = np.linalg.svd(G, compute_uv=False)
-        assert ball.norm(G.ravel()) == lp_norm(sv, 2.5)
+        assert ball.norm(G.ravel()) == pytest.approx(lp_norm(sv, 2.5), rel=1e-14)
         assert ball.dual_norm(G.ravel()) == lp_norm(sv, dual_exponent(2.5))
         v = ball.lmo(G.ravel())
         assert v.shape == (6,)
@@ -255,6 +256,99 @@ class TestLmoSchatten:
             ball.lmo(Phi)
         with pytest.raises(ZeroDirection):
             lmo_schatten(2.5, 1.0, Phi.reshape(4, 2, 3))
+
+
+class TestSchattenGramNorm:
+    """For p >= 2 a Schatten norm comes from the eigenvalues of the smaller
+    Gram matrix; a matrix whose Gram matrix is not finite or whose largest
+    eigenvalue is below the smallest normal double takes the SVD."""
+
+    @staticmethod
+    def svd_norms(ball, X):
+        sv = np.linalg.svd(X.reshape(-1, ball.rows, ball.cols), compute_uv=False)
+        return _batch_lp_norm(sv, ball.p)
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 4.0, 10.0])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (5, 5)])
+    def test_matches_svd_and_row_by_row(self, shape, p):
+        ball = SchattenBall(p=p, rows=shape[0], cols=shape[1], radius=1.0)
+        rng = np.random.default_rng(17)
+        log_scale = np.concatenate([[-300.0, 300.0], rng.uniform(-300.0, 300.0, 298)])
+        X = rng.standard_normal((300, ball.dim)) * np.exp(log_scale)[:, None]
+        got = ball.batch_norm(X)
+        np.testing.assert_allclose(got, self.svd_norms(ball, X), rtol=1e-14, atol=0.0)
+        assert same_bits(got, [ball.norm(x) for x in X])
+        assert same_bits(ball.batch_norm(X.reshape(20, 15, ball.dim)), got.reshape(20, 15))
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 10.0])
+    def test_edge_rows_keep_the_svd_norm(self, p):
+        ball = SchattenBall(p=p, rows=2, cols=3, radius=1.0)
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((8, 6))
+        edge = [1, 3, 4, 6, 7]
+        X[1] = 0.0
+        X[3] *= 1e-300
+        X[4] *= 1e200
+        X[6] = np.array([1.0, -2.0, 0.0, 3.0, 1.0, -1.0]) * 5e-324
+        X[7] = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]) * 5e-324
+        got = ball.batch_norm(X)
+        want = self.svd_norms(ball, X)
+        assert got[1] == 0.0
+        assert same_bits(got[edge], want[edge])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert same_bits(got, [ball.norm(x) for x in X])
+
+    def test_nan_matrix_raises(self):
+        ball = SchattenBall(p=2.5, rows=3, cols=3, radius=1.0)
+        X = np.ones((4, 9))
+        X[2, 5] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            ball.batch_norm(X)
+        with pytest.raises(np.linalg.LinAlgError):
+            ball.norm(X[2])
+
+
+class TestRowMax:
+    @given(
+        rows=st.sampled_from([(1,), (7,), (255,), (256,), (300,), (16, 16), (3, 5, 20)]),
+        n=st.integers(1, 20),
+        nan_share=st.sampled_from([0.0, 0.01, 0.3]),
+        inf_share=st.sampled_from([0.0, 0.05]),
+        zero_share=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_max_bit_for_bit(self, rows, n, nan_share, inf_share, zero_share, seed):
+        # non-negative entries, as the norms pass |x|
+        rng = np.random.default_rng(seed)
+        a = np.abs(rng.standard_normal((*rows, n))) * 10.0 ** rng.integers(-300, 300, (*rows, n))
+        draw = rng.random(a.shape)
+        a[draw < zero_share] = 0.0
+        a[draw > 1.0 - inf_share] = np.inf
+        a[rng.random(a.shape) < nan_share] = np.nan
+        got, want = _row_max(a), a.max(axis=-1)
+        np.testing.assert_array_equal(got, want)  # NaN where max gives NaN
+        finite = ~np.isnan(want)
+        assert got.shape == want.shape and same_bits(got[finite], want[finite])
+
+
+class TestNonFiniteNorms:
+    """A row holding inf has norm inf and a row holding NaN has norm NaN, at
+    every p."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_inf_and_nan_rows(self, p):
+        ball = L1Ball(radius=1.0, dim=3) if p == 1.0 else LpBall(p=p, radius=1.0, dim=3)
+        X = np.array([[np.inf, 1.0, 2.0], [0.0, -np.inf, 0.0], [np.nan, 1.0, 2.0], [np.inf, np.nan, 0.0], [3.0, 0.0, 4.0]])
+        with np.errstate(invalid="ignore"):
+            for rows in (X, np.tile(X, (100, 1))):  # short and long stacks
+                got = ball.batch_norm(rows)[:5]
+                assert got[:2].tolist() == [np.inf, np.inf]
+                assert np.isnan(got[2:4]).all()
+                assert got[4] == pytest.approx(lp_norm(X[4], p), rel=1e-15)
+            assert [lp_norm(x, p) for x in X[:2]] == [np.inf, np.inf]
+            assert np.isnan([lp_norm(x, p) for x in X[2:4]]).all()
+            assert ball.membership_excess(X[0]) == np.inf
 
 
 class TestMembership:
