@@ -123,10 +123,11 @@ def check_definition1(
             return np.broadcast_to(once, (len(combo), len(Z)))
         return feasible.batch_membership_excess(combo[:, None, :] + radial[:, None, None] * Z[None, :, :])
 
-    # numpy's loops and its stacked eigvalsh and svd release the GIL, so the
-    # weights run in parallel; each element is computed exactly as in one big
-    # stack, and the reduction below runs in weight order, so the pool size
-    # cannot change a report
+    # numpy's loops release the GIL, so the weights run in parallel: a 3x3
+    # Schatten norm is elementwise loops over blocks of 4096 matrices, plus
+    # stacked eigvalsh and svd calls for the few matrices that fall back.
+    # Each element is computed exactly as in one big stack, and the reduction
+    # below runs in weight order, so the pool size cannot change a report
     with ThreadPoolExecutor(max_workers=min(_POOL_SIZE, len(etas))) as pool:
         excess = list(pool.map(excess_at, etas))  # 11 x (n, m)
     maxima = np.array([e.max() for e in excess])  # NaN-propagating, like one max

@@ -25,7 +25,7 @@ from ucfw import (
 )
 from ucfw.errors import ConfigError
 from ucfw.experiments import catalog_sets
-from ucfw.geometry import _batch_lp_norm, _row_max
+from ucfw.geometry import _GRAM_BLOCK, _batch_lp_norm, _row_max
 
 JSON_FAMILIES = (
     {"family": "lp", "p": 2.5, "radius": 3.0, "dim": 4},
@@ -260,8 +260,9 @@ class TestLmoSchatten:
 
 class TestSchattenGramNorm:
     """For p >= 2 a Schatten norm comes from the eigenvalues of the smaller
-    Gram matrix; a matrix whose Gram matrix is not finite or whose largest
-    eigenvalue is below the smallest normal double takes the SVD."""
+    Gram matrix, in closed form when that is 3x3; a matrix whose Gram matrix
+    is not finite or whose largest eigenvalue is below the smallest normal
+    double takes the SVD."""
 
     @staticmethod
     def svd_norms(ball, X):
@@ -269,7 +270,7 @@ class TestSchattenGramNorm:
         return _batch_lp_norm(sv, ball.p)
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 4.0, 10.0])
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (5, 5)])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (5, 5), (3, 5), (5, 3)])
     def test_matches_svd_and_row_by_row(self, shape, p):
         ball = SchattenBall(p=p, rows=shape[0], cols=shape[1], radius=1.0)
         rng = np.random.default_rng(17)
@@ -279,6 +280,52 @@ class TestSchattenGramNorm:
         np.testing.assert_allclose(got, self.svd_norms(ball, X), rtol=1e-14, atol=0.0)
         assert same_bits(got, [ball.norm(x) for x in X])
         assert same_bits(ball.batch_norm(X.reshape(20, 15, ball.dim)), got.reshape(20, 15))
+
+    @staticmethod
+    def adversarial_3x3(rng):
+        """U diag(s) V^T for singular values s that put two or three
+        eigenvalues of the Gram matrix together, at row scales whose squares
+        would under- or overflow the closed form's cube without its trace
+        scaling."""
+        gaps = np.logspace(-12.0, -0.5, 60)  # relative gaps of a close pair
+        s = [[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0], [1.0, 0.5, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+        s += [[1.0, 1.0 - g, 0.3] for g in gaps]  # close pair at the top
+        s += [[1.0, 0.3, 0.3 * (1.0 - g)] for g in gaps]  # close pair at the bottom
+        s = np.repeat(np.array(s), 4, axis=0)
+        U = np.linalg.qr(rng.standard_normal((len(s), 3, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((len(s), 3, 3)))[0]
+        M = (U * s[:, None, :]) @ V.transpose(0, 2, 1)
+        scale = 10.0 ** np.array([-150.0, -60.0, 0.0, 60.0, 150.0])
+        return (M.reshape(1, -1, 9) * scale[:, None, None]).reshape(-1, 9)
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 4.0, 10.0])
+    def test_closed_form_near_double_eigenvalues(self, p, monkeypatch):
+        ball = SchattenBall(p=p, rows=3, cols=3, radius=1.0)
+        X = self.adversarial_3x3(np.random.default_rng(23))
+        fallback = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(G):
+            fallback.append(len(G))
+            return eigvalsh(G)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        got = ball.batch_norm(X)
+        np.testing.assert_allclose(got, self.svd_norms(ball, X), rtol=1e-14, atol=0.0)
+        # the pairs' gaps fall on both sides of the threshold (~8e-3 at the
+        # top, ~9e-2 at the bottom)
+        assert 0 < sum(fallback) < len(X)
+        assert same_bits(got[::7], [ball.norm(x) for x in X[::7]])
+
+    @pytest.mark.parametrize("n", [_GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1])
+    def test_stacked_equals_row_by_row_across_a_block(self, n):
+        ball = SchattenBall(p=2.5, rows=3, cols=3, radius=1.0)
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 9))
+        X[n - 5 :] = self.adversarial_3x3(rng)[:5]  # (near) rank 1, ending the last block
+        got = ball.batch_norm(X)
+        assert same_bits(got, [ball.norm(x) for x in X])
+        assert same_bits(ball.batch_norm(X[::-1]), got[::-1])
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 10.0])
     def test_edge_rows_keep_the_svd_norm(self, p):
@@ -334,7 +381,8 @@ class TestRowMax:
 
 class TestNonFiniteNorms:
     """A row holding inf has norm inf and a row holding NaN has norm NaN, at
-    every p."""
+    every p.  A Schatten matrix holding inf has norm and dual norm inf; one
+    holding NaN makes the SVD raise."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
     def test_inf_and_nan_rows(self, p):
@@ -349,6 +397,26 @@ class TestNonFiniteNorms:
             assert [lp_norm(x, p) for x in X[:2]] == [np.inf, np.inf]
             assert np.isnan([lp_norm(x, p) for x in X[2:4]]).all()
             assert ball.membership_excess(X[0]) == np.inf
+
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+    def test_schatten_inf_and_nan_matrices(self, p, shape):
+        ball = SchattenBall(p=p, rows=shape[0], cols=shape[1], radius=1.0)
+        X = np.arange(4 * ball.dim, dtype=float).reshape(4, ball.dim)
+        X[0, 0], X[1, 3], X[2, :2] = np.inf, -np.inf, (np.inf, -np.inf)
+        for rows in (X, np.tile(X, (2000, 1))):  # one block and several
+            got = ball.batch_norm(rows)
+            assert (got.reshape(-1, 4)[:, :3] == np.inf).all()
+            assert got[3] == pytest.approx(TestSchattenGramNorm.svd_norms(ball, X[3])[0], rel=1e-14)
+            assert (ball.batch_dual_norm(rows).reshape(-1, 4)[:, :3] == np.inf).all()
+        for x in X[:3]:
+            assert ball.norm(x) == ball.dual_norm(x) == ball.membership_excess(x) == np.inf
+        X[1, 0] = np.nan  # a NaN matrix raises, inf entries or not
+        for f in (ball.batch_norm, ball.batch_dual_norm, ball.batch_membership_excess):
+            with pytest.raises(np.linalg.LinAlgError):
+                f(X)
+            with pytest.raises(np.linalg.LinAlgError):
+                f(X[1])
 
 
 class TestMembership:
