@@ -286,11 +286,19 @@ def lmo_schatten(p: float, r: float, G: np.ndarray) -> np.ndarray:
     Reduces to the vector oracle on the singular values: with
     ``G = U diag(sigma) V^T``, the maximizer is ``U diag(s) V^T`` where
     ``s = lmo_lp(p, r, sigma)``.  A zero matrix anywhere raises
-    :class:`~ucfw.errors.ZeroDirection`.
+    :class:`~ucfw.errors.ZeroDirection`.  A matrix holding inf or NaN gets
+    a NaN vertex, as ``lmo_lp`` gives an inf entry, without the SVD: LAPACK's
+    SVD of a 3x3 matrix holding inf may never return.
     """
     G = np.asarray(G, dtype=float)
     if not np.all(np.any(G, axis=(-2, -1))):
         raise ZeroDirection("lmo_schatten called with G = 0")
+    finite = np.isfinite(G).all(axis=(-2, -1))
+    if not finite.all():
+        V = np.full(G.shape, np.nan)
+        if finite.any():
+            V[finite] = lmo_schatten(p, r, G[finite])
+        return V
     U, sigma, Vt = np.linalg.svd(G, full_matrices=False)
     s = lmo_lp(p, r, sigma)
     return (U * s[..., None, :]) @ Vt

@@ -1,10 +1,17 @@
 """Oracle-backed tests for feasible sets, LMOs, and the curvature catalog."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ucfw
 from ucfw import (
     InvalidParams,
     L1Ball,
@@ -256,6 +263,39 @@ class TestLmoSchatten:
             ball.lmo(Phi)
         with pytest.raises(ZeroDirection):
             lmo_schatten(2.5, 1.0, Phi.reshape(4, 2, 3))
+
+    def test_non_finite_matrix_gets_nan_vertex(self):
+        """As lmo_lp gives an inf entry, a matrix holding inf or NaN gets a
+        NaN vertex.  LAPACK's SVD of a 3x3 matrix holding inf may never
+        return, so this runs in a child process with a timeout."""
+        code = textwrap.dedent("""
+            import numpy as np
+            from ucfw import SchattenBall, ZeroDirection
+            from ucfw.geometry import lmo_lp
+            assert np.isnan(lmo_lp(2.5, 1.0, np.array([np.inf, 1.0, 2.0]))).all()
+            for p in (1.5, 2.5):
+                for shape in ((3, 3), (2, 4)):
+                    ball = SchattenBall(p, *shape, 1.0)
+                    X = np.arange(1.0, 4 * ball.dim + 1).reshape(4, ball.dim)
+                    X[0, 0], X[1, 3], X[2, :2] = np.inf, -np.inf, (np.nan, np.inf)
+                    V = ball.lmo(X)
+                    assert np.isnan(V[:3]).all() and np.isfinite(V[3]).all()
+                    assert np.array_equal(V[3], ball.lmo(X[3]))
+                    assert all(np.isnan(ball.lmo(x)).all() for x in X[:3])
+                    X[3] = 0.0
+                    try:
+                        ball.lmo(X)
+                    except ZeroDirection:
+                        pass
+                    else:
+                        raise AssertionError("a zero matrix beside non-finite ones must raise")
+            print("ok")
+        """)
+        src = str(Path(ucfw.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
 
 class TestSchattenGramNorm:

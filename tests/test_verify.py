@@ -1,12 +1,13 @@
 """The sampling verifier: positive checks on the catalog, negative controls."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-import ucfw.verify
 from ucfw import (
+    CheckReport,
     L1Ball,
     LevelSet,
     LpBall,
@@ -354,6 +355,14 @@ def monolithic_definition1(feasible, uc, cfg):
     return worst <= cfg.tol, max(worst, 0.0), witness
 
 
+def one_stack_json(feasible, uc, cfg):
+    """The report ``check_definition1`` must give, from one stack of every
+    perturbed point."""
+    passed, worst, witness = monolithic_definition1(feasible, uc, cfg)
+    config = {"alpha": uc.alpha, "q": uc.q, **asdict(cfg)}
+    return CheckReport("definition1", passed, worst, witness, config).to_json()
+
+
 def assert_same_report(report, passed, worst, witness):
     """Bit for bit, with NaN equal to NaN."""
     assert report.passed == passed
@@ -365,10 +374,13 @@ DEFINITION1_SETS = {**BATCH_SETS, "levelset": LevelSet(w=4.0, dim=4)}
 
 
 class EtaProbe(FeasibleSet):
-    """An l2 ball in the plane whose sampler puts every x at e1 and every y
-    at 0, so a perturbed point's first coordinate is its weight eta (for a
-    tiny alpha).  Its excess is ``value`` at each (eta, pair, direction) of
-    ``spots`` and 0 elsewhere."""
+    """An l2 ball in the plane whose sampler puts the i-th x at (1, i) and
+    the i-th y at (0, i), so a perturbed point's coordinates are its weight
+    eta and its pair index (for a tiny alpha).  Its excess is ``value`` at
+    each (eta, pair, direction) of ``spots`` and 0 elsewhere.  A stack with
+    no direction axis holds one point per pair, as the check's bound does:
+    its excess is the largest of 0 and the pair's values at that eta, which
+    bounds the excess of every direction."""
 
     dim = 2
     radius = 1.0
@@ -384,14 +396,20 @@ class EtaProbe(FeasibleSet):
         self._samples += 1  # odd calls sample the x's, even calls the y's
         out = np.zeros_like(direction)
         out[:, 0] = self._samples % 2
+        out[:, 1] = np.arange(len(out))
         return out
 
     def batch_membership_excess(self, points):
-        eta = points[..., 0]
-        pair, direction = np.indices(eta.shape[-2:])
+        points = np.asarray(points)
+        eta, pair = points[..., 0], np.rint(points[..., 1])
+        direction = np.indices(eta.shape)[-1] if eta.ndim >= 2 else None
         out = np.zeros(eta.shape)
         for e, i, j, value in self.spots:
-            out[np.isclose(eta, e, rtol=0.0, atol=1e-12) & (pair == i) & (direction == j)] = value
+            at = np.isclose(eta, e, rtol=0.0, atol=1e-12) & (pair == i)
+            if direction is None:
+                out[at] = np.maximum(out[at], value)  # NaN propagates
+            else:
+                out[at & (direction == j)] = value
         return out
 
 
@@ -411,18 +429,37 @@ class TestStreamedDefinition1:
             assert_same_report(check_definition1(feasible, uc, cfg), *monolithic_definition1(feasible, uc, cfg))
 
     def test_weights_0_and_1_evaluate_each_pair_once(self):
+        """A catalog check evaluates the origin (the set's scale), each pair
+        once at eta = 0 and 1, one bound point per pair at each interior
+        eta, and no row of perturbed points: every bound is below 0."""
         evaluated = []
 
         class CountingBall(LpBall):
             def batch_membership_excess(self, X):
-                evaluated.append(math.prod(np.shape(X)[:-1]))  # list.append is atomic
+                evaluated.append(np.shape(X)[:-1])
                 return super().batch_membership_excess(X)
 
         ball, cfg = LpBall(p=3.0, radius=1.0, dim=5), SamplerConfig(n_pairs=30, n_directions=7, seed=2)
         want = monolithic_definition1(ball, ball.uc_params(), cfg)
         report = check_definition1(CountingBall(p=3.0, radius=1.0, dim=5), ball.uc_params(), cfg)
-        assert sum(evaluated) == 9 * 30 * 7 + 2 * 30
+        assert sorted(evaluated) == sorted([()] + [(30, 1)] * 2 + [(30,)] * 9)
         assert_same_report(report, *want)
+
+    def test_inflated_alpha_builds_few_rows(self):
+        """The negative control of ``run_verify_all`` builds the perturbed
+        points of a handful of its 9 x 1000 (eta, pair) rows."""
+        rows = []
+
+        class CountingBall(LpBall):
+            def batch_membership_excess(self, X):
+                if np.ndim(X) == 3 and np.shape(X)[1] > 1:
+                    rows.append(len(X))
+                return super().batch_membership_excess(X)
+
+        cfg = SamplerConfig(seed=0, boundary_bias=1.0)
+        report = check_definition1(CountingBall(p=3.0, radius=1.0, dim=8), UCParams(alpha=2.0, q=3.0), cfg)
+        assert not report.passed
+        assert 1 <= sum(rows) <= 20
 
     def test_witness_at_weight_1_names_the_first_direction(self):
         spots = [(1.0, 4, 0, 2.0)]
@@ -452,13 +489,36 @@ class TestStreamedDefinition1:
         assert math.isnan(report.worst_violation) and report.witness is None
         assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
 
-    @pytest.mark.parametrize("pool_size", [1, 3, 16])
+    @pytest.mark.parametrize("alpha_scale", [1.0, 50.0, 1e3])
     @pytest.mark.parametrize("name", ["lp3r5", "schatten2x3", "levelset"])
-    def test_report_does_not_depend_on_pool_size(self, monkeypatch, name, pool_size):
+    def test_boundary_pairs_match_one_stack(self, name, alpha_scale):
         feasible = DEFINITION1_SETS[name]
         cfg = SamplerConfig(n_pairs=150, n_directions=10, seed=8, boundary_bias=1.0)
         uc = feasible.uc_params()
-        inflated = UCParams(alpha=uc.alpha * 50.0, q=uc.q)
-        want = [check_definition1(feasible, u, cfg).to_json() for u in (uc, inflated)]
-        monkeypatch.setattr(ucfw.verify, "_POOL_SIZE", pool_size)
-        assert [check_definition1(feasible, u, cfg).to_json() for u in (uc, inflated)] == want
+        uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q)
+        assert check_definition1(feasible, uc, cfg).to_json() == one_stack_json(feasible, uc, cfg)
+
+
+PRUNED_SETS = {
+    **DEFINITION1_SETS,
+    "lp3_line": LpBall(p=3.0, radius=1.0, dim=1),  # z = +-1: each bound is attained
+    "lp3_tiny": LpBall(p=3.0, radius=1e-150, dim=4),
+    "lp3_huge": LpBall(p=3.0, radius=1e150, dim=4),
+    "levelset_huge": LevelSet(w=1e30, dim=3),
+}
+
+
+class TestPrunedDefinition1:
+    """Skipping the rows whose bound is below the floor gives the report of
+    one stack of every perturbed point, byte for byte."""
+
+    @pytest.mark.parametrize("alpha_scale", [1.0, 50.0, 1e3])
+    @pytest.mark.parametrize("name", list(PRUNED_SETS))
+    def test_report_equals_one_stack(self, name, alpha_scale):
+        feasible = PRUNED_SETS[name]
+        uc = feasible.uc or UCParams(alpha=0.1, q=2.0)
+        uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q)
+        for bias in (0.0, 0.5, 1.0):
+            for seed in (11, 12):
+                cfg = SamplerConfig(n_pairs=60, n_directions=9, seed=seed, boundary_bias=bias)
+                assert check_definition1(feasible, uc, cfg).to_json() == one_stack_json(feasible, uc, cfg)
