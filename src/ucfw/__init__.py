@@ -9,7 +9,6 @@ inequalities.
 from .bounds import (
     RateBound,
     RecursionConstants,
-    check_trace,
     iterate_recursion,
     lemma3_distance_constant,
     theorem1_bound,
@@ -74,6 +73,7 @@ from .verify import (
     check_lemma1,
     check_lemma3,
     check_local_scaling,
+    check_trace,
     estimate_local_alpha,
     sample_feasible,
 )

@@ -1,5 +1,5 @@
-"""Rate constants for every convergence regime, evaluable bound curves,
-and trace checking.
+"""Rate constants for every convergence regime and evaluable bound curves
+(:func:`ucfw.verify.check_trace` checks a run against one).
 
 All sublinear regimes reduce to the recursion
 ``h_{t+1} <= h_t * max(1/2, 1 - C h_t^eta)`` whose closed-form envelope is
@@ -30,8 +30,6 @@ __all__ = [
     "theorem2_bound",
     "theorem3_bound",
     "lemma3_distance_constant",
-    "check_trace",
-    "TraceReport",
     "iterate_recursion",
 ]
 
@@ -115,10 +113,6 @@ class RateBound:
             raise InvalidParams("exactly one of linear_factor / recursion must be set")
         if self.linear_factor is not None and not 0.0 < self.linear_factor < 1.0:
             raise InvalidParams(f"linear factor must be in (0, 1), got {self.linear_factor}")
-
-    @property
-    def is_linear(self) -> bool:
-        return self.linear_factor is not None
 
     @property
     def exponent(self) -> float:
@@ -213,37 +207,3 @@ def theorem3_bound(
     eta = 1.0 - 2.0 * theta / q
     C = (alpha / mu_heb) ** (2.0 / q) / L
     return RateBound(theorem_tag="T3", recursion=RecursionConstants(eta, C, h0), h0=h0)
-
-
-@dataclass
-class TraceReport:
-    """Outcome of checking measured primal gaps against a bound curve."""
-
-    violations: list
-    max_ratio: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_trace(trace, bound: RateBound, burn_in: int = 0, slack: float = 1e-12) -> TraceReport:
-    """Assert h_t <= bound.evaluate(t - burn_in) for t >= burn_in.
-
-    Report-only: returns the max ratio h_t / bound(t) and any violating
-    iterations.
-    """
-    if not trace.has_primal_gaps:
-        raise InvalidParams("trace has no primal gaps; supply a reference optimum")
-    mask = trace.t >= burn_in
-    ts = trace.t[mask]
-    hs = trace.primal_gap[mask]
-    curve = np.asarray(bound.evaluate(ts - burn_in), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(curve > 0.0, hs / curve, np.where(hs > 0.0, np.inf, 0.0))
-    bad = hs > curve + slack
-    violations = [
-        (int(t), float(h), float(b)) for t, h, b in zip(ts[bad], hs[bad], curve[bad])
-    ]
-    max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
-    return TraceReport(violations=violations, max_ratio=max_ratio)

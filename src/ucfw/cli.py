@@ -2,9 +2,11 @@
 
 Verbs: ``solve --config``, ``suite <tag>``, ``verify --set --check``,
 ``online --config``.  The environment variable ``UCFW_SEED`` overrides every
-config seed.  Each verb prints its run's record or summary.  Exit codes: 1
-when its ``pass`` is false (a check ran and found a violation), 0 otherwise,
-and 2 for a config or runtime error, reported as one ``error:`` line.
+config seed.  Each verb prints its run's record or summary as strict JSON.
+Exit codes: 1 when its ``pass`` is false (a check ran and found a
+violation), 0 otherwise, and 2 for a config or runtime error, reported as
+one ``error:`` line.  A check whose worst violation is not finite (NaN or
+infinite) found no verdict: that is a runtime error, so it exits 2.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _load_json(arg: str) -> dict:
 
 def _report(summary: dict) -> int:
     """Print a verb's summary; the exit code is 1 iff its ``pass`` is False."""
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_VIOLATION if summary.get("pass") is False else EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import bounds as bnd
 from . import verify as vf
-from .cpus import usable_cpus
 from .errors import ConfigError
 from .geometry import (
     FeasibleSet,
@@ -68,7 +68,8 @@ REFERENCE_MULTIPLIER = 50
 
 
 def fit_loglog_slope(t, y, t_min: float, t_max: float) -> float:
-    """Least-squares slope of log10(y) against log10(t) over a window."""
+    """Least-squares slope of log10(y) against log10(t) over a window; NaN
+    with fewer than 2 points in it."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (t >= t_min) & (t <= t_max) & (t > 0) & (y > 0) & np.isfinite(y)
@@ -238,13 +239,23 @@ def _fig2_run(job: tuple) -> tuple[dict, tuple]:
         f"{cfg.optimum_location}_{rule_name}_p{p:g}",
     )
     min_gap = trace.min_fw_gap
+    slope = fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon)
     record.update(
         location=cfg.optimum_location,
         rule=rule_name,
         p=p,
-        min_gap_slope=fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon),
+        min_gap_slope=slope if math.isfinite(slope) else None,  # null: fewer than 2 points to fit
     )
     return record, (f"p={p:g}", trace.t[1:], min_gap[1:])
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _map_runs(fn, jobs: list) -> list:

@@ -70,10 +70,11 @@ def _write_csv(path, header: list, columns: list) -> None:
 
 
 def _write_json(path, obj) -> None:
-    """Write ``obj`` as JSON with indent 2, sorted keys and a trailing
-    newline: every manifest, sidecar and report takes this form."""
+    """Write ``obj`` as strict JSON (NaN and infinity refused) with indent
+    2, sorted keys and a trailing newline: every manifest, sidecar and
+    report takes this form."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

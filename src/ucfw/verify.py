@@ -2,19 +2,24 @@
 rate theorems: uniform-convexity membership, the global and local scaling
 inequalities, and the iterate-to-vertex distance control.
 
-Checks are report-only and deterministic given (seed, config); reducers use
-max/min only, so evaluation order cannot change a report.
+Every check, :func:`check_trace`'s rate envelopes included, measures one
+quantity per sample against its proven bound and reports the largest excess
+in one :class:`CheckReport`.  Checks are report-only and deterministic given
+(seed, config); reducers use max/argmax only, so evaluation order cannot
+change a report.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+import math
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParams, StaleOptimum
+from . import bounds as bnd
+from .errors import InvalidParams, StaleOptimum, UCFWError
 from .geometry import FeasibleSet, UCParams, _row_dots
 from .objectives import SmoothObjective
 
@@ -26,8 +31,17 @@ __all__ = [
     "check_lemma1",
     "check_local_scaling",
     "check_lemma3",
+    "check_trace",
     "estimate_local_alpha",
+    "CHECK_TOL",
+    "TRACE_TOL",
 ]
+
+# a sampled check passes when its worst violation is at most CHECK_TOL
+CHECK_TOL = 1e-9
+# check_trace's tolerance: primal gaps fall to ~1e-12, where an absolute 1e-9
+# would let any envelope pass
+TRACE_TOL = 1e-12
 
 
 # check_definition1 skips a row only when its bound, raised by this much
@@ -43,23 +57,25 @@ class SamplerConfig:
     n_pairs: int = 1000
     n_directions: int = 50
     seed: int = 0
-    tol: float = 1e-9
     boundary_bias: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_pairs < 1 or self.n_directions < 1:
             raise InvalidParams("sample counts must be positive")
-        if self.tol < 0.0 or not 0.0 <= self.boundary_bias <= 1.0:
-            raise InvalidParams("tol must be >= 0 and boundary_bias in [0, 1]")
+        if not 0.0 <= self.boundary_bias <= 1.0:
+            raise InvalidParams("boundary_bias must be in [0, 1]")
 
 
 @dataclass
 class CheckReport:
+    """A check's verdict; built only by :func:`_report`.  ``config`` records
+    the check's constants and its tolerance ``tol``."""
+
     check: str
     passed: bool
     worst_violation: float
-    witness: Optional[dict] = None
-    config: dict = field(default_factory=dict)
+    witness: Optional[dict]
+    config: dict
 
     def to_json(self) -> str:
         payload = {
@@ -69,7 +85,22 @@ class CheckReport:
             "witness": self.witness,
             "config": self.config,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+def _report(check: str, gap: np.ndarray, witness_at: Callable[[int], dict], tol: float, config: dict) -> CheckReport:
+    """The one constructor of every report.  ``gap`` holds, per sample, the
+    measured quantity less its proven bound; the worst violation is its
+    largest entry, and the check passes when that is at most ``tol`` (with
+    no sample, it passes at 0).  The witness, ``witness_at(i)`` at the first
+    maximiser i, is kept only on failure.  A NaN or +inf worst gap is a
+    numerical breakdown, not a verdict: it raises :class:`UCFWError`."""
+    i = int(np.argmax(gap)) if len(gap) else None  # argmax: the first NaN, else the first maximum
+    worst = -math.inf if i is None else float(gap[i])
+    if not worst < math.inf:
+        raise UCFWError(f"{check}: worst violation is {worst}; numerical breakdown")
+    passed = worst <= tol
+    return CheckReport(check, passed, max(worst, 0.0), None if passed else witness_at(i), {**config, "tol": tol})
 
 
 def sample_feasible(
@@ -92,6 +123,10 @@ def sample_feasible(
     return out
 
 
+# an overflow here, in check_lemma1 or in check_local_scaling that reaches the
+# worst gap makes it NaN or infinite, which _report refuses; numpy's warnings
+# would only repeat that error
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def check_definition1(
     feasible: FeasibleSet, uc: UCParams, cfg: SamplerConfig
 ) -> CheckReport:
@@ -150,12 +185,11 @@ def check_definition1(
     inner = etas[1:-1]
     bound = np.empty((len(inner), n))
     # c = 0 or an infinite rho gives a NaN or inf bound, and so a built row
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k, eta in enumerate(inner):
-            c = combo(eta)
-            bound[k] = feasible.batch_membership_excess(c * (1.0 + radial(eta) / feasible.batch_norm(c))[:, None])
-        scale = abs(feasible.membership_excess(np.zeros(feasible.dim)))
-        reach = bound + _BOUND_SLACK * (scale + np.abs(bound))  # what a sampled excess may reach
+    for k, eta in enumerate(inner):
+        c = combo(eta)
+        bound[k] = feasible.batch_membership_excess(c * (1.0 + radial(eta) / feasible.batch_norm(c))[:, None])
+    scale = abs(feasible.membership_excess(np.zeros(feasible.dim)))
+    reach = bound + _BOUND_SLACK * (scale + np.abs(bound))  # what a sampled excess may reach
 
     inside = np.full((len(inner), n, m), -np.inf)  # (eta, pair, direction)
     theta = np.max([0.0, ends[0].max(), ends[1].max()])  # NaN-propagating
@@ -173,27 +207,21 @@ def check_definition1(
     excess = [ends[0], *inside, ends[1]]
     maxima = np.array([e.max() for e in excess])  # NaN-propagating, like one max
 
-    worst = float(maxima.max())
-    witness = None
-    if worst > cfg.tol:
-        ie = int(np.argmax(maxima))  # the first maximiser in (eta, pair, direction) order
+    def witness_at(ie: int) -> dict:
+        """The first maximiser in (eta, pair, direction) order."""
         ip, iz = np.unravel_index(int(np.argmax(excess[ie])), excess[ie].shape)
-        witness = {
+        return {
             "eta": float(etas[ie]),
             "pair_index": int(ip),
             "direction_index": int(iz),
             "chord_length": float(dist[ip]),
-            "excess": worst,
+            "excess": float(maxima[ie]),
         }
-    return CheckReport(
-        check="definition1",
-        passed=worst <= cfg.tol,
-        worst_violation=max(worst, 0.0),
-        witness=witness,
-        config={"alpha": uc.alpha, "q": uc.q, **asdict(cfg)},
-    )
+
+    return _report("definition1", maxima, witness_at, CHECK_TOL, {"alpha": uc.alpha, "q": uc.q, **asdict(cfg)})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_lemma1(
     feasible: FeasibleSet, uc: UCParams, f: SmoothObjective, cfg: SamplerConfig
 ) -> CheckReport:
@@ -208,16 +236,14 @@ def check_lemma1(
     D = feasible.lmo(-G) - X
     lhs = _row_dots(-G, D)
     rhs = 0.5 * uc.alpha * feasible.batch_norm(D) ** uc.q * feasible.batch_dual_norm(G)
-    worst, witness = _worst_gap(rhs - lhs, live, lhs, rhs)
-    return CheckReport(
-        check="lemma1_global_scaling",
-        passed=worst <= cfg.tol,
-        worst_violation=max(worst, 0.0),
-        witness=witness if worst > cfg.tol else None,
-        config={"alpha": uc.alpha, "q": uc.q, **asdict(cfg)},
+    return _report(
+        "lemma1_global_scaling", rhs - lhs,
+        lambda i: {"sample_index": int(live[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i])},
+        CHECK_TOL, {"alpha": uc.alpha, "q": uc.q, **asdict(cfg)},
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_local_scaling(
     feasible: FeasibleSet,
     f: SmoothObjective,
@@ -239,48 +265,55 @@ def check_local_scaling(
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
     lhs, dist = _local_terms(feasible, g_star, x_star, X)
     rhs = 0.5 * alpha * gnorm * dist**q
-    worst, witness = _worst_gap(rhs - lhs, np.arange(len(X)), lhs, rhs)
-    return CheckReport(
-        check="local_scaling",
-        passed=worst <= cfg.tol,
-        worst_violation=max(worst, 0.0),
-        witness=witness if worst > cfg.tol else None,
-        config={"alpha": alpha, "q": q, **asdict(cfg)},
+    return _report(
+        "local_scaling", rhs - lhs,
+        lambda i: {"sample_index": i, "lhs": float(lhs[i]), "rhs": float(rhs[i])},
+        CHECK_TOL, {"alpha": alpha, "q": q, **asdict(cfg)},
     )
 
 
-def check_lemma3(trace, c: float, alpha: float, q: float, L: float, tol: float = 1e-9) -> CheckReport:
+def check_lemma3(trace, c: float, alpha: float, q: float, L: float) -> CheckReport:
     """Iterate-to-vertex distance control past the burn-in:
     once h_t <= 1, ||x_t - v_t|| <= H h_t^(1/(q(q-1)))."""
-    from .bounds import lemma3_distance_constant
-
     if not trace.has_primal_gaps:
         raise InvalidParams("trace has no primal gaps")
-    H = lemma3_distance_constant(c, alpha, q, L)
+    H = bnd.lemma3_distance_constant(c, alpha, q, L)
+    config = {"c": c, "alpha": alpha, "q": q, "L": L, "H": H}
     past = np.flatnonzero(trace.primal_gap <= 1.0)
     if len(past) == 0:
-        return CheckReport(
-            check="lemma3_distance",
-            passed=True,
-            worst_violation=0.0,
-            config={"c": c, "alpha": alpha, "q": q, "L": L, "H": H, "note": "burn-in never completed"},
-        )
-    start = int(past[0])
+        config["note"] = "burn-in never completed"
+        start = len(trace.primal_gap)
+    else:
+        start = config["burn_in"] = int(past[0])
     h = trace.primal_gap[start:]
     d = trace.dist_to_vertex[start:]
     rhs = H * h ** (1.0 / (q * (q - 1.0)))
-    gap = d - rhs
-    worst = float(gap.max())
-    witness = None
-    if worst > tol:
-        i = int(np.argmax(gap))
-        witness = {"t": int(trace.t[start + i]), "dist": float(d[i]), "allowed": float(rhs[i])}
-    return CheckReport(
-        check="lemma3_distance",
-        passed=worst <= tol,
-        worst_violation=max(worst, 0.0),
-        witness=witness,
-        config={"c": c, "alpha": alpha, "q": q, "L": L, "H": H, "burn_in": start},
+    return _report(
+        "lemma3_distance", d - rhs,
+        lambda i: {"t": int(trace.t[start + i]), "dist": float(d[i]), "allowed": float(rhs[i])},
+        CHECK_TOL, config,
+    )
+
+
+def check_trace(trace, bound: bnd.RateBound, burn_in: int = 0) -> CheckReport:
+    """A rate envelope against a run: h_t <= bound.evaluate(t - burn_in) at
+    every recorded t >= burn_in, up to ``TRACE_TOL``.  The report's check is
+    the bound's theorem tag, its witness ``{t, h, bound}``, and its config
+    records ``max_ratio``, the largest h_t / bound (null when infinite)."""
+    if not trace.has_primal_gaps:
+        raise InvalidParams("trace has no primal gaps; supply a reference optimum")
+    mask = trace.t >= burn_in
+    ts = trace.t[mask]
+    hs = trace.primal_gap[mask]
+    curve = np.asarray(bound.evaluate(ts - burn_in), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(curve > 0.0, hs / curve, np.where(hs > 0.0, np.inf, 0.0))
+        gap = hs - curve
+    max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
+    return _report(
+        bound.theorem_tag, gap,
+        lambda i: {"t": int(ts[i]), "h": float(hs[i]), "bound": float(curve[i])},
+        TRACE_TOL, {"burn_in": burn_in, "max_ratio": max_ratio if math.isfinite(max_ratio) else None},
     )
 
 
@@ -304,7 +337,7 @@ def estimate_local_alpha(
     dpow = dist**q
 
     def holds(alpha: float) -> bool:
-        return bool(np.all(lhs + cfg.tol >= 0.5 * alpha * gnorm * dpow))
+        return bool(np.all(lhs + CHECK_TOL >= 0.5 * alpha * gnorm * dpow))
 
     lo, hi = 0.0, alpha_hi
     if holds(hi):
@@ -322,12 +355,3 @@ def _local_terms(feasible: FeasibleSet, g_star: np.ndarray, x_star: np.ndarray, 
     """<-grad f(x*), x* - x> and ||x* - x|| for each sampled row x."""
     D = np.asarray(x_star, dtype=float) - X
     return _row_dots(np.broadcast_to(-g_star, D.shape), D), feasible.batch_norm(D)
-
-
-def _worst_gap(gap: np.ndarray, index: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
-    """The largest gap and a witness at its first maximiser (none for no
-    rows); ``index`` maps rows to sample indices."""
-    if len(gap) == 0:
-        return -np.inf, None
-    i = int(np.argmax(gap))
-    return float(gap[i]), {"sample_index": int(index[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i])}

@@ -108,7 +108,7 @@ class TestAcceptance:
         trace = run_fw(ball, f, x_init, StepRule.short(), 10_000, f_star=f_star)
         consts = problem_constants(ball, f)
         bound = theorem1_bound(consts["c"], consts["alpha"], consts["q"], consts["L"], 1.0)
-        assert bound.is_linear
+        assert bound.linear_factor is not None
         h = trace.primal_gap[3 * len(trace) // 4:]
         keep = h[:-1] > 0
         ratios = h[1:][keep] / h[:-1][keep]

@@ -76,7 +76,7 @@ class TestRecursionConstants:
 class TestTheorem1:
     def test_q2_linear_factor(self):
         b = theorem1_bound(c=1.0, alpha=1.0, q=2.0, L=1.0, h0=1.0)
-        assert b.is_linear
+        assert b.linear_factor is not None
         assert b.linear_factor == pytest.approx(0.75)
 
     def test_q3_eta(self):
@@ -108,7 +108,7 @@ class TestTheorem2:
 
     def test_q2_linear(self):
         b = theorem2_bound(c=1.0, alpha=1.0, q=2.0, L=1.0, h0=0.8)
-        assert b.is_linear
+        assert b.linear_factor is not None
 
     def test_q3_exponent(self):
         b = theorem2_bound(c=1.0, alpha=1.0, q=3.0, L=1.0, h0=0.5)
@@ -160,13 +160,13 @@ class TestCheckTrace:
         b = theorem1_bound(consts["c"], consts["alpha"], consts["q"], consts["L"],
                            float(trace.primal_gap[0]))
         report = check_trace(trace, b)
-        assert report.ok
-        assert report.max_ratio <= 1.0
+        assert report.passed
+        assert report.config["max_ratio"] <= 1.0
 
     def test_vacuous_bound_never_violated(self):
         _, _, trace = _l3_trace()
         b = theorem1_bound(1e-12, 1e-12, 3.0, 1e6, float(trace.primal_gap[0]))
-        assert check_trace(trace, b).ok
+        assert check_trace(trace, b).passed
 
     def test_halved_envelope_is_violated(self):
         # negative control: shrink the envelope below the measured gaps
@@ -174,5 +174,5 @@ class TestCheckTrace:
         h0 = float(trace.primal_gap[0])
         tight = theorem1_bound(1e6, 1e6, 3.0, 1e-9, min(h0, 1e-12))
         report = check_trace(trace, tight)
-        assert not report.ok
-        assert len(report.violations) > 0
+        assert not report.passed
+        assert report.witness is not None

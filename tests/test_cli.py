@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -62,6 +63,22 @@ class TestVerifyVerb:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("check, name, worst", [
+        ("definition1", "definition1", "nan"),
+        ("lemma1", "lemma1_global_scaling", "inf"),
+        ("local_scaling", "local_scaling", "inf"),
+    ])
+    def test_non_finite_worst_violation_exits_2(self, check, name, worst):
+        """On an l3 ball of radius 1e150, ||x-y||^q overflows: the check
+        found no verdict, so it exits 2 with one line and no numpy warning."""
+        huge = json.dumps({"family": "lp", "p": 3.0, "radius": 1e150, "dim": 4})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run_cli(["verify", "--set", huge, "--check", check, "--pairs", "100", "--directions", "10"])
+        assert code == EXIT_ERROR and out == ""
+        assert err == f"error: {name}: worst violation is {worst}; numerical breakdown\n"
+        assert [str(w.message) for w in caught] == []
 
     def test_alpha_without_q_is_config_error(self):
         assert (
@@ -169,6 +186,43 @@ class TestSuiteVerb:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pass"] is False
         assert [run["pass"] for run in manifest["runs"]] == [True, True, False, True]
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+class TestStrictJson:
+    def test_every_output_parses_without_nan_or_infinity(self, tmp_path, monkeypatch):
+        """Every JSON file and every stdout of solve, online, verify and the
+        four suites, at small sizes, parses with NaN and Infinity refused.
+        fig2's horizon of 8 leaves no point in its slope window [10, T], so
+        each run's ``min_gap_slope`` is null."""
+        small = {
+            "run_fig2": dict(dim=6, horizon=8),
+            "run_online_suite": dict(T=200),
+            "run_bounds_grid": dict(steps=1000),
+            "run_verify_all": dict(n_pairs=50, n_directions=5),
+        }
+        for name, kwargs in small.items():
+            monkeypatch.setattr(experiments, name, functools.partial(getattr(experiments, name), **kwargs))
+        runs = [
+            ["solve", "--config", json.dumps(TestSolveVerb.CONFIG), "--out", str(tmp_path / "solve")],
+            ["online", "--config", json.dumps(TestOnlineVerb.CONFIG), "--out", str(tmp_path / "online")],
+            *[["verify", "--set", L3_SET, "--check", check, "--pairs", "50", "--directions", "5"] for check in _CHECKS],
+            *[["suite", tag, "--out", str(tmp_path / "suite" / tag)] for tag in ("fig2", "online", "verify_all", "bounds_grid")],
+        ]
+        for argv in runs:
+            code, out, err = _run_cli(argv)
+            assert code == EXIT_OK, (argv, err)
+            json.loads(out, parse_constant=_refuse_constant)
+        files = sorted(tmp_path.rglob("*.json"))
+        # solve 2, online 1; the suites: fig2 31, online 1, verify_all 2, bounds_grid 1
+        assert len(files) == 38
+        for path in files:
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+        fig2 = json.loads((tmp_path / "suite" / "fig2" / "manifest.json").read_text())
+        assert [run["min_gap_slope"] for run in fig2["runs"]] == [None] * 30
 
 
 class TestOnlineVerb:

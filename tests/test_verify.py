@@ -1,5 +1,6 @@
 """The sampling verifier: positive checks on the catalog, negative controls."""
 
+import json
 import math
 from dataclasses import asdict
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from ucfw import (
-    CheckReport,
     L1Ball,
     LevelSet,
     LpBall,
@@ -17,18 +17,22 @@ from ucfw import (
     SchattenBall,
     StaleOptimum,
     StepRule,
+    UCFWError,
     UCParams,
     check_definition1,
     check_lemma1,
     check_lemma3,
     check_local_scaling,
+    check_trace,
     estimate_local_alpha,
     grad_floor_quadratic,
     reference_optimum,
     run_fw,
     sample_feasible,
+    theorem1_bound,
 )
 from ucfw.experiments import catalog_sets, problem_constants, run_check, x_init_for
+from ucfw.verify import CHECK_TOL, TRACE_TOL
 
 CFG = SamplerConfig(n_pairs=300, n_directions=25, seed=0)
 
@@ -183,6 +187,68 @@ class TestLemmaChecksOnNonLpSets:
 
 
 # ---------------------------------------------------------------------------
+# one report shape for every check
+# ---------------------------------------------------------------------------
+
+
+DIAMOND = L1Ball(radius=1.0, dim=2)
+F_FLAT = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0]))
+EDGE_CFG = SamplerConfig(n_pairs=300, n_directions=25, seed=0, boundary_bias=1.0)
+
+
+def _trace_report(passing):
+    """Theorem 1 on a short-step l3 run, or the same run against an envelope
+    shrunk below its gaps."""
+    ball = LpBall(p=3.0, radius=1.0, dim=8)
+    f = _ball_objective(ball)
+    x_init = x_init_for(ball, 0)
+    _, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-15)
+    trace = run_fw(ball, f, x_init, StepRule.short(), 2000, f_star=f_star)
+    h0 = float(trace.primal_gap[0])
+    if passing:
+        k = problem_constants(ball, f)
+        return check_trace(trace, theorem1_bound(k["c"], k["alpha"], k["q"], k["L"], h0))
+    return check_trace(trace, theorem1_bound(1e6, 1e6, 3.0, 1e-9, min(h0, 1e-12)))
+
+
+def _failing_report(check):
+    """The flat-face controls of the verification battery, and Definition 1
+    at an inflated alpha."""
+    if check == "definition1":
+        return check_definition1(LpBall(p=3.0, radius=1.0, dim=5), UCParams(alpha=2.0, q=3.0), CFG)
+    if check == "lemma1":
+        return check_lemma1(DIAMOND, UCParams(alpha=0.1, q=2.0), F_FLAT, EDGE_CFG)
+    x_star, f_star = reference_optimum(DIAMOND, F_FLAT, np.array([1.0, 0.0]), 50_000)
+    if check == "local_scaling":
+        return check_local_scaling(DIAMOND, F_FLAT, x_star, 0.5, 2.0, EDGE_CFG)
+    trace = run_fw(DIAMOND, F_FLAT, np.array([1.0, 0.0]), StepRule.short(), 1500, f_star=f_star)
+    return check_lemma3(trace, c=1.0, alpha=0.25, q=2.0, L=1.0)
+
+
+class TestOneReportShape:
+    @pytest.mark.parametrize("passing", [True, False], ids=["pass", "fail"])
+    @pytest.mark.parametrize("check", ["definition1", "lemma1", "local_scaling", "lemma3", "trace"])
+    def test_report_shape(self, check, passing):
+        """Every check returns one CheckReport whose JSON has the same five
+        keys, records its tolerance, and names a witness exactly when it
+        fails."""
+        if check == "trace":
+            report, tol = _trace_report(passing), TRACE_TOL
+        elif passing:
+            ball = LpBall(p=3.0, radius=1.0, dim=6)
+            report, tol = run_check(check, ball, ball.uc_params(), CFG), CHECK_TOL
+        else:
+            report, tol = _failing_report(check), CHECK_TOL
+        assert report.passed is passing
+        payload = json.loads(report.to_json())
+        assert set(payload) == {"check", "pass", "worst_violation", "witness", "config"}
+        assert payload["pass"] is passing
+        assert payload["config"]["tol"] == tol
+        assert (payload["witness"] is None) == passing
+        assert (payload["worst_violation"] > tol) == (not passing)
+
+
+# ---------------------------------------------------------------------------
 # the batched checks against the per-sample algorithm
 # ---------------------------------------------------------------------------
 
@@ -235,7 +301,7 @@ def per_sample_local_alpha(feasible, f, x_star, q, cfg, alpha_hi=16.0, resolutio
     gnorm, lhs, dist = per_sample_local_terms(feasible, f, x_star, cfg)
 
     def holds(alpha):
-        return all(lhs[i] + cfg.tol >= 0.5 * alpha * gnorm * dist[i] ** q for i in range(len(lhs)))
+        return all(lhs[i] + CHECK_TOL >= 0.5 * alpha * gnorm * dist[i] ** q for i in range(len(lhs)))
 
     lo, hi = 0.0, alpha_hi
     if holds(hi):
@@ -297,7 +363,7 @@ class TestBatchedChecksMatchPerSample:
         f = _quad(feasible, objective)
         cfg = SamplerConfig(n_pairs=200, seed=4, boundary_bias=1.0)
         report = check_lemma1(feasible, uc, f, cfg)
-        assert_report_matches(report, *per_sample_lemma1(feasible, uc, f, cfg), cfg.tol)
+        assert_report_matches(report, *per_sample_lemma1(feasible, uc, f, cfg), CHECK_TOL)
 
     def test_lemma1_all_gradients_zero(self):
         ball = LpBall(p=3.0, radius=1.0, dim=4)
@@ -316,7 +382,7 @@ class TestBatchedChecksMatchPerSample:
         for q in (2.0, 3.0):
             report = check_local_scaling(feasible, f, x_star, alpha, q, cfg)
             want = per_sample_local_scaling(feasible, f, x_star, alpha, q, cfg)
-            assert_report_matches(report, *want, cfg.tol)
+            assert_report_matches(report, *want, CHECK_TOL)
             assert estimate_local_alpha(feasible, f, x_star, q, cfg) == pytest.approx(
                 per_sample_local_alpha(feasible, f, x_star, q, cfg), abs=1e-12
             )
@@ -329,7 +395,8 @@ class TestBatchedChecksMatchPerSample:
 
 def monolithic_definition1(feasible, uc, cfg):
     """(passed, worst_violation, witness) from one (11, n, m, dim) stack of
-    every perturbed point, reduced by one max and one argmax."""
+    every perturbed point, reduced by one max and one argmax.  A NaN or
+    infinite worst excess is a numerical breakdown."""
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
     Y = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
@@ -342,8 +409,10 @@ def monolithic_definition1(feasible, uc, cfg):
     points = combo[:, :, None, :] + radial[:, :, None, None] * Z[None, None, :, :]
     excess = feasible.batch_membership_excess(points)
     worst = float(excess.max())
+    if not worst < math.inf:
+        raise UCFWError(f"definition1: worst violation is {worst}; numerical breakdown")
     witness = None
-    if worst > cfg.tol:
+    if worst > CHECK_TOL:
         ie, ip, iz = np.unravel_index(int(np.argmax(excess)), excess.shape)
         witness = {
             "eta": float(etas[ie]),
@@ -352,21 +421,35 @@ def monolithic_definition1(feasible, uc, cfg):
             "chord_length": float(dist[ip]),
             "excess": worst,
         }
-    return worst <= cfg.tol, max(worst, 0.0), witness
+    return worst <= CHECK_TOL, max(worst, 0.0), witness
 
 
 def one_stack_json(feasible, uc, cfg):
     """The report ``check_definition1`` must give, from one stack of every
     perturbed point."""
     passed, worst, witness = monolithic_definition1(feasible, uc, cfg)
-    config = {"alpha": uc.alpha, "q": uc.q, **asdict(cfg)}
-    return CheckReport("definition1", passed, worst, witness, config).to_json()
+    config = {"alpha": uc.alpha, "q": uc.q, **asdict(cfg), "tol": CHECK_TOL}
+    payload = {"check": "definition1", "pass": passed, "worst_violation": worst, "witness": witness, "config": config}
+    return json.dumps(payload, sort_keys=True)
+
+
+def assert_same_outcome(feasible, uc, cfg):
+    """``check_definition1`` gives the report of one stack byte for byte, or
+    raises the error one stack raises."""
+    try:
+        want = one_stack_json(feasible, uc, cfg)
+    except UCFWError as exc:
+        with pytest.raises(UCFWError) as got:
+            check_definition1(feasible, uc, cfg)
+        assert str(got.value) == str(exc)
+        return
+    assert check_definition1(feasible, uc, cfg).to_json() == want
 
 
 def assert_same_report(report, passed, worst, witness):
-    """Bit for bit, with NaN equal to NaN."""
+    """Bit for bit."""
     assert report.passed == passed
-    assert report.worst_violation == worst or (math.isnan(report.worst_violation) and math.isnan(worst))
+    assert report.worst_violation == worst
     assert report.witness == witness
 
 
@@ -483,11 +566,14 @@ class TestStreamedDefinition1:
         assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
 
     def test_nan_in_a_later_weight_fails_like_one_stack(self):
+        """A NaN excess anywhere is a numerical breakdown, not a verdict:
+        the check raises, as the reduction of one stack does."""
         spots = [(0.2, 3, 1, 1.0), (0.8, 0, 0, np.nan)]
-        report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
-        assert report.passed is False
-        assert math.isnan(report.worst_violation) and report.witness is None
-        assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
+        message = "^definition1: worst violation is nan; numerical breakdown$"
+        with pytest.raises(UCFWError, match=message):
+            check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+        with pytest.raises(UCFWError, match=message):
+            monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
 
     @pytest.mark.parametrize("alpha_scale", [1.0, 50.0, 1e3])
     @pytest.mark.parametrize("name", ["lp3r5", "schatten2x3", "levelset"])
@@ -510,7 +596,8 @@ PRUNED_SETS = {
 
 class TestPrunedDefinition1:
     """Skipping the rows whose bound is below the floor gives the report of
-    one stack of every perturbed point, byte for byte."""
+    one stack of every perturbed point, byte for byte, or its error: on the
+    radius-1e150 ball ||x-y||^q overflows, and both raise."""
 
     @pytest.mark.parametrize("alpha_scale", [1.0, 50.0, 1e3])
     @pytest.mark.parametrize("name", list(PRUNED_SETS))
@@ -521,4 +608,4 @@ class TestPrunedDefinition1:
         for bias in (0.0, 0.5, 1.0):
             for seed in (11, 12):
                 cfg = SamplerConfig(n_pairs=60, n_directions=9, seed=seed, boundary_bias=bias)
-                assert check_definition1(feasible, uc, cfg).to_json() == one_stack_json(feasible, uc, cfg)
+                assert_same_outcome(feasible, uc, cfg)
