@@ -73,6 +73,11 @@ class SmoothObjective:
         one at a time."""
         return np.array([self.value(x) for x in X], dtype=float)
 
+    def batch_gradient(self, X: np.ndarray) -> np.ndarray:
+        """Gradients at the rows of a 2-D array; the base class takes them
+        one at a time."""
+        return np.array([self.gradient(x) for x in X], dtype=float)
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -133,6 +138,15 @@ class QuadraticObjective(SmoothObjective):
         D = np.asarray(X, dtype=float) - self.x0
         # summed row by row as value's np.dot sums, so the results are equal
         return 0.5 * _row_dots(D, self.A * D)
+
+    def batch_gradient(self, X: np.ndarray) -> np.ndarray:
+        # a dense A, or a gradient overridden by a subclass or an instance,
+        # is taken row by row
+        if not self.diagonal or getattr(self.gradient, "__func__", None) is not QuadraticObjective.gradient:
+            return super().batch_gradient(X)
+        # elementwise, as gradient computes each row, so the results are equal
+        G = np.subtract(X, self.x0, dtype=float)
+        return np.multiply(self.A, G, out=G)
 
     def curvature_along(self, d: np.ndarray) -> float:
         """d^T A d, used by the analytic exact line search."""

@@ -147,9 +147,14 @@ def check_definition1(
     eta in {0, 1} and the sampled excesses of the row with the largest
     bound.  A row's perturbed points are built only when its bound is not
     below theta (less a roundoff margin, ``_BOUND_SLACK``) or is NaN; every
-    other row's excesses are below theta, so they are set to -inf.  That
+    other row's excesses are below theta, so they count as -inf.  That
     cannot change a report: theta is an excess the check attained, or 0,
     and an excess <= 0 is neither a worst violation nor a witness.
+
+    Each built row is reduced at once to its largest excess and its first
+    maximising direction, and only built rows are kept, so memory is
+    O(pairs + directions) plus the perturbed points of the rows built at
+    one eta, never pairs x directions.
     """
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
@@ -157,7 +162,7 @@ def check_definition1(
     Z = rng.standard_normal((cfg.n_directions, feasible.dim))
     Z /= feasible.batch_norm(Z)[:, None]
     etas = np.linspace(0.0, 1.0, 11)
-    n, m = len(X), len(Z)
+    n = len(X)
 
     dist = feasible.batch_norm(X - Y)  # (n,)
     dist_q = dist**uc.q
@@ -168,19 +173,26 @@ def check_definition1(
     def radial(eta: np.float64, rows=slice(None)) -> np.ndarray:
         return (eta * (1.0 - eta)) * uc.alpha * dist_q[rows]
 
-    def perturbed(eta: np.float64, rows=slice(None)) -> np.ndarray:
-        """The (rows, m) membership excess of the perturbed points."""
+    def reduced(eta: np.float64, rows: np.ndarray) -> tuple:
+        """(rows, each row's largest excess, its first maximising direction)
+        over the perturbed points of the given rows; NaN counts as largest,
+        as in one argmax."""
+        if not len(rows):
+            return rows, np.empty(0), np.empty(0, dtype=np.intp)
         points = combo(eta, rows)[:, None, :] + radial(eta, rows)[:, None, None] * Z[None, :, :]
-        return feasible.batch_membership_excess(points)
+        excess = feasible.batch_membership_excess(points)  # (rows, directions)
+        return rows, excess.max(axis=1), excess.argmax(axis=1)
 
-    def excess_at_end(eta: np.float64) -> np.ndarray:
-        """The (n, m) membership excess at eta in {0, 1}."""
+    def reduced_end(eta: np.float64) -> tuple:
+        """Every row at eta in {0, 1}."""
         if radial(eta).any():  # 0 * inf: ||x-y||^q overflowed
-            return perturbed(eta)
-        # no perturbation: every direction gives the same point
-        return np.broadcast_to(feasible.batch_membership_excess(combo(eta)[:, None, :]), (n, m))
+            return reduced(eta, np.arange(n))
+        # no perturbation: every direction gives the same point, so each
+        # row's first maximiser is direction 0
+        base = feasible.batch_membership_excess(combo(eta)[:, None, :])[:, 0]
+        return np.arange(n), base, np.zeros(n, dtype=np.intp)
 
-    ends = [excess_at_end(eta) for eta in etas[[0, -1]]]
+    ends = [reduced_end(eta) for eta in etas[[0, -1]]]
 
     inner = etas[1:-1]
     bound = np.empty((len(inner), n))
@@ -191,29 +203,35 @@ def check_definition1(
     scale = abs(feasible.membership_excess(np.zeros(feasible.dim)))
     reach = bound + _BOUND_SLACK * (scale + np.abs(bound))  # what a sampled excess may reach
 
-    inside = np.full((len(inner), n, m), -np.inf)  # (eta, pair, direction)
-    theta = np.max([0.0, ends[0].max(), ends[1].max()])  # NaN-propagating
+    theta = np.max([0.0, ends[0][1].max(), ends[1][1].max()])  # NaN-propagating
     top = np.unravel_index(int(np.argmax(bound)), bound.shape)  # NaN first
+    top_row = None
     if not reach[top] < theta:
-        inside[top] = perturbed(inner[top[0]], np.array([top[1]]))[0]
-        theta = np.max([theta, inside[top].max()])
+        top_row = reduced(inner[top[0]], np.array([top[1]]))
+        theta = np.max([theta, top_row[1][0]])
     wanted = ~(reach < theta)
     wanted[top] = False  # built above, if at all
+    # per eta, its built rows in pair order; an unbuilt row's excesses are
+    # below theta, so they count as -inf
+    slabs = [ends[0]]
     for k, eta in enumerate(inner):
-        rows = np.flatnonzero(wanted[k])
-        if len(rows):
-            inside[k, rows] = perturbed(eta, rows)
-
-    excess = [ends[0], *inside, ends[1]]
-    maxima = np.array([e.max() for e in excess])  # NaN-propagating, like one max
+        slab = reduced(eta, np.flatnonzero(wanted[k]))
+        if top_row is not None and k == top[0]:
+            at = np.searchsorted(slab[0], top[1])
+            slab = tuple(np.insert(a, at, b) for a, b in zip(slab, top_row))
+        slabs.append(slab)
+    slabs.append(ends[1])
+    maxima = np.array([peaks.max() if len(peaks) else -np.inf for _, peaks, _ in slabs])  # NaN-propagating
 
     def witness_at(ie: int) -> dict:
         """The first maximiser in (eta, pair, direction) order."""
-        ip, iz = np.unravel_index(int(np.argmax(excess[ie])), excess[ie].shape)
+        rows, peaks, directions = slabs[ie]
+        i = int(np.argmax(peaks))
+        ip = rows[i]
         return {
             "eta": float(etas[ie]),
             "pair_index": int(ip),
-            "direction_index": int(iz),
+            "direction_index": int(directions[i]),
             "chord_length": float(dist[ip]),
             "excess": float(maxima[ie]),
         }
@@ -230,7 +248,7 @@ def check_lemma1(
     v = lmo(-grad f(x))."""
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
-    G = np.array([f.gradient(x) for x in X])
+    G = f.batch_gradient(X)
     live = np.flatnonzero(np.any(G, axis=1))  # a zero gradient has no LMO vertex
     G, X = G[live], X[live]
     D = feasible.lmo(-G) - X

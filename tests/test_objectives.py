@@ -95,6 +95,31 @@ class TestQuadratic:
             want = np.array([f.value(x) for x in rows])
             assert f.batch_value(rows).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 8, 100])
+    def test_batch_gradient_is_gradient_per_row(self, d):
+        """Bit for bit: for a diagonal A, a dense A, a subclass whose
+        gradient differs, and an instance whose gradient was replaced."""
+
+        class Clipped(QuadraticObjective):
+            def gradient(self, x):
+                return np.minimum(super().gradient(x), 1.0)
+
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((300, d)) * rng.choice([1e-3, 1.0, 1e3], (300, 1))
+        M = rng.standard_normal((d, d))
+        diag, x0 = np.exp(rng.uniform(0.0, 4.6, d)), rng.standard_normal(d)
+        replaced = QuadraticObjective(A=diag, x0=x0)
+        replaced.gradient = lambda x: np.zeros_like(x)
+        for f in [
+            QuadraticObjective(A=diag, x0=x0),
+            QuadraticObjective(A=M @ M.T + np.eye(d), x0=x0),
+            Clipped(A=diag, x0=x0),
+            replaced,
+        ]:
+            want = np.array([f.gradient(x) for x in X])
+            got = f.batch_gradient(X)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_grad_floor_set_at_construction(self):
         assert QuadraticObjective(A=np.ones(2), x0=np.zeros(2)).grad_floor is None
         assert QuadraticObjective(A=np.ones(2), x0=np.zeros(2), grad_floor=0.3).grad_floor == 0.3

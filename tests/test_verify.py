@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -574,6 +575,48 @@ class TestStreamedDefinition1:
             check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
         with pytest.raises(UCFWError, match=message):
             monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_top_row_merges_in_pair_order(self, first):
+        """At eta = 0.5 pair 4 has the largest bound (5, from a bound-only
+        spot: direction -1 matches no direction) and so is built first, at
+        excess 2; pair 6, and with ``first`` also pair 2, are built after it
+        at the same excess.  The witness is the first of the tied rows in
+        pair order, not the top row because it was built first."""
+        spots = [(0.5, 4, -1, 5.0), (0.5, 4, 1, 2.0), (0.5, 6, 0, 2.0), (0.2, 3, 2, 1.0)]
+        if first:
+            spots.append((0.5, 2, 3, 2.0))
+        report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+        assert report.witness == {
+            "eta": 0.5,
+            "pair_index": 2 if first else 4,
+            "direction_index": 3 if first else 1,
+            "chord_length": 1.0,
+            "excess": 2.0,
+        }
+        assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
+
+    def test_nan_row_beside_the_top_row_fails_like_one_stack(self):
+        spots = [(0.5, 4, -1, 5.0), (0.5, 4, 1, 2.0), (0.5, 6, 2, np.nan), (0.5, 2, 0, 2.0)]
+        message = "^definition1: worst violation is nan; numerical breakdown$"
+        with pytest.raises(UCFWError, match=message):
+            check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+        with pytest.raises(UCFWError, match=message):
+            monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+
+    def test_memory_grows_with_pairs_plus_directions(self):
+        """At 20 000 pairs x 200 directions a dense (9, pairs, directions)
+        array would take 275 MiB; the check keeps only the rows it built."""
+        ball = LpBall(p=3.0, radius=1.0, dim=8)
+        cfg = SamplerConfig(n_pairs=20_000, n_directions=200, seed=0)
+        tracemalloc.start()
+        try:
+            report = check_definition1(ball, ball.uc_params(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 16 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("alpha_scale", [1.0, 50.0, 1e3])
     @pytest.mark.parametrize("name", ["lp3r5", "schatten2x3", "levelset"])
