@@ -79,7 +79,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     feasible = set_from_json(_load_json(args.set))
-    cfg = vf.SamplerConfig(n_pairs=args.pairs, n_directions=args.directions, seed=_seed(args.seed))
+    cfg = vf.SamplerConfig(n_pairs=args.pairs, seed=_seed(args.seed))
 
     uc = feasible.uc
     if args.alpha is not None or args.q is not None:
@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--alpha", type=float, default=None, help="override catalog alpha")
     p_verify.add_argument("--q", type=float, default=None, help="override catalog q")
     p_verify.add_argument("--pairs", type=int, default=1000)
-    p_verify.add_argument("--directions", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -486,12 +486,12 @@ def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerCo
     return vf.check_lemma3(trace, f.grad_floor, uc.alpha, uc.q, L)
 
 
-def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: int = 50) -> dict:
+def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000) -> dict:
     """Every positive check on the catalog plus the four negative controls
     (which must fail)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = vf.SamplerConfig(n_pairs=n_pairs, n_directions=n_directions, seed=seed)
+    cfg = vf.SamplerConfig(n_pairs=n_pairs, seed=seed)
     positives: list[vf.CheckReport] = []
     negatives: list[vf.CheckReport] = []
 
@@ -507,7 +507,7 @@ def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000, n_directions: in
         positives.append(rep)
 
     # negative controls: each check with a configuration known to violate it
-    neg_cfg = vf.SamplerConfig(n_pairs=n_pairs, n_directions=n_directions, seed=seed, boundary_bias=1.0)
+    neg_cfg = vf.SamplerConfig(n_pairs=n_pairs, seed=seed, boundary_bias=1.0)
     inflated = UCParams(alpha=2.0, q=3.0)
     rep = vf.check_definition1(LpBall(p=3.0, radius=1.0, dim=8), inflated, neg_cfg)
     rep.config["control"] = "inflated_alpha_l3"

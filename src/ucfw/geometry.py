@@ -621,7 +621,7 @@ class SchattenBall(FeasibleSet):
         flat = X.reshape(-1, self.dim)
         norms = np.empty(len(flat))
         # in blocks, which bound the temporaries of the 3x3 closed form
-        # (one verify step stacks 50 000 matrices)
+        # (Definition 1 stacks one matrix per sampled pair at each weight)
         for lo in range(0, len(flat), _GRAM_BLOCK):
             norms[lo : lo + _GRAM_BLOCK] = self._gram_norm(flat[lo : lo + _GRAM_BLOCK])
         return norms.reshape(X.shape[:-1])

@@ -2,6 +2,10 @@
 rate theorems: uniform-convexity membership, the global and local scaling
 inequalities, and the iterate-to-vertex distance control.
 
+The checks sample feasible points; Definition 1 samples pairs of them, and
+takes the worst perturbation of each pair in closed form, at the farthest
+point of the perturbing ball.
+
 Every check, :func:`check_trace`'s rate envelopes included, measures one
 quantity per sample against its proven bound and reports the largest excess
 in one :class:`CheckReport`.  Checks are report-only and deterministic given
@@ -44,24 +48,15 @@ CHECK_TOL = 1e-9
 TRACE_TOL = 1e-12
 
 
-# check_definition1 skips a row only when its bound, raised by this much
-# times the set's scale |excess(0)| plus the bound's own size, is still below
-# the floor.  It covers roundoff: the bound and each sampled excess are off by
-# ~1e-15 relative at worst (the 3x3 Schatten closed form's figure), while the
-# catalog's bounds sit at least 2e-5 of the scale below 0
-_BOUND_SLACK = 1e-12
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     n_pairs: int = 1000
-    n_directions: int = 50
     seed: int = 0
     boundary_bias: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1 or self.n_directions < 1:
-            raise InvalidParams("sample counts must be positive")
+        if self.n_pairs < 1:
+            raise InvalidParams("n_pairs must be positive")
         if not 0.0 <= self.boundary_bias <= 1.0:
             raise InvalidParams("boundary_bias must be in [0, 1]")
 
@@ -130,113 +125,51 @@ def sample_feasible(
 def check_definition1(
     feasible: FeasibleSet, uc: UCParams, cfg: SamplerConfig
 ) -> CheckReport:
-    """Membership test of the uniform-convexity definition.
+    """Membership test of the uniform-convexity definition (Definition 1).
 
-    For sampled feasible pairs (x, y), a grid of interpolation weights eta,
-    and sampled unit perturbations z, the point ``c + rho z`` with
-    ``c = eta x + (1-eta) y`` and ``rho = eta (1-eta) alpha ||x-y||^q`` must
-    stay in the set.  ``worst_violation`` is the largest membership excess
-    observed.
+    For sampled feasible pairs (x, y) and a grid of interpolation weights
+    eta, every point ``c + rho z`` with ``c = eta x + (1-eta) y``,
+    ``rho = eta (1-eta) alpha ||x-y||^q`` and ``||z|| <= 1`` must stay in
+    the set.  ``worst_violation`` is the largest membership excess over all
+    such z, one per (eta, pair), and the witness is its first maximiser in
+    (eta, pair) order.
 
-    At eta in {0, 1} rho is 0, so each pair is evaluated once.  At an
-    interior eta, ``||c + rho z|| <= ||c|| + rho``, so the excess of
-    ``c (1 + rho / ||c||)``, the farthest point of the ball B(c, rho) along
-    c, bounds every sampled excess of its (eta, pair) row; this holds for
-    any excess that grows with the norm, the level set's squared one
-    included.  The floor theta is the largest of 0, the excesses at
-    eta in {0, 1} and the sampled excesses of the row with the largest
-    bound.  A row's perturbed points are built only when its bound is not
-    below theta (less a roundoff margin, ``_BOUND_SLACK``) or is NaN; every
-    other row's excesses are below theta, so they count as -inf.  That
-    cannot change a report: theta is an excess the check attained, or 0,
-    and an excess <= 0 is neither a worst violation nor a witness.
-
-    Each built row is reduced at once to its largest excess and its first
-    maximising direction, and only built rows are kept, so memory is
-    O(pairs + directions) plus the perturbed points of the rows built at
-    one eta, never pairs x directions.
+    Every :class:`FeasibleSet` is a ball of its own norm, and its excess
+    grows with that norm (the level set's squared one included).  Since
+    ``||c + rho z|| <= ||c|| + rho``, with equality at ``z = c / ||c||``,
+    the worst z is attained at the farthest point ``c (1 + rho / ||c||)``
+    of the ball B(c, rho).  Where c = 0 every unit z is farthest; the check
+    takes the boundary point along the ones vector, scaled to unit norm.
+    At eta in {0, 1} rho is 0 and the point is c itself, to the bit.  The
+    excesses are evaluated one weight at a time, so memory is O(pairs).
     """
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
     Y = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
-    Z = rng.standard_normal((cfg.n_directions, feasible.dim))
-    Z /= feasible.batch_norm(Z)[:, None]
+    unit = feasible.boundary_point(np.ones((1, feasible.dim))) / feasible.radius
     etas = np.linspace(0.0, 1.0, 11)
     n = len(X)
 
     dist = feasible.batch_norm(X - Y)  # (n,)
     dist_q = dist**uc.q
+    excess = np.empty((len(etas), n))
+    for k, eta in enumerate(etas):
+        c = eta * X + (1.0 - eta) * Y
+        # an overflowed dist_q makes rho NaN at eta in {0, 1} (0 * inf): no verdict
+        rho = ((eta * (1.0 - eta)) * uc.alpha * dist_q)[:, None]
+        norm_c = feasible.batch_norm(c)[:, None]
+        excess[k] = feasible.batch_membership_excess(np.where(norm_c == 0.0, rho * unit, c * (1.0 + rho / norm_c)))
 
-    def combo(eta: np.float64, rows=slice(None)) -> np.ndarray:
-        return eta * X[rows] + (1.0 - eta) * Y[rows]
-
-    def radial(eta: np.float64, rows=slice(None)) -> np.ndarray:
-        return (eta * (1.0 - eta)) * uc.alpha * dist_q[rows]
-
-    def reduced(eta: np.float64, rows: np.ndarray) -> tuple:
-        """(rows, each row's largest excess, its first maximising direction)
-        over the perturbed points of the given rows; NaN counts as largest,
-        as in one argmax."""
-        if not len(rows):
-            return rows, np.empty(0), np.empty(0, dtype=np.intp)
-        points = combo(eta, rows)[:, None, :] + radial(eta, rows)[:, None, None] * Z[None, :, :]
-        excess = feasible.batch_membership_excess(points)  # (rows, directions)
-        return rows, excess.max(axis=1), excess.argmax(axis=1)
-
-    def reduced_end(eta: np.float64) -> tuple:
-        """Every row at eta in {0, 1}."""
-        if radial(eta).any():  # 0 * inf: ||x-y||^q overflowed
-            return reduced(eta, np.arange(n))
-        # no perturbation: every direction gives the same point, so each
-        # row's first maximiser is direction 0
-        base = feasible.batch_membership_excess(combo(eta)[:, None, :])[:, 0]
-        return np.arange(n), base, np.zeros(n, dtype=np.intp)
-
-    ends = [reduced_end(eta) for eta in etas[[0, -1]]]
-
-    inner = etas[1:-1]
-    bound = np.empty((len(inner), n))
-    # c = 0 or an infinite rho gives a NaN or inf bound, and so a built row
-    for k, eta in enumerate(inner):
-        c = combo(eta)
-        bound[k] = feasible.batch_membership_excess(c * (1.0 + radial(eta) / feasible.batch_norm(c))[:, None])
-    scale = abs(feasible.membership_excess(np.zeros(feasible.dim)))
-    reach = bound + _BOUND_SLACK * (scale + np.abs(bound))  # what a sampled excess may reach
-
-    theta = np.max([0.0, ends[0][1].max(), ends[1][1].max()])  # NaN-propagating
-    top = np.unravel_index(int(np.argmax(bound)), bound.shape)  # NaN first
-    top_row = None
-    if not reach[top] < theta:
-        top_row = reduced(inner[top[0]], np.array([top[1]]))
-        theta = np.max([theta, top_row[1][0]])
-    wanted = ~(reach < theta)
-    wanted[top] = False  # built above, if at all
-    # per eta, its built rows in pair order; an unbuilt row's excesses are
-    # below theta, so they count as -inf
-    slabs = [ends[0]]
-    for k, eta in enumerate(inner):
-        slab = reduced(eta, np.flatnonzero(wanted[k]))
-        if top_row is not None and k == top[0]:
-            at = np.searchsorted(slab[0], top[1])
-            slab = tuple(np.insert(a, at, b) for a, b in zip(slab, top_row))
-        slabs.append(slab)
-    slabs.append(ends[1])
-    maxima = np.array([peaks.max() if len(peaks) else -np.inf for _, peaks, _ in slabs])  # NaN-propagating
-
-    def witness_at(ie: int) -> dict:
-        """The first maximiser in (eta, pair, direction) order."""
-        rows, peaks, directions = slabs[ie]
-        i = int(np.argmax(peaks))
-        ip = rows[i]
+    def witness_at(i: int) -> dict:
+        ie, ip = divmod(i, n)
         return {
             "eta": float(etas[ie]),
-            "pair_index": int(ip),
-            "direction_index": int(directions[i]),
+            "pair_index": ip,
             "chord_length": float(dist[ip]),
-            "excess": float(maxima[ie]),
+            "excess": float(excess[ie, ip]),
         }
 
-    return _report("definition1", maxima, witness_at, CHECK_TOL, {"alpha": uc.alpha, "q": uc.q, **asdict(cfg)})
+    return _report("definition1", excess.ravel(), witness_at, CHECK_TOL, {"alpha": uc.alpha, "q": uc.q, **asdict(cfg)})
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -181,7 +181,7 @@ class TestAcceptance:
 
     def test_criterion_6_verification_battery(self, capsys, tmp_path):
         start = time.perf_counter()
-        report = run_verify_all(tmp_path, seed=0, n_pairs=1000, n_directions=50)
+        report = run_verify_all(tmp_path, seed=0, n_pairs=1000)
         elapsed = time.perf_counter() - start
         pos_ok = all(r["pass"] for r in report["positive"])
         neg_ok = len(report["negative"]) == 4 and all(

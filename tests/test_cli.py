@@ -30,7 +30,7 @@ class TestVerifyVerb:
     def test_catalog_check_passes(self, capsys):
         code = main(
             ["verify", "--set", L3_SET, "--check", "definition1",
-             "--pairs", "200", "--directions", "20"]
+             "--pairs", "200"]
         )
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -39,7 +39,7 @@ class TestVerifyVerb:
     def test_inflated_alpha_fails(self, capsys):
         code = main(
             ["verify", "--set", L3_SET, "--check", "definition1",
-             "--alpha", "2.0", "--q", "3.0", "--pairs", "200", "--directions", "20"]
+             "--alpha", "2.0", "--q", "3.0", "--pairs", "200"]
         )
         assert code == EXIT_VIOLATION
         payload = json.loads(capsys.readouterr().out)
@@ -56,7 +56,7 @@ class TestVerifyVerb:
     def test_non_finite_override_is_config_error(self, capsys, recwarn, alpha, q):
         code = main(
             ["verify", "--set", L3_SET, "--check", "definition1",
-             "--alpha", alpha, "--q", q, "--pairs", "20", "--directions", "5"]
+             "--alpha", alpha, "--q", q, "--pairs", "20"]
         )
         assert code == EXIT_ERROR
         out, err = capsys.readouterr()
@@ -75,10 +75,18 @@ class TestVerifyVerb:
         huge = json.dumps({"family": "lp", "p": 3.0, "radius": 1e150, "dim": 4})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = _run_cli(["verify", "--set", huge, "--check", check, "--pairs", "100", "--directions", "10"])
+            code, out, err = _run_cli(["verify", "--set", huge, "--check", check, "--pairs", "100"])
         assert code == EXIT_ERROR and out == ""
         assert err == f"error: {name}: worst violation is {worst}; numerical breakdown\n"
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("p", ["3.0", "2.5"])
+    def test_definition1_on_a_1x1_schatten_ball(self, capsys, p):
+        """In one dimension half the boundary pairs have y = -x, so the
+        midpoint c is 0 and its farthest point is rho times a unit point."""
+        one = json.dumps({"family": "schatten", "p": float(p), "rows": 1, "cols": 1, "radius": 1.0})
+        assert main(["verify", "--set", one, "--check", "definition1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_alpha_without_q_is_config_error(self):
         assert (
@@ -92,7 +100,7 @@ class TestVerifyVerb:
     def test_lemma_checks_report_the_override(self, capsys, desc, check):
         code = main(
             ["verify", "--set", json.dumps(desc), "--check", check,
-             "--alpha", "0.1", "--q", "2", "--pairs", "50", "--directions", "5"]
+             "--alpha", "0.1", "--q", "2", "--pairs", "50"]
         )
         assert code in (EXIT_OK, EXIT_VIOLATION)
         config = json.loads(capsys.readouterr().out)["config"]
@@ -202,14 +210,14 @@ class TestStrictJson:
             "run_fig2": dict(dim=6, horizon=8),
             "run_online_suite": dict(T=200),
             "run_bounds_grid": dict(steps=1000),
-            "run_verify_all": dict(n_pairs=50, n_directions=5),
+            "run_verify_all": dict(n_pairs=50),
         }
         for name, kwargs in small.items():
             monkeypatch.setattr(experiments, name, functools.partial(getattr(experiments, name), **kwargs))
         runs = [
             ["solve", "--config", json.dumps(TestSolveVerb.CONFIG), "--out", str(tmp_path / "solve")],
             ["online", "--config", json.dumps(TestOnlineVerb.CONFIG), "--out", str(tmp_path / "online")],
-            *[["verify", "--set", L3_SET, "--check", check, "--pairs", "50", "--directions", "5"] for check in _CHECKS],
+            *[["verify", "--set", L3_SET, "--check", check, "--pairs", "50"] for check in _CHECKS],
             *[["suite", tag, "--out", str(tmp_path / "suite" / tag)] for tag in ("fig2", "online", "verify_all", "bounds_grid")],
         ]
         for argv in runs:
@@ -373,7 +381,7 @@ class TestEnvSeed:
                 monkeypatch.setenv("UCFW_SEED", str(env_seed))
             code = main(
                 ["verify", "--set", L3_SET, "--check", "definition1",
-                 "--pairs", "50", "--directions", "10", "--seed", "0"]
+                 "--pairs", "50", "--seed", "0"]
             )
             assert code == EXIT_OK
             return json.loads(capsys.readouterr().out)
@@ -393,7 +401,7 @@ class TestEnvSeed:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "--set", L3_SET, "--check", "definition1", "--pairs", "20", "--directions", "5"],
+            ["verify", "--set", L3_SET, "--check", "definition1", "--pairs", "20"],
             ["solve", "--config", json.dumps(TestSolveVerb.CONFIG)],
             ["online", "--config", json.dumps(TestOnlineVerb.CONFIG)],
             ["suite", "online"],
@@ -479,7 +487,7 @@ class TestNonFiniteDescriptors:
     def test_verify_rejects_set(self, capsys, desc, field):
         code = main(
             ["verify", "--set", json.dumps(desc), "--check", "definition1",
-             "--alpha", "0.1", "--q", "2.0", "--pairs", "20", "--directions", "5"]
+             "--alpha", "0.1", "--q", "2.0", "--pairs", "20"]
         )
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
@@ -659,7 +667,6 @@ def _verify_argvs(draw):
         "--set", json.dumps(_present(draw(_set_desc(dim, ["lp", "lp", "l1", "schatten", "levelset"])))),
         "--check", draw(st.sampled_from(_CHECKS)),
         "--pairs", str(draw(_field(st.integers(1, 50), 0, -1))),
-        "--directions", str(draw(_field(st.integers(1, 5), 0, -1))),
         "--seed", str(draw(_field(st.integers(0, 2**32), -1))),
     ]
     # catalog constants, both overrides, or only one of them (an error)
@@ -724,7 +731,7 @@ class TestFailureContract:
 
     @given(argv=_verify_argvs())
     @example(argv=["verify", "--set", L3_SET, "--check", "definition1", "--alpha", "2.0", "--q", "3.0",
-                   "--pairs", "50", "--directions", "5"])  # an inflated alpha: exit 1
+                   "--pairs", "50"])  # an inflated alpha: exit 1
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_verify(self, argv):
         """Exit 1 only with a printed report whose ``pass`` is false, and
@@ -805,7 +812,7 @@ class TestNumpyOnlyRuntime:
                 ["online", "--config", json.dumps(online), "--out", out + "/online"],
                 ["suite", "online", "--out", out + "/suite_online"],
                 ["verify", "--set", {L3_SET!r}, "--check", "definition1",
-                 "--pairs", "50", "--directions", "10"],
+                 "--pairs", "50"],
             ]
             codes = [main(argv) for argv in runs]
             assert codes == [0, 0, 0, 0], codes

@@ -3,7 +3,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from ucfw import (
 from ucfw.experiments import catalog_sets, problem_constants, run_check, x_init_for
 from ucfw.verify import CHECK_TOL, TRACE_TOL
 
-CFG = SamplerConfig(n_pairs=300, n_directions=25, seed=0)
+CFG = SamplerConfig(n_pairs=300, seed=0)
 
 
 class TestSampler:
@@ -76,6 +75,14 @@ class TestDefinition1:
         ls = LevelSet(w=4.0, dim=4)
         assert check_definition1(ls, ls.uc_params(), CFG).passed
 
+    @pytest.mark.parametrize(
+        "feasible", [LpBall(p=3.0, radius=1.0, dim=1), LevelSet(w=4.0, dim=1)], ids=["lp3", "levelset"]
+    )
+    def test_catalog_on_a_line(self, feasible):
+        """Half the boundary pairs have y = -x, so c = 0 at eta = 1/2."""
+        cfg = SamplerConfig(n_pairs=300, seed=0, boundary_bias=1.0)
+        assert check_definition1(feasible, feasible.uc_params(), cfg).passed
+
     def test_report_serializes(self):
         ball = LpBall(p=2.0, radius=1.0, dim=3)
         report = check_definition1(ball, ball.uc_params(), CFG)
@@ -101,7 +108,7 @@ class TestLemma1:
         diamond = L1Ball(radius=1.0, dim=2)
         f = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0]))
         fake = UCParams(alpha=0.1, q=2.0)
-        cfg = SamplerConfig(n_pairs=300, n_directions=25, seed=0, boundary_bias=1.0)
+        cfg = SamplerConfig(n_pairs=300, seed=0, boundary_bias=1.0)
         assert not check_lemma1(diamond, fake, f, cfg).passed
 
 
@@ -136,7 +143,7 @@ class TestLocalScaling:
         diamond = L1Ball(radius=1.0, dim=2)
         f = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0]))
         x_star, _ = reference_optimum(diamond, f, np.array([1.0, 0.0]), 50_000)
-        cfg = SamplerConfig(n_pairs=300, n_directions=25, seed=0, boundary_bias=1.0)
+        cfg = SamplerConfig(n_pairs=300, seed=0, boundary_bias=1.0)
         assert not check_local_scaling(diamond, f, x_star, 0.5, 2.0, cfg).passed
 
     def test_curved_location_supports_larger_alpha_than_flat(self):
@@ -194,7 +201,7 @@ class TestLemmaChecksOnNonLpSets:
 
 DIAMOND = L1Ball(radius=1.0, dim=2)
 F_FLAT = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0]))
-EDGE_CFG = SamplerConfig(n_pairs=300, n_directions=25, seed=0, boundary_bias=1.0)
+EDGE_CFG = SamplerConfig(n_pairs=300, seed=0, boundary_bias=1.0)
 
 
 def _trace_report(passing):
@@ -390,81 +397,79 @@ class TestBatchedChecksMatchPerSample:
 
 
 # ---------------------------------------------------------------------------
-# the streamed definition-1 check against one stack over all weights
+# Definition 1 at its farthest point against sampled directions
 # ---------------------------------------------------------------------------
 
 
-def monolithic_definition1(feasible, uc, cfg):
-    """(passed, worst_violation, witness) from one (11, n, m, dim) stack of
-    every perturbed point, reduced by one max and one argmax.  A NaN or
-    infinite worst excess is a numerical breakdown."""
+def monolithic_definition1(feasible, uc, cfg, n_directions, farthest=False):
+    """The excess of every point c + rho z over sampled unit directions z,
+    as one (11, pairs, directions) stack; with ``farthest``, z = c / ||c||
+    (or, where c = 0, the first sampled z) joins each (eta, pair) row as
+    its last direction.  The pairs are ``check_definition1``'s, and the
+    directions are drawn after them."""
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
     Y = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
-    Z = rng.standard_normal((cfg.n_directions, feasible.dim))
+    Z = rng.standard_normal((n_directions, feasible.dim))
     Z /= feasible.batch_norm(Z)[:, None]
     etas = np.linspace(0.0, 1.0, 11)
     dist = feasible.batch_norm(X - Y)
     radial = (etas[:, None] * (1.0 - etas[:, None])) * uc.alpha * dist[None, :] ** uc.q
     combo = etas[:, None, None] * X[None, :, :] + (1.0 - etas[:, None, None]) * Y[None, :, :]
-    points = combo[:, :, None, :] + radial[:, :, None, None] * Z[None, None, :, :]
-    excess = feasible.batch_membership_excess(points)
-    worst = float(excess.max())
-    if not worst < math.inf:
-        raise UCFWError(f"definition1: worst violation is {worst}; numerical breakdown")
-    witness = None
-    if worst > CHECK_TOL:
-        ie, ip, iz = np.unravel_index(int(np.argmax(excess)), excess.shape)
-        witness = {
-            "eta": float(etas[ie]),
-            "pair_index": int(ip),
-            "direction_index": int(iz),
-            "chord_length": float(dist[ip]),
-            "excess": worst,
-        }
-    return worst <= CHECK_TOL, max(worst, 0.0), witness
+    Z = np.broadcast_to(Z, (*radial.shape, *Z.shape))
+    if farthest:
+        norm = feasible.batch_norm(combo)[..., None]
+        along = np.where(norm == 0.0, Z[:, :, 0], combo / np.where(norm == 0.0, 1.0, norm))
+        Z = np.concatenate([Z, along[:, :, None, :]], axis=2)
+    points = combo[:, :, None, :] + radial[:, :, None, None] * Z
+    return feasible.batch_membership_excess(points)
 
 
-def one_stack_json(feasible, uc, cfg):
-    """The report ``check_definition1`` must give, from one stack of every
-    perturbed point."""
-    passed, worst, witness = monolithic_definition1(feasible, uc, cfg)
-    config = {"alpha": uc.alpha, "q": uc.q, **asdict(cfg), "tol": CHECK_TOL}
-    payload = {"check": "definition1", "pass": passed, "worst_violation": worst, "witness": witness, "config": config}
-    return json.dumps(payload, sort_keys=True)
-
-
-def assert_same_outcome(feasible, uc, cfg):
-    """``check_definition1`` gives the report of one stack byte for byte, or
-    raises the error one stack raises."""
-    try:
-        want = one_stack_json(feasible, uc, cfg)
-    except UCFWError as exc:
-        with pytest.raises(UCFWError) as got:
+def assert_farthest_point(feasible, uc, cfg, n_directions):
+    """``check_definition1`` against the sampled directions: its worst
+    violation is at least theirs, it fails wherever they fail, and with
+    z = c / ||c|| joined to them each (eta, pair) row reaches its largest
+    excess at z, whose worst over the rows is the report's.  Each holds to
+    within 1e-12 of the set's scale plus the excess's own size, which
+    covers the roundoff between c (1 + rho / ||c||) and c + rho c / ||c||.
+    Where a sampled excess is NaN or infinite the check raises too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = monolithic_definition1(feasible, uc, cfg, n_directions, farthest=True)
+    sampled, far = stack[..., :-1].max(axis=2), stack[..., -1]
+    if not sampled.max() < math.inf:
+        with pytest.raises(UCFWError, match="^definition1: worst violation is (nan|inf); numerical breakdown$"):
             check_definition1(feasible, uc, cfg)
-        assert str(got.value) == str(exc)
         return
-    assert check_definition1(feasible, uc, cfg).to_json() == want
+    report = check_definition1(feasible, uc, cfg)
+    scale = abs(feasible.membership_excess(np.zeros(feasible.dim)))
+    slack = 1e-12 * (scale + abs(far.max()))
+    assert report.worst_violation >= max(sampled.max(), 0.0) - slack
+    if sampled.max() > CHECK_TOL:
+        assert not report.passed
+    assert np.all(stack.max(axis=2) - far <= 1e-12 * (scale + np.abs(far)))
+    assert abs(report.worst_violation - max(far.max(), 0.0)) <= slack
+    if not report.passed:
+        ie = int(np.flatnonzero(np.linspace(0.0, 1.0, 11) == report.witness["eta"])[0])
+        assert far[ie, report.witness["pair_index"]] >= far.max() - slack
+        assert report.witness["excess"] == report.worst_violation
 
 
-def assert_same_report(report, passed, worst, witness):
-    """Bit for bit."""
-    assert report.passed == passed
-    assert report.worst_violation == worst
-    assert report.witness == witness
-
-
-DEFINITION1_SETS = {**BATCH_SETS, "levelset": LevelSet(w=4.0, dim=4)}
+DEFINITION1_SETS = {
+    **BATCH_SETS,
+    "levelset": LevelSet(w=4.0, dim=4),
+    "lp3_line": LpBall(p=3.0, radius=1.0, dim=1),  # z = +-1: each row's excess is attained
+    "levelset_line": LevelSet(w=4.0, dim=1),
+    "lp3_tiny": LpBall(p=3.0, radius=1e-150, dim=4),
+    "lp3_huge": LpBall(p=3.0, radius=1e150, dim=4),  # ||x-y||^q overflows: both raise
+    "levelset_huge": LevelSet(w=1e30, dim=3),
+}
 
 
 class EtaProbe(FeasibleSet):
     """An l2 ball in the plane whose sampler puts the i-th x at (1, i) and
-    the i-th y at (0, i), so a perturbed point's coordinates are its weight
-    eta and its pair index (for a tiny alpha).  Its excess is ``value`` at
-    each (eta, pair, direction) of ``spots`` and 0 elsewhere.  A stack with
-    no direction axis holds one point per pair, as the check's bound does:
-    its excess is the largest of 0 and the pair's values at that eta, which
-    bounds the excess of every direction."""
+    the i-th y at (0, i), so that, for a tiny alpha, the farthest point of
+    weight eta and pair i is (eta, i).  Its excess is ``value`` at each
+    (eta, pair) of ``spots`` and 0 elsewhere."""
 
     dim = 2
     radius = 1.0
@@ -486,19 +491,14 @@ class EtaProbe(FeasibleSet):
     def batch_membership_excess(self, points):
         points = np.asarray(points)
         eta, pair = points[..., 0], np.rint(points[..., 1])
-        direction = np.indices(eta.shape)[-1] if eta.ndim >= 2 else None
         out = np.zeros(eta.shape)
-        for e, i, j, value in self.spots:
-            at = np.isclose(eta, e, rtol=0.0, atol=1e-12) & (pair == i)
-            if direction is None:
-                out[at] = np.maximum(out[at], value)  # NaN propagates
-            else:
-                out[at & (direction == j)] = value
+        for e, i, value in self.spots:
+            out[np.isclose(eta, e, rtol=0.0, atol=1e-12) & (pair == i)] = value
         return out
 
 
 PROBE_UC = UCParams(alpha=1e-300, q=2.0)
-PROBE_CFG = SamplerConfig(n_pairs=8, n_directions=4, seed=0, boundary_bias=1.0)
+PROBE_CFG = SamplerConfig(n_pairs=8, seed=0, boundary_bias=1.0)
 
 
 class TestStreamedDefinition1:
@@ -508,107 +508,63 @@ class TestStreamedDefinition1:
         feasible = DEFINITION1_SETS[name]
         uc = feasible.uc or UCParams(alpha=0.1, q=2.0)
         uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q)
-        for cfg in (SamplerConfig(n_pairs=200, n_directions=20, seed=6),
-                    SamplerConfig(n_pairs=37, n_directions=7, seed=7, boundary_bias=1.0)):
-            assert_same_report(check_definition1(feasible, uc, cfg), *monolithic_definition1(feasible, uc, cfg))
+        assert_farthest_point(feasible, uc, SamplerConfig(n_pairs=200, seed=6), n_directions=20)
+        assert_farthest_point(feasible, uc, SamplerConfig(n_pairs=37, seed=7, boundary_bias=1.0), n_directions=7)
 
     def test_weights_0_and_1_evaluate_each_pair_once(self):
-        """A catalog check evaluates the origin (the set's scale), each pair
-        once at eta = 0 and 1, one bound point per pair at each interior
-        eta, and no row of perturbed points: every bound is below 0."""
+        """One stack of pairs per weight: at eta = 0 and 1 the pairs' y and
+        x themselves, bit for bit, and at each interior eta one farthest
+        point per pair."""
         evaluated = []
 
-        class CountingBall(LpBall):
+        class RecordingBall(LpBall):
             def batch_membership_excess(self, X):
-                evaluated.append(np.shape(X)[:-1])
+                evaluated.append(np.array(X))
                 return super().batch_membership_excess(X)
 
-        ball, cfg = LpBall(p=3.0, radius=1.0, dim=5), SamplerConfig(n_pairs=30, n_directions=7, seed=2)
-        want = monolithic_definition1(ball, ball.uc_params(), cfg)
-        report = check_definition1(CountingBall(p=3.0, radius=1.0, dim=5), ball.uc_params(), cfg)
-        assert sorted(evaluated) == sorted([()] + [(30, 1)] * 2 + [(30,)] * 9)
-        assert_same_report(report, *want)
+        cfg = SamplerConfig(n_pairs=30, seed=2)
+        ball = RecordingBall(p=3.0, radius=1.0, dim=5)
+        assert check_definition1(ball, ball.uc_params(), cfg).passed
+        rng = np.random.default_rng(cfg.seed)
+        X = sample_feasible(ball, 30, rng, cfg.boundary_bias)
+        Y = sample_feasible(ball, 30, rng, cfg.boundary_bias)
+        assert [points.shape for points in evaluated] == [(30, 5)] * 11
+        assert np.array_equal(evaluated[0], Y) and np.array_equal(evaluated[-1], X)
 
-    def test_inflated_alpha_builds_few_rows(self):
-        """The negative control of ``run_verify_all`` builds the perturbed
-        points of a handful of its 9 x 1000 (eta, pair) rows."""
-        rows = []
-
-        class CountingBall(LpBall):
-            def batch_membership_excess(self, X):
-                if np.ndim(X) == 3 and np.shape(X)[1] > 1:
-                    rows.append(len(X))
-                return super().batch_membership_excess(X)
-
-        cfg = SamplerConfig(seed=0, boundary_bias=1.0)
-        report = check_definition1(CountingBall(p=3.0, radius=1.0, dim=8), UCParams(alpha=2.0, q=3.0), cfg)
-        assert not report.passed
-        assert 1 <= sum(rows) <= 20
-
-    def test_witness_at_weight_1_names_the_first_direction(self):
-        spots = [(1.0, 4, 0, 2.0)]
-        report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
-        assert report.witness == {
-            "eta": 1.0, "pair_index": 4, "direction_index": 0, "chord_length": 1.0, "excess": 2.0,
-        }
-        assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
+    def test_witness_at_weight_1_names_the_pair(self):
+        report = check_definition1(EtaProbe([(1.0, 4, 2.0)]), PROBE_UC, PROBE_CFG)
+        assert report.witness == {"eta": 1.0, "pair_index": 4, "chord_length": 1.0, "excess": 2.0}
 
     def test_tie_across_weights_keeps_the_earlier_eta(self):
-        spots = [(0.3, 5, 2, 1.0), (0.7, 1, 0, 1.0)]
+        spots = [(0.3, 5, 1.0), (0.7, 1, 1.0)]
         report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
         assert not report.passed and report.worst_violation == 1.0
         assert report.witness == {
             "eta": float(np.linspace(0.0, 1.0, 11)[3]),
             "pair_index": 5,
-            "direction_index": 2,
             "chord_length": 1.0,
             "excess": 1.0,
         }
-        assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
+
+    def test_tie_within_a_weight_keeps_the_earlier_pair(self):
+        spots = [(0.5, 4, 2.0), (0.5, 6, 2.0), (0.5, 2, 2.0), (0.2, 3, 1.0)]
+        report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+        assert report.witness == {"eta": 0.5, "pair_index": 2, "chord_length": 1.0, "excess": 2.0}
 
     def test_nan_in_a_later_weight_fails_like_one_stack(self):
         """A NaN excess anywhere is a numerical breakdown, not a verdict:
-        the check raises, as the reduction of one stack does."""
-        spots = [(0.2, 3, 1, 1.0), (0.8, 0, 0, np.nan)]
-        message = "^definition1: worst violation is nan; numerical breakdown$"
-        with pytest.raises(UCFWError, match=message):
+        the check raises, and the stack of sampled directions holds the NaN
+        too."""
+        spots = [(0.2, 3, 1.0), (0.8, 0, np.nan)]
+        with pytest.raises(UCFWError, match="^definition1: worst violation is nan; numerical breakdown$"):
             check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
-        with pytest.raises(UCFWError, match=message):
-            monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
+        assert np.isnan(monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG, 4).max())
 
-    @pytest.mark.parametrize("first", [True, False])
-    def test_top_row_merges_in_pair_order(self, first):
-        """At eta = 0.5 pair 4 has the largest bound (5, from a bound-only
-        spot: direction -1 matches no direction) and so is built first, at
-        excess 2; pair 6, and with ``first`` also pair 2, are built after it
-        at the same excess.  The witness is the first of the tied rows in
-        pair order, not the top row because it was built first."""
-        spots = [(0.5, 4, -1, 5.0), (0.5, 4, 1, 2.0), (0.5, 6, 0, 2.0), (0.2, 3, 2, 1.0)]
-        if first:
-            spots.append((0.5, 2, 3, 2.0))
-        report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
-        assert report.witness == {
-            "eta": 0.5,
-            "pair_index": 2 if first else 4,
-            "direction_index": 3 if first else 1,
-            "chord_length": 1.0,
-            "excess": 2.0,
-        }
-        assert_same_report(report, *monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG))
-
-    def test_nan_row_beside_the_top_row_fails_like_one_stack(self):
-        spots = [(0.5, 4, -1, 5.0), (0.5, 4, 1, 2.0), (0.5, 6, 2, np.nan), (0.5, 2, 0, 2.0)]
-        message = "^definition1: worst violation is nan; numerical breakdown$"
-        with pytest.raises(UCFWError, match=message):
-            check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
-        with pytest.raises(UCFWError, match=message):
-            monolithic_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
-
-    def test_memory_grows_with_pairs_plus_directions(self):
-        """At 20 000 pairs x 200 directions a dense (9, pairs, directions)
-        array would take 275 MiB; the check keeps only the rows it built."""
+    def test_memory_grows_with_pairs(self):
+        """At 20 000 pairs the check holds one (11, pairs) excess grid and
+        the points of one weight."""
         ball = LpBall(p=3.0, radius=1.0, dim=8)
-        cfg = SamplerConfig(n_pairs=20_000, n_directions=200, seed=0)
+        cfg = SamplerConfig(n_pairs=20_000, seed=0)
         tracemalloc.start()
         try:
             report = check_definition1(ball, ball.uc_params(), cfg)
@@ -622,33 +578,23 @@ class TestStreamedDefinition1:
     @pytest.mark.parametrize("name", ["lp3r5", "schatten2x3", "levelset"])
     def test_boundary_pairs_match_one_stack(self, name, alpha_scale):
         feasible = DEFINITION1_SETS[name]
-        cfg = SamplerConfig(n_pairs=150, n_directions=10, seed=8, boundary_bias=1.0)
         uc = feasible.uc_params()
         uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q)
-        assert check_definition1(feasible, uc, cfg).to_json() == one_stack_json(feasible, uc, cfg)
-
-
-PRUNED_SETS = {
-    **DEFINITION1_SETS,
-    "lp3_line": LpBall(p=3.0, radius=1.0, dim=1),  # z = +-1: each bound is attained
-    "lp3_tiny": LpBall(p=3.0, radius=1e-150, dim=4),
-    "lp3_huge": LpBall(p=3.0, radius=1e150, dim=4),
-    "levelset_huge": LevelSet(w=1e30, dim=3),
-}
+        assert_farthest_point(feasible, uc, SamplerConfig(n_pairs=150, seed=8, boundary_bias=1.0), n_directions=10)
 
 
 class TestPrunedDefinition1:
-    """Skipping the rows whose bound is below the floor gives the report of
-    one stack of every perturbed point, byte for byte, or its error: on the
-    radius-1e150 ball ||x-y||^q overflows, and both raise."""
+    """The check prunes every direction z but the farthest, z = c / ||c||,
+    and so is the worst over the sampled directions: the property of
+    :func:`assert_farthest_point` over every set, three alpha scales, three
+    boundary biases and two seeds."""
 
     @pytest.mark.parametrize("alpha_scale", [1.0, 50.0, 1e3])
-    @pytest.mark.parametrize("name", list(PRUNED_SETS))
+    @pytest.mark.parametrize("name", list(DEFINITION1_SETS))
     def test_report_equals_one_stack(self, name, alpha_scale):
-        feasible = PRUNED_SETS[name]
+        feasible = DEFINITION1_SETS[name]
         uc = feasible.uc or UCParams(alpha=0.1, q=2.0)
         uc = UCParams(alpha=uc.alpha * alpha_scale, q=uc.q)
         for bias in (0.0, 0.5, 1.0):
             for seed in (11, 12):
-                cfg = SamplerConfig(n_pairs=60, n_directions=9, seed=seed, boundary_bias=bias)
-                assert_same_outcome(feasible, uc, cfg)
+                assert_farthest_point(feasible, uc, SamplerConfig(n_pairs=60, seed=seed, boundary_bias=bias), n_directions=9)
