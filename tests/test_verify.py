@@ -546,10 +546,21 @@ class TestStreamedDefinition1:
             "excess": 1.0,
         }
 
-    def test_tie_within_a_weight_keeps_the_earlier_pair(self):
-        spots = [(0.5, 4, 2.0), (0.5, 6, 2.0), (0.5, 2, 2.0), (0.2, 3, 1.0)]
+    @pytest.mark.parametrize("first", [True, False])
+    def test_top_row_merges_in_pair_order(self, first):
+        """The top excess at eta = 0.5, 2, is reached by pair 4, listed
+        first, by pair 6 and, with ``first``, by pair 2.  The witness is
+        the first of the tied pairs in pair order, not in listing order."""
+        spots = [(0.5, 4, 2.0), (0.5, 6, 2.0), (0.2, 3, 1.0)]
+        if first:
+            spots.append((0.5, 2, 2.0))
         report = check_definition1(EtaProbe(spots), PROBE_UC, PROBE_CFG)
-        assert report.witness == {"eta": 0.5, "pair_index": 2, "chord_length": 1.0, "excess": 2.0}
+        assert report.witness == {
+            "eta": 0.5,
+            "pair_index": 2 if first else 4,
+            "chord_length": 1.0,
+            "excess": 2.0,
+        }
 
     def test_nan_in_a_later_weight_fails_like_one_stack(self):
         """A NaN excess anywhere is a numerical breakdown, not a verdict:
