@@ -159,7 +159,8 @@ def fw_experiment(
     )
 
     extra: dict[str, np.ndarray] = {}
-    if rule_name in ("short", "exact") and trace.has_primal_gaps and len(trace) > 0:
+    # a set with no (alpha, q), such as the l-infinity ball, gets no overlays
+    if rule_name in ("short", "exact") and feasible.uc is not None and trace.has_primal_gaps and len(trace) > 0:
         consts = problem_constants(feasible, f)
         h0 = float(trace.primal_gap[0])
         ts = trace.t.astype(float)

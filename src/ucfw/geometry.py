@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -419,10 +419,14 @@ class FeasibleSet:
     point; membership and boundary points follow from the norm and the
     radius, and the norm-equivalence factors from ``lp_equivalent``.
     Instances are immutable after construction; all oracle calls are pure.
+
+    A dataclass subclass declares ``_tag``, its JSON family and any constant
+    it pins; its JSON form is that tag and its fields (``descriptor``).
     """
 
     dim: int
     radius: float
+    _tag: dict
 
     @property
     def uc(self) -> Optional[UCParams]:
@@ -492,20 +496,22 @@ class FeasibleSet:
         return (rows * (self.radius / n)[:, None]).reshape(d.shape)
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """The JSON form :func:`set_from_json` reads back: the class's tag
+        and every field, a non-finite float as the string ``float`` reads."""
+        desc = dict(self._tag)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            desc[f.name] = repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+        return desc
 
 
-@dataclass(frozen=True)
-class LpBall(FeasibleSet):
-    """{x : ||x||_p <= r} for p > 1 (use :class:`L1Ball` for p = 1)."""
-
-    p: float
-    radius: float
-    dim: int
+class _LpFamilyBall(FeasibleSet):
+    """The lp ball {x : ||x||_p <= radius} over length-``dim`` vectors, from
+    the ``p`` and ``radius`` a subclass declares: its norm, dual norm, LMO,
+    ``lp_equivalent`` = (dim, p) and catalog entry.  The p = 1 and p = inf
+    balls are polytopes, with no catalog entry."""
 
     def __post_init__(self) -> None:
-        if not self.p > 1.0:
-            raise InvalidParams("LpBall requires p > 1; p = 1 is L1Ball")
         _check_radius(self.radius)
         if self.dim < 1:
             raise InvalidParams("dim must be >= 1")
@@ -526,37 +532,35 @@ class LpBall(FeasibleSet):
     def lmo(self, phi):
         return lmo_lp(self.p, self.radius, phi)
 
-    def descriptor(self) -> dict:
-        return {"family": "lp", "p": self.p, "radius": self.radius, "dim": self.dim}
-
 
 @dataclass(frozen=True)
-class L1Ball(FeasibleSet):
-    """The cross-polytope {x : ||x||_1 <= r}; not uniformly convex."""
+class LpBall(_LpFamilyBall):
+    """{x : ||x||_p <= r} for p > 1 (use :class:`L1Ball` for p = 1)."""
 
+    _tag = {"family": "lp"}
+
+    p: float
     radius: float
     dim: int
 
     def __post_init__(self) -> None:
-        _check_radius(self.radius)
-        if self.dim < 1:
-            raise InvalidParams("dim must be >= 1")
+        if not self.p > 1.0:
+            raise InvalidParams("LpBall requires p > 1; p = 1 is L1Ball")
+        super().__post_init__()
 
-    @property
-    def lp_equivalent(self) -> tuple[int, float]:
-        return self.dim, 1.0
 
-    def batch_norm(self, X):
-        return _batch_lp_norm(X, 1.0)
+@dataclass(frozen=True)
+class L1Ball(_LpFamilyBall):
+    """The cross-polytope {x : ||x||_1 <= r}; not uniformly convex."""
 
-    def batch_dual_norm(self, Phi):
-        return _batch_lp_norm(Phi, np.inf)
+    _tag = {"family": "l1"}
+    p = 1.0
+
+    radius: float
+    dim: int
 
     def lmo(self, phi):
         return lmo_l1(self.radius, phi)
-
-    def descriptor(self) -> dict:
-        return {"family": "l1", "radius": self.radius, "dim": self.dim}
 
 
 @dataclass(frozen=True)
@@ -577,6 +581,8 @@ class SchattenBall(FeasibleSet):
     that roundoff near rank deficiency.  A matrix holding inf has norm and
     dual norm inf; one holding NaN makes the SVD raise ``LinAlgError``.
     """
+
+    _tag = {"family": "schatten"}
 
     p: float
     rows: int
@@ -665,24 +671,17 @@ class SchattenBall(FeasibleSet):
         V = lmo_schatten(self.p, self.radius, phi.reshape(*phi.shape[:-1], self.rows, self.cols))
         return V.reshape(phi.shape)
 
-    def descriptor(self) -> dict:
-        return {
-            "family": "schatten",
-            "p": self.p,
-            "rows": self.rows,
-            "cols": self.cols,
-            "radius": self.radius,
-        }
-
 
 @dataclass(frozen=True)
-class LevelSet(FeasibleSet):
+class LevelSet(_LpFamilyBall):
     """The sublevel set {x : ||x||_2^2 <= w} of f = ||.||_2^2, which is
     2-smooth and (2, 2)-uniformly convex: the l2 ball of radius sqrt(w).
 
-    Membership is the defining inequality ``||x||^2 - w``.  The LMO is the
-    l2 ball's, at radius sqrt(w).
+    Membership is the defining inequality ``||x||^2 - w``.
     """
+
+    _tag = {"family": "levelset", "kind": "sqnorm"}
+    p = 2.0
 
     w: float
     dim: int
@@ -690,8 +689,7 @@ class LevelSet(FeasibleSet):
     def __post_init__(self) -> None:
         if not 0.0 < self.w < np.inf:
             raise InvalidParams(f"LevelSet requires a finite w > 0, got {self.w}")
-        if self.dim < 1:
-            raise InvalidParams("dim must be >= 1")
+        super().__post_init__()
 
     @property
     def radius(self) -> float:  # type: ignore[override]
@@ -700,56 +698,38 @@ class LevelSet(FeasibleSet):
     def uc_params(self) -> UCParams:
         return levelset_uc_params(mu=2.0, r_exp=2.0, L=2.0, w=self.w)
 
-    @property
-    def lp_equivalent(self) -> tuple[int, float]:
-        return self.dim, 2.0
-
-    def batch_norm(self, X):
-        return _batch_lp_norm(X, 2.0)
-
-    def batch_dual_norm(self, Phi):
-        return _batch_lp_norm(Phi, 2.0)
-
-    def lmo(self, phi):
-        return lmo_lp(2.0, self.radius, phi)
-
     def batch_membership_excess(self, X):
         return (np.asarray(X, dtype=float) ** 2).sum(axis=-1) - self.w
 
-    def descriptor(self) -> dict:
-        return {"family": "levelset", "kind": "sqnorm", "w": self.w, "dim": self.dim}
+
+_SET_FAMILIES = {cls._tag["family"]: cls for cls in (LpBall, L1Ball, SchattenBall, LevelSet)}
 
 
 def set_from_json(desc: dict) -> FeasibleSet:
-    """Build a set from its JSON descriptor.
+    """Build a set from its JSON descriptor, the inverse of
+    :meth:`FeasibleSet.descriptor`: ``family`` picks the class, any other
+    tag it pins must match where given, and its fields are read in order,
+    an integer one through ``_json_int`` and the rest through ``float``.
 
     Families: ``lp`` (p, radius, dim), ``l1`` (radius, dim), ``schatten``
     (p, rows, cols, radius), ``levelset`` (kind="sqnorm", w, dim).
     """
     try:
         family = desc["family"]
-        if family == "lp":
-            return LpBall(
-                p=float(desc["p"]), radius=float(desc["radius"]), dim=_json_int(desc["dim"], "dim", 1)
-            )
-        if family == "l1":
-            return L1Ball(radius=float(desc["radius"]), dim=_json_int(desc["dim"], "dim", 1))
-        if family == "schatten":
-            return SchattenBall(
-                p=float(desc["p"]),
-                rows=_json_int(desc["rows"], "rows", 1),
-                cols=_json_int(desc["cols"], "cols", 1),
-                radius=float(desc["radius"]),
-            )
-        if family == "levelset":
-            if desc.get("kind", "sqnorm") != "sqnorm":
-                raise ConfigError(f"unknown levelset kind {desc.get('kind')!r}")
-            return LevelSet(w=float(desc["w"]), dim=_json_int(desc["dim"], "dim", 1))
+        cls = _SET_FAMILIES.get(family) if isinstance(family, str) else None
+        if cls is None:
+            raise ConfigError(f"unknown set family {family!r}")
+        for key, value in cls._tag.items():
+            if desc.get(key, value) != value:
+                raise ConfigError(f"unknown {family} {key} {desc.get(key)!r}")
+        kwargs = {}
+        for f in fields(cls):  # in order, so the first missing field is named
+            kwargs[f.name] = _json_int(desc[f.name], f.name, 1) if f.type == "int" else float(desc[f.name])
+        return cls(**kwargs)
     except KeyError as exc:
         raise ConfigError(f"set descriptor missing field {exc}") from exc
     except (TypeError, ValueError, InvalidParams) as exc:
         raise ConfigError(f"bad set descriptor: {exc}") from exc
-    raise ConfigError(f"unknown set family {desc.get('family')!r}")
 
 
 def _json_int(value, name: str, minimum: int) -> int:

@@ -297,15 +297,16 @@ def reference_optimum(
 ) -> tuple[np.ndarray, float]:
     """High-accuracy solution of min f over the set.
 
-    A diagonal quadratic over an lp ball is solved exactly from its KKT
-    system (:func:`_lp_ball_quadratic_optimum`).  Every other problem falls
+    A diagonal quadratic over an lp ball of finite p is solved exactly from
+    its KKT system (:func:`_lp_ball_quadratic_optimum`).  Every other
+    problem, the l-infinity ball's included, falls
     back to :func:`run_fw` with exact line search from ``x_init`` for
     ``horizon`` steps (or until the gap drops to ``stop_gap``), returning
     the run's first iterate of least value, so its memory does not grow with
     ``horizon``; a numerical breakdown raises :class:`UCFWError`.  The
     experiment suites give it 50x the plotted horizon.
     """
-    if isinstance(f, QuadraticObjective) and f.diagonal and isinstance(feasible, LpBall):
+    if isinstance(f, QuadraticObjective) and f.diagonal and isinstance(feasible, LpBall) and np.isfinite(feasible.p):
         return _lp_ball_quadratic_optimum(feasible, f)
     trace = run_fw(feasible, f, x_init, StepRule.exact(), horizon, stop_gap=stop_gap)
     return trace.best_x, trace.best_value

@@ -106,6 +106,15 @@ class TestVerifyVerb:
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["alpha"], config["q"]) == (0.1, 2.0)
 
+    @pytest.mark.parametrize("check", ["local_scaling", "lemma3"])
+    def test_linf_ball_lemma_checks_pass(self, capsys, check):
+        """The checks' reference optimum over the l-infinity ball is the
+        Frank-Wolfe one, as over the l1 ball; the KKT solver needs finite p."""
+        linf = json.dumps({"family": "lp", "p": "inf", "radius": 1.0, "dim": 4})
+        code = main(["verify", "--set", linf, "--check", check, "--alpha", "0.1", "--q", "2", "--pairs", "50"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_set_without_alpha_q_needs_overrides(self, capsys):
         l1 = json.dumps({"family": "l1", "radius": 1.0, "dim": 4})
         assert main(["verify", "--set", l1, "--check", "lemma3"]) == EXIT_ERROR
@@ -154,6 +163,21 @@ class TestSolveVerb:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
         assert (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("rule", ["short", "exact", "deterministic"])
+    def test_linf_ball_runs_without_overlays(self, tmp_path, capsys, rule):
+        """The l-infinity ball has no (alpha, q): its run takes the
+        Frank-Wolfe reference and gets no bound columns and no constants,
+        and its sidecar writes p as the string "inf"."""
+        config = dict(self.CONFIG, rule=rule, set={"family": "lp", "p": "inf", "radius": 1.0, "dim": 4})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", json.dumps(config), "--out", str(out)]) == EXIT_OK
+        header = (out / "trace.csv").read_text().splitlines()[0].split(",")
+        assert not [column for column in header if column.startswith("bound_t")]
+        sidecar = json.loads((out / "trace.json").read_text())
+        assert "constants" not in sidecar
+        assert sidecar["set"] == {"family": "lp", "p": "inf", "radius": 1.0, "dim": 4}
+        assert json.loads(capsys.readouterr().out)["stopped_at"] >= 1
 
     def test_unknown_rule_is_config_error(self, tmp_path):
         config = dict(self.CONFIG, rule="momentum")

@@ -1,5 +1,6 @@
 """Oracle-backed tests for feasible sets, LMOs, and the curvature catalog."""
 
+import json
 import os
 import subprocess
 import sys
@@ -591,9 +592,53 @@ class TestLevelSet:
 
 class TestJson:
     def test_round_trip_families(self):
+        """Descriptor and reader are inverses, both ways, for every family."""
         for desc in JSON_FAMILIES:
             s = set_from_json(desc)
             assert s.dim == desc.get("dim", desc.get("rows", 0) * desc.get("cols", 0))
+            assert s.descriptor() == desc
+            assert set_from_json(s.descriptor()) == s
+
+    def test_linf_ball_descriptor_is_strict_json(self):
+        """p = inf is written as the string float() reads back."""
+        ball = LpBall(p=np.inf, radius=1.0, dim=3)
+        desc = ball.descriptor()
+        assert desc == {"family": "lp", "p": "inf", "radius": 1.0, "dim": 3}
+        assert json.loads(json.dumps(desc, allow_nan=False)) == desc
+        assert set_from_json(desc) == ball
+
+    @pytest.mark.parametrize(
+        "desc, message",
+        [
+            ({"family": "lp", "radius": 1.0, "dim": 4}, "set descriptor missing field 'p'"),
+            ({"family": "l1", "dim": 4}, "set descriptor missing field 'radius'"),
+            ({"family": "schatten", "p": 3.0, "rows": 2, "radius": 1.0}, "set descriptor missing field 'cols'"),
+            ({"family": "levelset", "kind": "sqnorm", "dim": 4}, "set descriptor missing field 'w'"),
+            ({"p": 3.0, "radius": 1.0, "dim": 4}, "set descriptor missing field 'family'"),
+            ([1, 2], "bad set descriptor: list indices must be integers or slices, not str"),
+            ({"family": "lp", "p": 3.0, "radius": 1.0, "dim": 2.0}, "dim must be an integer >= 1, got 2.0"),
+            ({"family": "schatten", "p": 3.0, "rows": True, "cols": 2, "radius": 1.0},
+             "rows must be an integer >= 1, got True"),
+            ({"family": "lp", "p": "x", "radius": 1.0, "dim": 4},
+             "bad set descriptor: could not convert string to float: 'x'"),
+            ({"family": "lp", "p": 1, "radius": 1.0, "dim": 4},
+             "bad set descriptor: LpBall requires p > 1; p = 1 is L1Ball"),
+            ({"family": "levelset", "w": -1.0, "dim": 4},
+             "bad set descriptor: LevelSet requires a finite w > 0, got -1.0"),
+            ({"family": "levelset", "kind": "cube", "w": 1.0, "dim": 4}, "unknown levelset kind 'cube'"),
+            ({"family": "simplex", "dim": 3}, "unknown set family 'simplex'"),
+            ({"family": ["lp"], "dim": 3}, "unknown set family ['lp']"),
+        ],
+        ids=[
+            "missing-p", "missing-radius", "missing-cols", "missing-w", "missing-family", "not-an-object",
+            "float-dim", "bool-rows", "non-numeric-p", "p1-on-lp", "negative-w", "unknown-kind",
+            "unknown-family", "unhashable-family",
+        ],
+    )
+    def test_error_messages(self, desc, message):
+        with pytest.raises(ConfigError) as exc:
+            set_from_json(desc)
+        assert str(exc.value) == message
 
     def test_bad_family(self):
         with pytest.raises(ConfigError):
