@@ -64,6 +64,7 @@ from .solver import (
     fw_gap_at,
     reference_optimum,
     run_fw,
+    run_fw_stack,
     short_step,
 )
 from .verify import (

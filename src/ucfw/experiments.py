@@ -4,8 +4,9 @@ the full geometric verification battery.
 
 Every driver writes CSV traces plus a JSON manifest (written last) into an
 output directory; reruns with the same config and seed are byte-identical.
-Each Frank-Wolfe or FTL run returns one record (:func:`fw_experiment`,
-:func:`ftl_experiment`), which the manifest holds as written.
+Each Frank-Wolfe or FTL run writes its files and returns one record
+(:func:`write_fw_run`, :func:`ftl_experiment`), which the manifest holds as
+written.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .geometry import (
 )
 from .objectives import QuadraticObjective, grad_floor_quadratic, objective_from_json, quadratic_from_descriptor
 from .online import adversarial_stream, run_ftl, stream_from_json
-from .solver import StepRule, fw_gap_at, reference_optimum, run_fw
+from .solver import StepRule, fw_gap_at, reference_optimum, run_fw, run_fw_stack
 from .svg import line_plot_svg
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
     "fit_loglog_slope",
     "problem_constants",
     "fw_reference",
-    "fw_experiment",
+    "write_fw_run",
     "ftl_experiment",
     "run_solve",
     "run_fig2",
@@ -139,27 +140,22 @@ def fw_reference(feasible: FeasibleSet, f: QuadraticObjective, T: int, seed: int
     return f_star, fw_gap_at(feasible, f, x_star)
 
 
-def fw_experiment(
-    feasible: FeasibleSet, f: QuadraticObjective, rule_name: str, T: int, seed: int, reference: tuple,
-    out_dir: Path, stem: str, sidecar: dict | None = None, stop_gap: float = 1e-12,
-):
-    """One traced run from ``x_init_for(feasible, seed)`` against
-    ``reference = (f_star, certificate)`` (:func:`fw_reference`), with its
-    bound overlays as extra columns of ``<stem>.csv``, and its metadata, the
-    certificate and the ``sidecar`` keys in ``<stem>.json``.  Returns the
-    trace and the run's record: its CSV, rows, stop, final running-min
-    Frank-Wolfe gap and the reference's certificate.
+def write_fw_run(
+    trace, feasible: FeasibleSet, f: QuadraticObjective, certificate: float, out_dir: Path, stem: str,
+    sidecar: dict | None = None,
+) -> dict:
+    """Write one traced run against a reference optimum whose certificate
+    :func:`fw_reference` gave: its bound overlays as extra columns of
+    ``<stem>.csv``, and its metadata, the certificate and the ``sidecar``
+    keys in ``<stem>.json``.  Returns the run's record: its CSV, rows, stop,
+    final running-min Frank-Wolfe gap and the reference's certificate.
 
     Bound curves attach only to short-step / exact-line-search runs with
     primal gaps; the T2 curve anchors at the first iteration with h_t <= 1.
     """
-    f_star, certificate = reference
-    trace = run_fw(
-        feasible, f, x_init_for(feasible, seed), STEP_RULES[rule_name], T, stop_gap=stop_gap, f_star=f_star
-    )
-
     extra: dict[str, np.ndarray] = {}
     # a set with no (alpha, q), such as the l-infinity ball, gets no overlays
+    rule_name = trace.metadata["step_rule"]
     if rule_name in ("short", "exact") and feasible.uc is not None and trace.has_primal_gaps and len(trace) > 0:
         consts = problem_constants(feasible, f)
         h0 = float(trace.primal_gap[0])
@@ -188,14 +184,13 @@ def fw_experiment(
     trace.metadata.update(sidecar or {})
     trace.to_csv(out_dir / f"{stem}.csv", extra_columns=extra)
     trace.write_sidecar(out_dir / f"{stem}.json")
-    record = {
+    return {
         "csv": f"{stem}.csv",
         "rows": len(trace),
         "stopped_at": trace.metadata["stopped_at"],
         "final_min_fw_gap": float(trace.min_fw_gap[-1]),
         "f_star_certificate": certificate,
     }
-    return trace, record
 
 
 def run_solve(config: dict, out_dir) -> dict:
@@ -221,33 +216,45 @@ def run_solve(config: dict, out_dir) -> dict:
     if objective.x0.size != feasible.dim:
         raise ConfigError(f"objective dim {objective.x0.size} does not match set dim {feasible.dim}")
 
-    reference = fw_reference(feasible, objective, T, seed, min(stop_gap, 1e-12))
-    _, record = fw_experiment(
-        feasible, objective, rule_name, T, seed, reference, out_dir, "trace", {"config": config}, stop_gap
+    f_star, certificate = fw_reference(feasible, objective, T, seed, min(stop_gap, 1e-12))
+    trace = run_fw(
+        feasible, objective, x_init_for(feasible, seed), STEP_RULES[rule_name], T, stop_gap=stop_gap, f_star=f_star
     )
+    record = write_fw_run(trace, feasible, objective, certificate, out_dir, "trace", {"config": config})
     manifest = {"files": ["trace.csv", "trace.json"], **record}
     _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
-def _fig2_run(job: tuple) -> tuple[dict, tuple]:
-    """One (location, rule, p) run of the curved-vs-flat protocol: its
-    trace with bound overlays, CSV and sidecar.  Returns the run's record
-    and its running-min gap series for the plot."""
-    cfg, rule_name, p, reference, out_dir = job
-    trace, record = fw_experiment(
-        *build_problem(cfg, p), rule_name, cfg.horizon, cfg.seed, reference, out_dir,
-        f"{cfg.optimum_location}_{rule_name}_p{p:g}",
-    )
-    min_gap = trace.min_fw_gap
-    slope = fit_loglog_slope(trace.t, min_gap, 10, cfg.horizon)
-    record.update(
-        location=cfg.optimum_location,
-        rule=rule_name,
-        p=p,
-        min_gap_slope=slope if math.isfinite(slope) else None,  # null: fewer than 2 points to fit
-    )
-    return record, (f"p={p:g}", trace.t[1:], min_gap[1:])
+def _fig2_stack(job: tuple) -> list[tuple[dict, tuple]]:
+    """One contiguous stack of (location, rule, p) runs of the
+    curved-vs-flat protocol: the runs in lockstep (:func:`run_fw_stack`),
+    then each run's trace with bound overlays, CSV and sidecar.  Returns
+    each run's record and its running-min gap series for the plot, in run
+    order."""
+    runs, out_dir = job
+    problems = []
+    for cfg, rule_name, p, (f_star, _) in runs:
+        feasible, f = build_problem(cfg, p)
+        problems.append((feasible, f, x_init_for(feasible, cfg.seed), STEP_RULES[rule_name], f_star))
+    horizon = runs[0][0].horizon
+    results = []
+    for (cfg, rule_name, p, (_, certificate)), (feasible, f, *_), trace in zip(
+        runs, problems, run_fw_stack(problems, horizon)
+    ):
+        record = write_fw_run(
+            trace, feasible, f, certificate, out_dir, f"{cfg.optimum_location}_{rule_name}_p{p:g}"
+        )
+        min_gap = trace.min_fw_gap
+        slope = fit_loglog_slope(trace.t, min_gap, 10, horizon)
+        record.update(
+            location=cfg.optimum_location,
+            rule=rule_name,
+            p=p,
+            min_gap_slope=slope if math.isfinite(slope) else None,  # null: fewer than 2 points to fit
+        )
+        results.append((record, (f"p={p:g}", trace.t[1:], min_gap[1:])))
+    return results
 
 
 def usable_cpus() -> int:
@@ -286,10 +293,15 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
     rule.
 
     The reference optima come first.  The 30 (location, rule, p) runs share
-    nothing else, so each one, from its problem to its CSV and sidecar, runs
-    in a worker process (:func:`_map_runs`).  The plots and then the
-    manifest are written here afterwards, in run order, so no output depends
-    on the number of CPUs, and a manifest exists only once every file does.
+    nothing else.  They are cut, in run order, into one contiguous stack per
+    usable CPU (two stacks of 15 on 2 CPUs, one of 30 on 1), and each stack,
+    from its problems to its CSVs and sidecars, runs as one job
+    (:func:`_fig2_stack`, :func:`_map_runs`).  A stack runs its problems in
+    lockstep and groups its rows by set, so each of its iterations makes one
+    stacked LMO call per p.  The plots and then the manifest are written
+    here afterwards, in run order.  Every run's trace equals its
+    :func:`run_fw` trace bit for bit, so no output depends on the number of
+    CPUs, and a manifest exists only once every file does.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -297,17 +309,16 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
         ExperimentConfig(dim=dim, horizon=horizon, seed=seed, optimum_location=location)
         for location in ("curved", "flat")
     ]
-    jobs = []
+    runs = []
     for cfg in cfgs:
         references = {
             p: fw_reference(*build_problem(cfg, p), cfg.horizon, cfg.seed, 1e-13) for p in FIG2_P_GRID
         }
-        jobs += [
-            (cfg, rule_name, p, references[p], out_dir)
-            for rule_name in STEP_RULES
-            for p in FIG2_P_GRID
-        ]
-    results = iter(_map_runs(_fig2_run, jobs))
+        runs += [(cfg, rule_name, p, references[p]) for rule_name in STEP_RULES for p in FIG2_P_GRID]
+    n = min(usable_cpus(), len(runs))
+    cuts = [len(runs) * s // n for s in range(n + 1)]
+    jobs = [(runs[a:b], out_dir) for a, b in zip(cuts, cuts[1:])]
+    results = iter([result for stack in _map_runs(_fig2_stack, jobs) for result in stack])
 
     manifest: dict = {"suite": "fig2", "files": [], "runs": []}
     for cfg in cfgs:

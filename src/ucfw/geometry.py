@@ -248,18 +248,17 @@ def lmo_lp(p: float, r: float, phi: np.ndarray) -> np.ndarray:
         raise ZeroDirection("lmo_lp called with phi = 0")
     # the formula is scale-invariant in phi; normalizing by the max entry
     # keeps the exponentials in range for extreme p
-    w = (a / m) ** (pstar - 1.0)
-    sums = (w**p).sum(axis=-1)
+    a /= m
+    a **= pstar - 1.0
+    sums = (a**p).sum(axis=-1)
     # numpy's array power may be a SIMD routine that differs in the last bit
     # from the C library's pow, which a numpy scalar and a Python float use;
     # a batch takes its roots one at a time so each row equals the
     # single-vector result exactly
-    if sums.ndim == 0:
-        scale = r / float(sums ** (1.0 / p))
-    else:
-        roots = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()])
-        scale = r / roots.reshape(sums.shape + (1,))
-    return scale * _sign(phi) * w
+    e = 1.0 / p
+    scale = r / np.array([s**e for s in sums.ravel().tolist()]).reshape(sums.shape + (1,))
+    a *= np.where(phi >= 0.0, scale, -scale)
+    return a
 
 
 def lmo_l1(r: float, phi: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from ucfw import experiments
 from ucfw.cli import EXIT_ERROR, main
 from ucfw.errors import StaleOptimum, UCFWError
 from ucfw.experiments import run_fig2, run_online_suite
+from ucfw.solver import run_fw
 
 
 def tree(root):
@@ -25,7 +26,9 @@ class SuitePool:
     """Outputs, cleanup and error paths that every suite running over
     :func:`experiments._map_runs` shares.  A subclass names the suite, a
     small ``run`` of it that writes ``n_files`` files from ``n_runs`` runs, and
-    the experiments function that each worker's job calls."""
+    the experiments function that each worker's job calls.  Its
+    ``reference`` writes the tree every pool size must give, or returns
+    None to compare the pool sizes with each other only."""
 
     suite: str
     n_runs: int
@@ -43,16 +46,21 @@ class SuitePool:
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         monkeypatch.setattr(experiments, self.worker_call, failing)
 
+    def reference(self, monkeypatch, out_dir):
+        return None
+
     def test_outputs_do_not_depend_on_the_pool_size(self, monkeypatch, tmp_path):
         trees = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
             manifest = self.run(tmp_path / str(cpus))
             assert multiprocessing.active_children() == []
             trees.append(tree(tmp_path / str(cpus)))
         assert len(manifest["runs"]) == self.n_runs
         assert len(trees[0]) == self.n_files
-        assert trees[0] == trees[1]
+        assert trees[0] == trees[1] == trees[2]
+        want = self.reference(monkeypatch, tmp_path / "reference")
+        assert want is None or trees[0] == want
 
     def test_worker_error_reaches_the_caller(self, monkeypatch, tmp_path):
         self._fail_in_workers(monkeypatch)
@@ -70,12 +78,25 @@ class SuitePool:
 
 
 class TestFig2Pool(SuitePool):
-    suite, worker_call = "fig2", "fw_experiment"
+    suite, worker_call = "fig2", "run_fw_stack"
     n_runs = 30
     n_files = 30 * 2 + 6 + 1  # CSVs and sidecars, SVGs, manifest
 
     def run(self, out_dir) -> dict:
         return run_fig2(out_dir, seed=0, dim=6, horizon=40)
+
+    def reference(self, monkeypatch, out_dir):
+        """fig2 with each run on its own through run_fw and the same writer:
+        the stacks of 30, 15 and 10 must write these bytes."""
+
+        def per_run(problems, T):
+            return [run_fw(feasible, f, x_init, rule, T, f_star=f_star)
+                    for feasible, f, x_init, rule, f_star in problems]
+
+        monkeypatch.setattr(experiments, "run_fw_stack", per_run)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+        self.run(out_dir)
+        return tree(out_dir)
 
     @pytest.mark.parametrize("cpus, in_parent", [(1, True), (2, False)])
     def test_map_runs_uses_workers_only_with_cpus_to_spare(self, monkeypatch, cpus, in_parent):

@@ -31,6 +31,7 @@ from ucfw import (
     grad_floor_quadratic,
     reference_optimum,
     run_fw,
+    run_fw_stack,
     short_step,
 )
 import ucfw
@@ -795,3 +796,94 @@ class TestRunTraceCsv:
                 )]
                 writer.writerow(row)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _stack_problems():
+    """A mixed stack over points of length 9: lp balls at five p (the p = 3
+    ball as two equal instances, which share a group), an l1 ball and a 3x3
+    Schatten ball, each under all three rules, from starts whose gaps fall
+    below 1e-9 at different t, with and without f_star; and one row that
+    starts at x0 inside its ball, so its first gradient is zero."""
+    sets = [LpBall(p=1.5, radius=1.0, dim=9), LpBall(p=3.0, radius=2.0, dim=9), LpBall(p=2.0, radius=1.0, dim=9),
+            L1Ball(radius=1.0, dim=9), LpBall(p=2.5, radius=1.0, dim=9), LpBall(p=3.0, radius=2.0, dim=9),
+            SchattenBall(p=2.5, rows=3, cols=3, radius=1.0), LpBall(p=10.0, radius=1.0, dim=9)]
+    problems = []
+    for n, feasible in enumerate(sets):
+        rng = np.random.default_rng(n)
+        x0 = rng.standard_normal(9)
+        x0 *= 2.5 * feasible.radius / np.linalg.norm(x0)
+        f = QuadraticObjective(A=np.linspace(1.0, 4.0, 9), x0=x0)
+        for rule in ("deterministic", "short", "exact"):
+            x_init = x_init_for(feasible, n + len(problems))
+            problems.append((feasible, f, x_init, StepRule(rule), 0.25 if len(problems) % 2 else None))
+    ball = LpBall(p=2.0, radius=1.0, dim=9)
+    inside = QuadraticObjective(A=np.linspace(1.0, 4.0, 9), x0=np.full(9, 0.1))
+    problems.insert(5, (ball, inside, inside.x0, StepRule.short(), 0.0))
+    return problems
+
+
+STACK_PROBLEMS = _stack_problems()
+
+
+def assert_same_trace(got, want):
+    for column in ("t", "gamma", "fw_gap", "primal_gap", "dist_to_vertex", "grad_dual_norm"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+    assert got.best_x.tobytes() == want.best_x.tobytes()
+    assert got.best_value == want.best_value and isinstance(got.best_value, float)
+    assert got.metadata == want.metadata
+
+
+class TestRunFwStack:
+    """run_fw_stack returns, for each problem, run_fw's trace bit for bit."""
+
+    @pytest.mark.parametrize("stop_gap", [1e-9, 0.0, -1.0])
+    @pytest.mark.parametrize("T", [1, _block_rows(9) - 1, _block_rows(9), _block_rows(9) + 1, 1000])
+    def test_matches_run_fw(self, T, stop_gap):
+        traces = run_fw_stack(STACK_PROBLEMS, T, stop_gap=stop_gap)
+        assert len(traces) == len(STACK_PROBLEMS)
+        for (feasible, f, x_init, rule, f_star), got in zip(STACK_PROBLEMS, traces):
+            assert_same_trace(got, run_fw(feasible, f, x_init, rule, T, stop_gap=stop_gap, f_star=f_star))
+        stops = {trace.metadata["stopped_at"] for trace in traces}
+        if stop_gap < 0.0:  # no row stops early; the one at x0 keeps its zero gradient
+            assert stops == {T}
+        else:
+            assert 0 in stops  # the row that starts at x0
+        if T == 1000 and stop_gap > 0.0:
+            assert len(stops) > 10 and T in stops
+
+    def test_one_lmo_call_per_set_and_iteration(self, monkeypatch):
+        calls = []
+        real = LpBall.lmo
+        monkeypatch.setattr(LpBall, "lmo", lambda self, phi: calls.append(len(phi)) or real(self, phi))
+        problems = [(LpBall(p=p, radius=1.0, dim=5), QuadraticObjective(A=np.ones(5), x0=np.full(5, 2.0)),
+                     np.zeros(5), StepRule(rule), None)
+                    for rule in ("deterministic", "short", "exact") for p in (1.5, 3.0)]
+        run_fw_stack(problems, 10, stop_gap=-1.0)
+        assert calls == [3, 3] * 11
+
+    def test_nan_gradient_raises_run_fw_error(self):
+        nan = QuadraticObjective(A=np.ones(9), x0=np.full(9, np.nan))
+        problems = [*STACK_PROBLEMS[:4], (STACK_PROBLEMS[2][0], nan, STACK_PROBLEMS[2][2], StepRule.short(), None)]
+        with pytest.raises(UCFWError) as want:
+            run_fw(*problems[-1][:2], problems[-1][2], problems[-1][3], 50)
+        with pytest.raises(UCFWError) as got:
+            run_fw_stack(problems, 50)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value) == "Frank-Wolfe gap is nan at t = 0; numerical breakdown"
+
+    def test_infeasible_start_raises_run_fw_error(self):
+        feasible, f, _, rule, f_star = STACK_PROBLEMS[3]
+        problems = [*STACK_PROBLEMS[:3], (feasible, f, np.full(9, 5.0), rule, f_star)]
+        with pytest.raises(InfeasibleStart) as want:
+            run_fw(feasible, f, np.full(9, 5.0), rule, 50)
+        with pytest.raises(InfeasibleStart) as got:
+            run_fw_stack(problems, 50)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("objective", ["dense", "overridden-gradient"])
+    def test_refuses_objectives_it_cannot_stack(self, objective):
+        feasible, f, x_init, rule, f_star = STACK_PROBLEMS[0]
+        g = (QuadraticObjective(A=np.diag(f.A), x0=f.x0) if objective == "dense"
+             else CountingQuadratic(A=f.A, x0=f.x0))
+        with pytest.raises(InvalidParams):
+            run_fw_stack([STACK_PROBLEMS[1], (feasible, g, x_init, rule, f_star)], 10)
