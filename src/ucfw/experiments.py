@@ -58,7 +58,8 @@ __all__ = [
 # the curved-vs-flat protocol: a quadratic with condition number 100 over lp
 # balls of radius 5, with ||x0||_2 = 3 radii.  The curved x0 lies along the
 # ones vector, so at d = 100 it is outside the ball only for p in {2.5, 3}:
-# for p >= 5, ||x0||_p < 5, so x* = x0 and c = 0
+# for p >= 5, ||x0||_p < 5, so x* = x0 and c = 0.  The flat x0 = 15 e1 lies
+# at l2 distance 10 from every ball, so c = 10 at every p
 FIG2_P_GRID = (2.5, 3.0, 5.0, 7.0, 10.0)
 FIG2_COND = 100.0
 FIG2_RADIUS = 5.0
@@ -110,14 +111,13 @@ def build_problem(cfg: ExperimentConfig, p: float) -> tuple[LpBall, QuadraticObj
 
 def problem_constants(feasible: FeasibleSet, f: QuadraticObjective) -> dict:
     """Theorem constants in the set's norm pair: gradient floor c (dual
-    norm), catalog (alpha, q), and the converted smoothness constant."""
-    uc = feasible.uc_params()
-    return {
-        "c": grad_floor_quadratic(f, feasible),
-        "alpha": uc.alpha,
-        "q": uc.q,
-        "L": f.L * feasible.norm_equivalence().smoothness,
-    }
+    norm), the converted smoothness constant L and, when the set has them,
+    its catalog (alpha, q)."""
+    consts = {"c": grad_floor_quadratic(f, feasible), "L": f.L * feasible.norm_equivalence().smoothness}
+    uc = feasible.uc
+    if uc is not None:
+        consts.update(alpha=uc.alpha, q=uc.q)
+    return consts
 
 
 def x_init_for(feasible: FeasibleSet, seed: int) -> np.ndarray:
@@ -464,10 +464,11 @@ def catalog_sets() -> list[tuple[str, FeasibleSet]]:
 
 
 def _ball_quadratic(feasible: FeasibleSet) -> QuadraticObjective:
-    """1/2 ||x - x0||_2^2 with x0 three radii out along the ones direction,
-    declaring its analytic gradient floor over the set."""
+    """1/2 ||x - x0||_2^2 with x0 three times the set's boundary point along
+    the ones direction, so ||x0|| = 3 radii in the set's own norm and x0 lies
+    outside it; declares its analytic gradient floor over the set."""
     dim = feasible.dim
-    x0 = np.ones(dim) * (3.0 * feasible.radius / np.sqrt(dim))
+    x0 = 3.0 * feasible.boundary_point(np.ones(dim))
     plain = QuadraticObjective(A=np.ones(dim), x0=x0)
     return QuadraticObjective(A=plain.A, x0=x0, grad_floor=grad_floor_quadratic(plain, feasible))
 
@@ -480,7 +481,9 @@ def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerCo
     sampler seed, with 50 000 exact-line-search steps to a 1e-13 gap (exact
     for this quadratic over an lp ball); lemma3 reads a 2000-step
     short-step run with ``uc`` and the quadratic's c and L in the set's
-    norm pair.
+    norm pair from :func:`problem_constants`.  In every family here the
+    ones vector attains Hoelder's equality <x, x> = ||x|| ||x||_*, so the
+    quadratic's x0 gives c > 0 on every set.
     """
     if check == "definition1":
         return vf.check_definition1(feasible, uc, cfg)
@@ -494,8 +497,8 @@ def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerCo
     if check == "local_scaling":
         return vf.check_local_scaling(feasible, f, x_star, uc.alpha, uc.q, cfg)
     trace = run_fw(feasible, f, x_init, StepRule.short(), 2000, f_star=f_star)
-    L = f.L * feasible.norm_equivalence().smoothness
-    return vf.check_lemma3(trace, f.grad_floor, uc.alpha, uc.q, L)
+    consts = problem_constants(feasible, f)
+    return vf.check_lemma3(trace, consts["c"], uc.alpha, uc.q, consts["L"])
 
 
 def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000) -> dict:

@@ -81,6 +81,10 @@ def _write_json(path, obj) -> None:
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """<A_i, B_i> for each row i, each summed as ``np.dot`` sums one pair of
     vectors, so batched rows add up exactly like single ones."""
+    if A.shape[-1] == 1:
+        # np.dot of length-1 vectors is their product, which keeps -0.0;
+        # matmul's sum starts at +0.0
+        return A[:, 0] * B[:, 0]
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
@@ -392,7 +396,6 @@ class NormEquivalence:
 
     smoothness: float  # L2-smooth f is (smoothness * L2)-smooth in (||.||, ||.||_*)
     dual_floor: float  # ||g||_* >= dual_floor * ||g||_2
-    enclosing_radius: float  # the set lies in the l2 ball of this radius
     heb: float  # ||x|| <= heb * ||x||_2
 
 
@@ -465,7 +468,6 @@ class FeasibleSet:
         return NormEquivalence(
             smoothness=n ** (_exponent_gap(pstar, 2.0) + _exponent_gap(2.0, p)),
             dual_floor=n ** (-_exponent_gap(2.0, pstar)),
-            enclosing_radius=self.radius * n ** _exponent_gap(2.0, p),
             heb=n ** _exponent_gap(p, 2.0),
         )
 

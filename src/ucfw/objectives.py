@@ -5,7 +5,10 @@ and Hoelderian error-bound parameters.
 All smoothness constants are declared with respect to the Euclidean norm
 and converted to a set's norm pair with the set's norm-equivalence factors
 (:meth:`~ucfw.geometry.FeasibleSet.norm_equivalence`) when the bound engine
-asks for them.
+asks for them.  The gradient floor of a quadratic follows from the
+Euclidean distance of its minimizer to the set, which every set bounds
+below through its support function: a ball of its own norm has
+sigma_C(u) = radius ||u||_* (:func:`grad_floor_quadratic`).
 """
 
 from __future__ import annotations
@@ -162,15 +165,23 @@ class QuadraticObjective(SmoothObjective):
 
 
 def grad_floor_quadratic(f: QuadraticObjective, feasible: FeasibleSet) -> float:
-    """Analytic lower bound on inf_{x in C} ||grad f(x)||_* for an
-    origin-centered norm ball.
+    """Analytic lower bound on inf_{x in C} ||grad f(x)||_* over a norm ball
+    C = {||x|| <= radius}.
 
     ||grad f(x)||_2 >= lambda_min(A) ||x - x0||_2 >= lambda_min * dist_2(x0, C),
-    then converted to the dual norm.  Returns 0 when x0 may be feasible.
+    then converted to the dual norm.  The distance is bounded through C's
+    support function sigma_C(u) = radius ||u||_*: every unit u separates,
+    dist_2(x0, C) >= <u, x0> - sigma_C(u), and u = x0 / ||x0||_2 gives
+    ||x0||_2 - radius ||u||_*.  That is exact when the point of C farthest
+    along u is the nearest point to x0, as along a coordinate axis or the
+    ones vector of an lp ball.  Returns 0 when the bound is not positive,
+    and for x0 = 0.
     """
-    eq = feasible.norm_equivalence()
-    dist = max(0.0, float(np.linalg.norm(f.x0)) - eq.enclosing_radius)
-    return f.lambda_min * dist * eq.dual_floor
+    norm = float(np.linalg.norm(f.x0))
+    if norm == 0.0:
+        return 0.0
+    dist = max(0.0, norm - feasible.radius * feasible.dual_norm(f.x0 / norm))
+    return f.lambda_min * dist * feasible.norm_equivalence().dual_floor
 
 
 # ---------------------------------------------------------------------------

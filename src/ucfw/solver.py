@@ -393,11 +393,11 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
 
 
 def _short_steps(gap: np.ndarray, L: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """:func:`short_step` for each row: gap, L and x - v stacked."""
-    denom = L * _row_dots(d, d)
-    q = gap / denom
+    """:func:`short_step` for each row: gap, L and x - v stacked.  A
+    positive gap over a zero L ||d||^2 is inf, so it takes 1, as
+    :func:`short_step` does."""
+    q = gap / (L * _row_dots(d, d))
     gamma = np.where(q < 1.0, q, 1.0)  # min(1.0, q)
-    gamma = np.where(denom <= 0.0, 1.0, gamma)
     return np.where(gap <= 0.0, 0.0, gamma)
 
 

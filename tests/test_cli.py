@@ -115,6 +115,17 @@ class TestVerifyVerb:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    @pytest.mark.parametrize("p, dim", [(10.0, 100), (5.0, 100), (7.0, 30)])
+    def test_ball_quadratic_lies_outside_high_p_balls(self, capsys, p, dim):
+        """Three radii out in l2 along the ones vector is inside these
+        balls; three radii out in their own norm is not, so c > 0."""
+        ball = json.dumps({"family": "lp", "p": p, "radius": 1.0, "dim": dim})
+        assert main(["verify", "--set", ball, "--check", "lemma3"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True and report["config"]["c"] > 0.0
+        assert main(["verify", "--set", ball, "--check", "local_scaling", "--pairs", "200"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_set_without_alpha_q_needs_overrides(self, capsys):
         l1 = json.dumps({"family": "l1", "radius": 1.0, "dim": 4})
         assert main(["verify", "--set", l1, "--check", "lemma3"]) == EXIT_ERROR

@@ -1,16 +1,21 @@
-"""The suites' process pool: outputs, cleanup and error paths."""
+"""The suites' process pool: outputs, cleanup and error paths; fig2's
+bound overlays."""
 
+import json
 import multiprocessing
 import os
 import threading
 
+import numpy as np
 import pytest
 
+from ucfw import bounds as bnd
 from ucfw import experiments
 from ucfw.cli import EXIT_ERROR, main
 from ucfw.errors import StaleOptimum, UCFWError
-from ucfw.experiments import run_fig2, run_online_suite
-from ucfw.solver import run_fw
+from ucfw.experiments import FIG2_P_GRID, ExperimentConfig, build_problem, run_fig2, run_online_suite
+from ucfw.solver import RunTrace, run_fw
+from ucfw.verify import check_trace
 
 
 def tree(root):
@@ -139,3 +144,60 @@ class TestOnlinePool(SuitePool):
 
     def run(self, out_dir) -> dict:
         return run_online_suite(out_dir, seed=0, T=300, dim=4)
+
+
+@pytest.fixture(scope="module")
+def fig2_runs(tmp_path_factory):
+    """fig2 at seed 0: each short or exact run's CSV columns and sidecar,
+    by (location, rule, p)."""
+    out = tmp_path_factory.mktemp("fig2")
+    run_fig2(out, seed=0)
+    runs = {}
+    for location in ("curved", "flat"):
+        for rule in ("short", "exact"):
+            for p in FIG2_P_GRID:
+                stem = out / f"{location}_{rule}_p{p:g}"
+                with open(f"{stem}.csv") as fh:
+                    header = fh.readline().strip().split(",")
+                data = np.loadtxt(f"{stem}.csv", delimiter=",", skiprows=1, ndmin=2)
+                with open(f"{stem}.json") as fh:
+                    runs[location, rule, p] = dict(zip(header, data.T)), json.load(fh)
+    return runs
+
+
+class TestFig2Overlays:
+    """Every flat instance is 10 from its ball, so every flat run carries
+    Theorem 1; Theorem 2 starts where h_t first reaches 1."""
+
+    def test_flat_runs_have_c_10_and_theorem1(self, fig2_runs):
+        for (location, rule, p), (columns, meta) in fig2_runs.items():
+            if location == "flat":
+                assert meta["constants"]["c"] == pytest.approx(10.0, rel=1e-12), (rule, p)
+                assert "bound_t1" in columns, (rule, p)
+
+    def test_theorem2_where_the_gap_reaches_1(self, fig2_runs):
+        for (location, rule, p), (columns, meta) in fig2_runs.items():
+            reaches = bool(np.any(columns["primal_gap"] <= 1.0))
+            positive_floor = meta["constants"]["c"] > 0.0
+            assert ("bound_t2" in columns) == (positive_floor and reaches), (location, rule, p)
+            if location == "flat" and p >= 5.0:  # too slow to get there in T = 1000
+                assert not reaches and "bound_t2" not in columns, (rule, p)
+
+    def test_every_overlay_bounds_its_primal_gap(self, fig2_runs):
+        for (location, rule, p), (columns, meta) in fig2_runs.items():
+            trace = RunTrace(t=columns["t"].astype(int), **{name: columns[name] for name in (
+                "gamma", "fw_gap", "primal_gap", "dist_to_vertex", "grad_dual_norm")})
+            k, h, ts = meta["constants"], trace.primal_gap, trace.t.astype(float)
+            feasible, f = build_problem(ExperimentConfig(optimum_location=location), p)
+            bounds = [(bnd.theorem3_bound(k["alpha"], k["q"], f.heb.mu_heb * feasible.norm_equivalence().heb,
+                                          f.heb.theta, k["L"], h[0]), "bound_t3", 0)]
+            if "bound_t1" in columns:
+                bounds.append((bnd.theorem1_bound(k["c"], k["alpha"], k["q"], k["L"], h[0]), "bound_t1", 0))
+            if "bound_t2" in columns:
+                anchor = meta["t2_anchor"]
+                assert np.all(columns["bound_t2"][:anchor] == np.inf)
+                bounds.append((bnd.theorem2_bound(k["c"], k["alpha"], k["q"], k["L"], h[anchor]), "bound_t2", anchor))
+            for bound, name, burn_in in bounds:
+                assert np.array_equal(columns[name][burn_in:], bound.evaluate(ts[burn_in:] - burn_in)), name
+                report = check_trace(trace, bound, burn_in=burn_in)
+                assert report.passed, (location, rule, p, name, report.witness)

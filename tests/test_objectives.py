@@ -10,13 +10,21 @@ from ucfw import (
     L1Ball,
     LpBall,
     QuadraticObjective,
+    SchattenBall,
     grad_floor_quadratic,
     heb_from_uniform_convexity,
     objective_from_json,
     sample_feasible,
 )
 from ucfw.errors import ConfigError
-from ucfw.experiments import _ball_quadratic, catalog_sets, problem_constants
+from ucfw.experiments import (
+    FIG2_P_GRID,
+    ExperimentConfig,
+    _ball_quadratic,
+    build_problem,
+    catalog_sets,
+    problem_constants,
+)
 from ucfw.objectives import quadratic_from_descriptor
 
 CATALOG = dict(catalog_sets())
@@ -166,6 +174,41 @@ class TestNormConversion:
                 assert all(0.0 < v < np.inf for v in consts.values()), (name, consts)
 
 
+def _floor_cases():
+    """(id, set, quadratic) pairs: every catalog set, an l1, an l-infinity
+    and a 2x4 Schatten ball under anisotropic quadratics whose x0 is 3
+    radii out in the set's norm along the ones vector, e1 and a seeded
+    direction, or inside the set; and fig2's ten instances."""
+    sets = [*catalog_sets(), ("l1_r1", L1Ball(radius=1.0, dim=8)),
+            ("linf_r1", LpBall(p=float("inf"), radius=1.0, dim=8)),
+            ("schatten_4_2x4", SchattenBall(p=4.0, rows=2, cols=4, radius=1.0))]
+    cases = []
+    for name, feasible in sets:
+        d = feasible.dim
+        e1 = np.eye(d)[0]
+        seeded = np.random.default_rng(len(cases)).standard_normal(d)
+        for where, direction, scale in [("ones", np.ones(d), 3.0), ("e1", e1, 3.0),
+                                        ("seeded", seeded, 3.0), ("inside", seeded, 0.5)]:
+            x0 = scale * feasible.boundary_point(direction)
+            cases.append((f"{name}-{where}", feasible, QuadraticObjective(A=np.logspace(0, 2, d), x0=x0)))
+    for location in ("curved", "flat"):
+        for p in FIG2_P_GRID:
+            cases.append((f"fig2-{location}-p{p:g}", *build_problem(ExperimentConfig(optimum_location=location), p)))
+    return cases
+
+
+FLOOR_CASES = _floor_cases()
+
+
+def enclosing_ball_floor(f, feasible) -> float:
+    """The floor through the l2 ball that encloses the set, radius
+    r n^max(0, 1/2 - 1/p): the bound the support function replaced."""
+    n, p = feasible.lp_equivalent
+    enclosing = feasible.radius * n ** max(0.0, 0.5 - 1.0 / p)
+    dist = max(0.0, float(np.linalg.norm(f.x0)) - enclosing)
+    return f.lambda_min * dist * feasible.norm_equivalence().dual_floor
+
+
 class TestGradFloor:
     def test_identity_far_center(self):
         f = QuadraticObjective(A=np.ones(2), x0=np.array([10.0, 0.0]))
@@ -208,6 +251,40 @@ class TestGradFloor:
         pts = pts[np.abs(pts).sum(axis=1) <= 1.0]
         sup = np.abs(pts - f.x0).max(axis=1)
         assert sup.min() >= c - 1e-9
+
+    @pytest.mark.parametrize("name, feasible, f", FLOOR_CASES, ids=[case[0] for case in FLOOR_CASES])
+    def test_below_sampled_dual_gradient_norms(self, name, feasible, f):
+        c = grad_floor_quadratic(f, feasible)
+        rng = np.random.default_rng(12)
+        for bias in (1.0, 0.5):
+            pts = sample_feasible(feasible, 4000, rng, bias)
+            assert feasible.batch_dual_norm(f.batch_gradient(pts)).min() >= c - 1e-9
+
+    @pytest.mark.parametrize("name, feasible, f", FLOOR_CASES, ids=[case[0] for case in FLOOR_CASES])
+    def test_never_below_the_enclosing_ball_floor(self, name, feasible, f):
+        # roundoff may put it an ulp below: 1.1339340169263843 against
+        # ...847 on lp_5_r1's ball quadratic
+        old = enclosing_ball_floor(f, feasible)
+        assert grad_floor_quadratic(f, feasible) >= old * (1.0 - 1e-12)
+
+    def test_outside_points_along_the_ones_vector_get_a_positive_floor(self):
+        for name, feasible, f in FLOOR_CASES:
+            if name.endswith("-ones"):
+                assert grad_floor_quadratic(f, feasible) > 0.0, name
+
+    def test_fig2_floors(self):
+        """Flat x0 = 15 e1 lies 10 from every ball; the curved floors are
+        the enclosing ball's, which is exact along the ones vector."""
+        for name, feasible, f in FLOOR_CASES:
+            if name.startswith("fig2-flat"):
+                assert grad_floor_quadratic(f, feasible) == pytest.approx(10.0, rel=1e-12), name
+            elif name.startswith("fig2-curved"):
+                old = enclosing_ball_floor(f, feasible)
+                assert grad_floor_quadratic(f, feasible) == pytest.approx(old, rel=1e-12, abs=0.0), name
+
+    def test_zero_x0_gives_zero(self):
+        f = QuadraticObjective(A=np.ones(3), x0=np.zeros(3))
+        assert grad_floor_quadratic(f, LpBall(p=3.0, radius=1.0, dim=3)) == 0.0
 
 
 class TestDescriptors:

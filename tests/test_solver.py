@@ -19,6 +19,7 @@ from ucfw import (
     InfeasibleStart,
     InvalidParams,
     L1Ball,
+    LevelSet,
     LpBall,
     QuadraticObjective,
     RunTrace,
@@ -887,3 +888,107 @@ class TestRunFwStack:
              else CountingQuadratic(A=f.A, x0=f.x0))
         with pytest.raises(InvalidParams):
             run_fw_stack([STACK_PROBLEMS[1], (feasible, g, x_init, rule, f_star)], 10)
+
+
+# the least subnormal double: a diagonal of it makes L ||d||^2 and d^T A d
+# round to 0 while <g, d> need not
+_SUBNORMAL = 5e-324
+
+
+@st.composite
+def _stack_sets(draw, dim: int):
+    """A set of points of length dim from every family with an LMO: lp
+    balls at finite p and p = inf, the l1 ball, Schatten balls of every
+    shape rows x cols = dim (3 x 3 at dim 9) and the level set."""
+    radius = draw(st.sampled_from([0.1, 1.0, 2.0]))
+    family = draw(st.sampled_from(["lp", "l1", "schatten", "levelset"]))
+    if family == "lp":
+        return LpBall(p=draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 10.0, float("inf")])), radius=radius, dim=dim)
+    if family == "l1":
+        return L1Ball(radius=radius, dim=dim)
+    if family == "schatten":
+        rows = draw(st.sampled_from([r for r in range(1, dim + 1) if dim % r == 0]))
+        return SchattenBall(p=draw(st.sampled_from([1.5, 2.5, 4.0])), rows=rows, cols=dim // rows, radius=radius)
+    return LevelSet(w=radius**2, dim=dim)
+
+
+@st.composite
+def _stacks(draw):
+    """(problems, T, stop_gap) for run_fw_stack: 1-6 problems of one
+    dimension, some sharing a set, under all three rules, with T near the
+    block size, a random stop_gap, and starts at a vertex, inside, at x0
+    (zero first gradient) or outside (an infeasible start).  Some diagonals
+    are subnormal, so the step rules' denominators round to 0."""
+    dim = draw(st.sampled_from([1, 2, 4, 6, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets, problems = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        feasible = draw(st.sampled_from(sets)) if sets and draw(st.booleans()) else draw(_stack_sets(dim))
+        sets.append(feasible)
+        A = np.full(dim, _SUBNORMAL) if draw(st.integers(0, 4)) == 0 else rng.uniform(0.5, 10.0, dim)
+        start = draw(st.sampled_from(["vertex", "inside", "x0", "outside"]))
+        scale = 0.5 if start == "x0" else draw(st.sampled_from([2.0, 3.0, 1e10]))
+        x0 = scale * feasible.boundary_point(rng.standard_normal(dim))
+        x_init = {"vertex": feasible.lmo(rng.standard_normal(dim)), "x0": x0,
+                  "inside": 0.5 * feasible.boundary_point(rng.standard_normal(dim)),
+                  "outside": 2.0 * feasible.boundary_point(rng.standard_normal(dim))}[start]
+        f = QuadraticObjective(A=A, x0=x0)
+        rule = StepRule(draw(st.sampled_from(["deterministic", "short", "exact"])))
+        problems.append((feasible, f, x_init, rule, draw(st.sampled_from([None, 0.0, 0.25]))))
+    rows = _block_rows(dim)
+    T = draw(st.one_of(st.integers(1, 5), st.integers(rows - 2, rows + 2)))
+    stop_gap = draw(st.one_of(st.sampled_from([0.0, -1.0]), st.floats(-1.0, 1e-2)))
+    return problems, T, stop_gap
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (UCFWError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRunFwStackProperty:
+    """run_fw_stack against run_fw on drawn stacks."""
+
+    @given(_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_stack_is_run_fw_bit_for_bit(self, drawn):
+        problems, T, stop_gap = drawn
+        want = [_outcome(run_fw, feasible, f, x_init, rule, T, stop_gap=stop_gap, f_star=f_star)
+                for feasible, f, x_init, rule, f_star in problems]
+        got = _outcome(run_fw_stack, problems, T, stop_gap=stop_gap)
+        if isinstance(got, tuple):  # the first row to fail raises its run_fw error
+            assert got in [w for w in want if isinstance(w, tuple)]
+            return
+        assert not any(isinstance(w, tuple) for w in want)
+        for trace, expected in zip(got, want, strict=True):
+            assert_same_trace(trace, expected)
+
+    @pytest.mark.parametrize("rule", ["short", "exact"])
+    def test_a_denominator_that_rounds_to_zero_takes_the_full_step(self, rule):
+        """At t = 0 the gap is positive while L ||d||^2 and d^T A d round
+        to 0: the short step's and the exact step's zero-denominator
+        branches both take gamma = 1."""
+        ball = LpBall(p=3.0, radius=0.1, dim=3)
+        f = QuadraticObjective(A=np.full(3, _SUBNORMAL), x0=np.array([1e10, 0.0, 0.0]))
+        x = ball.lmo(np.array([0.0, 1.0, 0.0]))
+        d = x - ball.lmo(-f.gradient(x))
+        assert f.L * np.dot(d, d) == 0.0 and np.dot(d, f.A * d) == 0.0
+        want = run_fw(ball, f, x, StepRule(rule), 3, stop_gap=-1.0)
+        assert want.fw_gap[0] > 0.0 and want.gamma[0] == 1.0
+        assert_same_trace(run_fw_stack([(ball, f, x, StepRule(rule), None)], 3, stop_gap=-1.0)[0], want)
+
+    def test_an_exactly_zero_slope_takes_no_exact_step(self):
+        """With a nonzero direction of zero curvature and a slope <g, d>
+        that rounds to exactly 0, the exact step is 0, not 1."""
+        ball = LpBall(p=3.0, radius=0.01, dim=3)
+        f = QuadraticObjective(A=np.full(3, _SUBNORMAL), x0=np.array([10.0, 0.0, 0.0]))
+        x = ball.lmo(np.array([0.0, 1.0, 0.0]))
+        g = f.gradient(x)
+        d = ball.lmo(-g) - x
+        assert g.any() and d.any() and np.dot(d, f.A * d) == 0.0 and np.dot(g, d) == 0.0
+        want = run_fw(ball, f, x, StepRule.exact(), 3, stop_gap=-1.0)
+        assert want.gamma[0] == 0.0
+        assert_same_trace(run_fw_stack([(ball, f, x, StepRule.exact(), None)], 3, stop_gap=-1.0)[0], want)
