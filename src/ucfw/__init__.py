@@ -43,7 +43,6 @@ from .geometry import (
 from .objectives import (
     HEBDescriptor,
     QuadraticObjective,
-    SmoothObjective,
     grad_floor_quadratic,
     heb_from_uniform_convexity,
     objective_from_json,

@@ -10,7 +10,10 @@ All sublinear regimes reduce to the recursion
   the halving burn-in overshoots the envelope), while ``(1+k)`` makes the
   induction close at t = 0 and t = 1.
 * the q = 2 linear contraction factor is ``max(1/2, 1 - c alpha / (4L))``,
-  the factor the per-step recursion actually yields.
+  the factor the per-step recursion actually yields.  It may round to 1
+  (Theorem 2's ``1/(2 L H^2)`` is below one ulp once H is large, as near
+  p = 1); the envelope is then h_t <= h0, which every short or exact step
+  keeps, because neither raises f.
 """
 
 from __future__ import annotations
@@ -111,8 +114,8 @@ class RateBound:
     def __post_init__(self) -> None:
         if (self.linear_factor is None) == (self.recursion is None):
             raise InvalidParams("exactly one of linear_factor / recursion must be set")
-        if self.linear_factor is not None and not 0.0 < self.linear_factor < 1.0:
-            raise InvalidParams(f"linear factor must be in (0, 1), got {self.linear_factor}")
+        if self.linear_factor is not None and not 0.0 < self.linear_factor <= 1.0:
+            raise InvalidParams(f"linear factor must be in (0, 1], got {self.linear_factor}")
 
     @property
     def exponent(self) -> float:

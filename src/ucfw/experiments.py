@@ -156,7 +156,7 @@ def write_fw_run(
     extra: dict[str, np.ndarray] = {}
     # a set with no (alpha, q), such as the l-infinity ball, gets no overlays
     rule_name = trace.metadata["step_rule"]
-    if rule_name in ("short", "exact") and feasible.uc is not None and trace.has_primal_gaps and len(trace) > 0:
+    if rule_name in ("short", "exact") and feasible.uc is not None and trace.has_primal_gaps:
         consts = problem_constants(feasible, f)
         h0 = float(trace.primal_gap[0])
         ts = trace.t.astype(float)
@@ -174,7 +174,7 @@ def write_fw_run(
                 col[anchor:] = np.asarray(b2.evaluate(ts[anchor:] - anchor), dtype=float)
                 extra["bound_t2"] = col
                 trace.metadata["t2_anchor"] = anchor
-        if f.heb is not None and h0 > 0.0:
+        if h0 > 0.0:
             # ||x|| <= heb ||x||_2 carries the Euclidean error bound to the set's norm
             mu_heb = f.heb.mu_heb * feasible.norm_equivalence().heb
             b3 = bnd.theorem3_bound(consts["alpha"], consts["q"], mu_heb, f.heb.theta, consts["L"], h0)

@@ -1,6 +1,7 @@
-"""Smooth convex objectives and the structural descriptors the rate
-theorems consume: smoothness L, a gradient-norm floor c, strong convexity,
-and Hoelderian error-bound parameters.
+"""The objective every run minimises, a diagonal quadratic, and the
+structural descriptors the rate theorems consume: smoothness L, a
+gradient-norm floor c, strong convexity, and Hoelderian error-bound
+parameters.
 
 All smoothness constants are declared with respect to the Euclidean norm
 and converted to a set's norm pair with the set's norm-equivalence factors
@@ -23,7 +24,6 @@ from .geometry import FeasibleSet, _json_int, _row_dots, lp_norm
 
 __all__ = [
     "HEBDescriptor",
-    "SmoothObjective",
     "QuadraticObjective",
     "heb_from_uniform_convexity",
     "grad_floor_quadratic",
@@ -53,114 +53,69 @@ def heb_from_uniform_convexity(mu_f: float, r: float) -> HEBDescriptor:
     return HEBDescriptor(mu_heb=(2.0 / mu_f) ** (1.0 / r), theta=1.0 / r)
 
 
-class SmoothObjective:
-    """Value/gradient oracle with an L2 smoothness constant and optional
-    strong-convexity / HEB / gradient-floor descriptors.
+class QuadraticObjective:
+    """f(x) = 1/2 (x - x0)^T diag(A) (x - x0) with a positive diagonal A.
+
+    ``A`` is the 1-D diagonal and ``x0`` the unconstrained minimizer.  ``L``
+    and ``mu_sc`` are A's largest and least entries, the Euclidean
+    smoothness and strong-convexity constants, and ``heb`` the error bound
+    that strong convexity gives.  ``grad_floor`` is a declared lower bound
+    on the dual gradient norm over the feasible set (see
+    :func:`grad_floor_quadratic`), or None.
 
     Immutable and pure; safe for concurrent evaluation.
     """
 
-    L: float
-    mu_sc: Optional[float] = None
-    heb: Optional[HEBDescriptor] = None
-    grad_floor: Optional[float] = None
-
-    def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def batch_value(self, X: np.ndarray) -> np.ndarray:
-        """Values at the rows of a 2-D array; the base class evaluates them
-        one at a time."""
-        return np.array([self.value(x) for x in X], dtype=float)
-
-    def batch_gradient(self, X: np.ndarray) -> np.ndarray:
-        """Gradients at the rows of a 2-D array; the base class takes them
-        one at a time."""
-        return np.array([self.gradient(x) for x in X], dtype=float)
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
-
-class QuadraticObjective(SmoothObjective):
-    """f(x) = 1/2 (x - x0)^T A (x - x0) with symmetric positive definite A.
-
-    ``A`` may be given as a 1-D array (diagonal) or a full matrix; ``x0`` is
-    the unconstrained minimizer.  ``grad_floor`` is a declared lower bound on
-    the dual gradient norm over the feasible set (see
-    :func:`grad_floor_quadratic`), or None.
-    """
-
     def __init__(self, A: np.ndarray, x0: np.ndarray, grad_floor: Optional[float] = None):
         A = np.asarray(A, dtype=float)
-        self.x0 = np.asarray(x0, dtype=float)
-        self.diagonal = A.ndim == 1
-        if self.diagonal:
-            if np.any(A <= 0.0):
-                raise InvalidParams("diagonal of A must be positive")
-            self._eigs = np.sort(A)
-        else:
-            if A.shape[0] != A.shape[1] or not np.allclose(A, A.T):
-                raise InvalidParams("A must be square symmetric")
-            self._eigs = np.sort(np.linalg.eigvalsh(A))
-            if self._eigs[0] <= 0.0:
-                raise InvalidParams("A must be positive definite")
+        if A.ndim != 1:
+            raise InvalidParams(f"A must be the 1-D diagonal, got {A.ndim} dimensions")
+        if not np.all(A > 0.0):  # also refuses NaN
+            raise InvalidParams("diagonal of A must be positive")
         self.A = A
-        self.L = float(self._eigs[-1])
-        self.mu_sc = float(self._eigs[0])
+        self.x0 = np.asarray(x0, dtype=float)
+        self.L = float(A.max())
+        self.mu_sc = float(A.min())
         self.heb = heb_from_uniform_convexity(self.mu_sc, 2.0)
         self.grad_floor = grad_floor
 
     @property
     def lambda_min(self) -> float:
-        return float(self._eigs[0])
+        return self.mu_sc
 
     @property
     def condition_number(self) -> float:
-        return float(self._eigs[-1] / self._eigs[0])
-
-    def _apply(self, d: np.ndarray) -> np.ndarray:
-        return self.A * d if self.diagonal else self.A @ d
+        return self.L / self.mu_sc
 
     def value(self, x: np.ndarray) -> float:
         d = np.asarray(x, dtype=float) - self.x0
-        return 0.5 * float(np.dot(d, self._apply(d)))
+        return 0.5 * float(np.dot(d, self.A * d))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.diagonal:
-            g = np.subtract(x, self.x0, dtype=float)
-            return np.multiply(self.A, g, out=g)
-        return self.A @ (np.asarray(x, dtype=float) - self.x0)
+        g = np.subtract(x, self.x0, dtype=float)
+        return np.multiply(self.A, g, out=g)
 
     def batch_value(self, X: np.ndarray) -> np.ndarray:
-        if not self.diagonal:
-            return super().batch_value(X)
+        """Values at the rows of a 2-D array, equal to :meth:`value`'s."""
         D = np.asarray(X, dtype=float) - self.x0
         # summed row by row as value's np.dot sums, so the results are equal
         return 0.5 * _row_dots(D, self.A * D)
 
     def batch_gradient(self, X: np.ndarray) -> np.ndarray:
-        # a dense A, or a gradient overridden by a subclass or an instance,
-        # is taken row by row
-        if not self.diagonal or getattr(self.gradient, "__func__", None) is not QuadraticObjective.gradient:
-            return super().batch_gradient(X)
+        """Gradients at the rows of a 2-D array, equal to :meth:`gradient`'s."""
+        # a gradient overridden by a subclass or an instance is taken row by row
+        if getattr(self.gradient, "__func__", None) is not QuadraticObjective.gradient:
+            return np.array([self.gradient(x) for x in X], dtype=float)
         # elementwise, as gradient computes each row, so the results are equal
         G = np.subtract(X, self.x0, dtype=float)
         return np.multiply(self.A, G, out=G)
-
-    def curvature_along(self, d: np.ndarray) -> float:
-        """d^T A d, used by the analytic exact line search."""
-        return float(np.dot(d, self._apply(d)))
 
     def descriptor(self) -> dict:
         return {
             "family": "quadratic",
             "dim": int(self.x0.shape[0]),
             "cond": self.condition_number,
-            "diagonal": bool(self.diagonal),
+            "diagonal": True,
         }
 
 

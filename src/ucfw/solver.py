@@ -1,14 +1,16 @@
 """The Frank-Wolfe loop with pluggable step-size strategies and full
-per-iteration tracing, recorded in blocks of rows.  The reference-optimum
-fallback runs through the same loop.
+per-iteration tracing, recorded in blocks of rows, for the diagonal
+:class:`~ucfw.objectives.QuadraticObjective` every verb builds; its exact
+line search is a closed form.  The reference-optimum fallback runs through
+the same loop.
 
 One run is sequential; traces are value-semantic, so independent runs can
 execute concurrently without shared state.  :func:`run_fw_stack` runs many
-diagonal-quadratic problems of one dimension in lockstep, with their rows
-grouped by set so each iteration makes one stacked LMO call per set, and
-gives each problem :func:`run_fw`'s trace bit for bit; fig2 runs one stack
-per usable CPU.  A single run keeps :func:`run_fw`, because the stack's
-bookkeeping made it 1.3-1.9x slower at k = 1.
+problems of one dimension in lockstep, with their rows grouped by set so
+each iteration makes one stacked LMO call per set, and gives each problem
+:func:`run_fw`'s trace bit for bit; fig2 runs one stack per usable CPU.  A
+single run keeps :func:`run_fw`, because the stack's bookkeeping made it
+1.3-1.9x slower at k = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import InfeasibleStart, InvalidParams, UCFWError, ZeroDirection
 from .geometry import FeasibleSet, LpBall, _block_rows, _row_dots, _write_csv, _write_json
-from .objectives import QuadraticObjective, SmoothObjective
+from .objectives import QuadraticObjective
 
 __all__ = [
     "StepRule",
@@ -75,40 +77,18 @@ def short_step(fw_gap: float, L: float, d_sq: float) -> float:
     return min(1.0, fw_gap / denom)
 
 
-def exact_line_search(f: SmoothObjective, x: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
-    """argmin_{gamma in [0,1]} f(x + gamma d), where g is the gradient of f
-    at x that the caller already holds.
-
-    Analytic for quadratics.  Otherwise bisection on the derivative
-    phi'(gamma) = <grad f(x + gamma d), d>, which does not decrease for a
-    convex f: 0 when phi'(0) = <g, d> >= 0, 1 when phi'(1) <= 0, else the
-    midpoint of a bracket of width at most 1e-10 around the root (at most
-    35 gradient calls, no value calls).
-    """
+def exact_line_search(f: QuadraticObjective, d: np.ndarray, g: np.ndarray) -> float:
+    """argmin_{gamma in [0,1]} f(x + gamma d) for the quadratic f, where g
+    is its gradient at x that the caller already holds: the slope -<g, d>
+    over the curvature d^T A d, clipped to [0, 1].  A zero direction takes
+    0; so does a zero curvature, unless the slope is positive."""
     if not d.any():
         return 0.0
-    if isinstance(f, QuadraticObjective):
-        curv = f.curvature_along(d)
-        slope = -float(np.dot(g, d))
-        if curv <= 0.0:
-            return 1.0 if slope > 0.0 else 0.0
-        return min(max(slope / curv, 0.0), 1.0)  # keeps NaN, like np.clip
-    if float(np.dot(g, d)) >= 0.0:
-        return 0.0
-
-    def slope_at(gamma: float) -> float:
-        return float(np.dot(f.gradient(x + gamma * d), d))
-
-    if slope_at(1.0) <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if slope_at(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    curv = float(np.dot(d, f.A * d))
+    slope = -float(np.dot(g, d))
+    if curv <= 0.0:
+        return 1.0 if slope > 0.0 else 0.0
+    return min(max(slope / curv, 0.0), 1.0)  # keeps NaN, like np.clip
 
 
 @dataclass
@@ -161,7 +141,7 @@ class RunTrace:
 
 def run_fw(
     feasible: FeasibleSet,
-    f: SmoothObjective,
+    f: QuadraticObjective,
     x_init: np.ndarray,
     rule: StepRule,
     T: int,
@@ -224,7 +204,7 @@ def run_fw(
         elif tag == "short":
             gamma = short_step(fw_gap, f.L, float(np.dot(d, d)))
         else:
-            gamma = exact_line_search(f, x, v - x, g)
+            gamma = exact_line_search(f, v - x, g)
         gammas[t] = gamma
         # (1 - gamma) x + gamma v, written in place
         x_next = np.multiply(x, 1.0 - gamma, out=X[i + 1])
@@ -241,10 +221,10 @@ def run_fw(
 def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
     """Run k Frank-Wolfe problems of one dimension in lockstep, one
     ``(feasible, f, x_init, rule, f_star)`` tuple each, with ``f`` a
-    diagonal :class:`~ucfw.objectives.QuadraticObjective`.  Returns one
-    trace per problem, in order, equal bit for bit to what :func:`run_fw`
-    returns for it: every column, ``best_x``, ``best_value`` and the
-    metadata.
+    :class:`~ucfw.objectives.QuadraticObjective` that keeps its own
+    ``gradient`` (the stack computes it inline).  Returns one trace per
+    problem, in order, equal bit for bit to what :func:`run_fw` returns for
+    it: every column, ``best_x``, ``best_value`` and the metadata.
 
     Each iteration stacks the gradient, the gap, the three step rules and
     the convex update over the rows that still run.  Rows are grouped by
@@ -271,9 +251,8 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
     xs = [np.array(x_init, dtype=float) for _, _, x_init, _, _ in problems]
     dim = xs[0].size
     for (feasible, f, _, _, _), x in zip(problems, xs):
-        if not (isinstance(f, QuadraticObjective) and f.diagonal
-                and getattr(f.gradient, "__func__", None) is QuadraticObjective.gradient):
-            raise InvalidParams("run_fw_stack needs diagonal quadratics with their own gradient")
+        if getattr(f.gradient, "__func__", None) is not QuadraticObjective.gradient:
+            raise InvalidParams("run_fw_stack needs quadratics with their own gradient")
         if x.shape != (dim,) or f.x0.shape != (dim,):
             raise InvalidParams(f"run_fw_stack needs problems of one dimension {dim}")
         _check_start(feasible, x)
@@ -402,9 +381,8 @@ def _short_steps(gap: np.ndarray, L: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _exact_steps(A: np.ndarray, x: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """:func:`exact_line_search`'s analytic step for diagonal quadratics,
-    for each row: diagonals A, iterates x, vertices v and gradients g
-    stacked.  A zero direction has zero curvature and takes 0."""
+    """:func:`exact_line_search`'s step for each row: diagonals A, iterates
+    x, vertices v and gradients g stacked.  A zero direction has zero curvature and takes 0."""
     d = v - x
     curv = _row_dots(d, A * d)
     slope = -_row_dots(g, d)
@@ -424,7 +402,7 @@ class _Columns:
     touches only the pages of the rows it wrote.
     """
 
-    def __init__(self, feasible: FeasibleSet, f: SmoothObjective, T: int, f_star: Optional[float]):
+    def __init__(self, feasible: FeasibleSet, f: QuadraticObjective, T: int, f_star: Optional[float]):
         self.feasible, self.f, self.f_star = feasible, f, f_star
         try:
             self.gammas = np.zeros(T + 1)
@@ -497,23 +475,23 @@ def _check_iterates(feasible: FeasibleSet, X: np.ndarray, lo: int) -> None:
 
 def reference_optimum(
     feasible: FeasibleSet,
-    f: SmoothObjective,
+    f: QuadraticObjective,
     x_init: np.ndarray,
     horizon: int,
     stop_gap: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """High-accuracy solution of min f over the set.
 
-    A diagonal quadratic over an lp ball of finite p is solved exactly from
-    its KKT system (:func:`_lp_ball_quadratic_optimum`).  Every other
-    problem, the l-infinity ball's included, falls
-    back to :func:`run_fw` with exact line search from ``x_init`` for
-    ``horizon`` steps (or until the gap drops to ``stop_gap``), returning
-    the run's first iterate of least value, so its memory does not grow with
-    ``horizon``; a numerical breakdown raises :class:`UCFWError`.  The
-    experiment suites give it 50x the plotted horizon.
+    Over an lp ball of finite p the quadratic's minimiser is solved exactly
+    from its KKT system (:func:`_lp_ball_quadratic_optimum`).  Every other
+    set, the l-infinity ball included, falls back to :func:`run_fw` with
+    exact line search from ``x_init`` for ``horizon`` steps (or until the
+    gap drops to ``stop_gap``), returning the run's first iterate of least
+    value, so its memory does not grow with ``horizon``; a numerical
+    breakdown raises :class:`UCFWError`.  The experiment suites give it 50x
+    the plotted horizon.
     """
-    if isinstance(f, QuadraticObjective) and f.diagonal and isinstance(feasible, LpBall) and np.isfinite(feasible.p):
+    if isinstance(feasible, LpBall) and np.isfinite(feasible.p):
         return _lp_ball_quadratic_optimum(feasible, f)
     trace = run_fw(feasible, f, x_init, StepRule.exact(), horizon, stop_gap=stop_gap)
     return trace.best_x, trace.best_value
@@ -531,7 +509,7 @@ def _fw_vertex(lmo, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return v, d, max(float(np.dot(g, d)), 0.0)
 
 
-def fw_gap_at(feasible: FeasibleSet, f: SmoothObjective, x: np.ndarray) -> float:
+def fw_gap_at(feasible: FeasibleSet, f: QuadraticObjective, x: np.ndarray) -> float:
     """Frank-Wolfe gap max_v <grad f(x), x - v> as the traced runs record
     it.  For a feasible x it bounds f(x) - min f from above, so at a
     reference optimum it certifies f_star (Jaggi, ICML 2013)."""

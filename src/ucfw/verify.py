@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds as bnd
 from .errors import InvalidParams, StaleOptimum, UCFWError
 from .geometry import FeasibleSet, UCParams, _row_dots
-from .objectives import SmoothObjective
+from .objectives import QuadraticObjective
 
 __all__ = [
     "SamplerConfig",
@@ -174,7 +174,7 @@ def check_definition1(
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_lemma1(
-    feasible: FeasibleSet, uc: UCParams, f: SmoothObjective, cfg: SamplerConfig
+    feasible: FeasibleSet, uc: UCParams, f: QuadraticObjective, cfg: SamplerConfig
 ) -> CheckReport:
     """Global scaling inequality at sampled feasible points:
     <-grad f(x), v - x> >= (alpha/2) ||v - x||^q ||grad f(x)||_* with
@@ -197,7 +197,7 @@ def check_lemma1(
 @np.errstate(over="ignore", invalid="ignore")
 def check_local_scaling(
     feasible: FeasibleSet,
-    f: SmoothObjective,
+    f: QuadraticObjective,
     x_star: np.ndarray,
     alpha: float,
     q: float,
@@ -270,7 +270,7 @@ def check_trace(trace, bound: bnd.RateBound, burn_in: int = 0) -> CheckReport:
 
 def estimate_local_alpha(
     feasible: FeasibleSet,
-    f: SmoothObjective,
+    f: QuadraticObjective,
     x_star: np.ndarray,
     q: float,
     cfg: SamplerConfig,

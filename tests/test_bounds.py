@@ -11,6 +11,7 @@ from ucfw import (
     InvalidParams,
     LpBall,
     QuadraticObjective,
+    RateBound,
     StepRule,
     check_trace,
     iterate_recursion,
@@ -109,6 +110,18 @@ class TestTheorem2:
     def test_q2_linear(self):
         b = theorem2_bound(c=1.0, alpha=1.0, q=2.0, L=1.0, h0=0.8)
         assert b.linear_factor is not None
+
+    def test_q2_factor_that_rounds_to_one_is_flat(self):
+        """Once 1/(2 L H^2) is below half an ulp of 1, as near p = 1, the
+        factor is 1.0 and the envelope stays at the anchor."""
+        b = theorem2_bound(1e-6, 1.0, 2.0, 1.0, 0.5)
+        assert b.linear_factor == 1.0
+        assert b.evaluate(np.array([0.0, 1.0, 1e6])).tolist() == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.0 + 2.0**-52, math.nan])
+    def test_factor_outside_unit_interval_refused(self, factor):
+        with pytest.raises(InvalidParams):
+            RateBound(theorem_tag="T2", linear_factor=factor, h0=1.0)
 
     def test_q3_exponent(self):
         b = theorem2_bound(c=1.0, alpha=1.0, q=3.0, L=1.0, h0=0.5)
