@@ -287,7 +287,6 @@ def _fallback_cases():
     l1_100 = L1Ball(radius=1.0, dim=100)
     x0_100 = 3.0 * rng.standard_normal(100) / np.sqrt(100)
     ball = LpBall(p=3.0, radius=1.0, dim=5)
-    rng.standard_normal((5, 5))  # keeps the later draws as they were
     schatten = SchattenBall(2.5, 3, 3, 1.0)
     return {
         "l1-d2": (L1Ball(radius=1.0, dim=2), QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0])),
