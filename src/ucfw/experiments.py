@@ -228,20 +228,18 @@ def run_solve(config: dict, out_dir) -> dict:
 
 def _fig2_stack(job: tuple) -> list[tuple[dict, tuple]]:
     """One contiguous stack of (location, rule, p) runs of the
-    curved-vs-flat protocol: the runs in lockstep (:func:`run_fw_stack`),
-    then each run's trace with bound overlays, CSV and sidecar.  Returns
-    each run's record and its running-min gap series for the plot, in run
-    order."""
+    curved-vs-flat protocol, each with its built problem and reference: the
+    runs in lockstep (:func:`run_fw_stack`), then each run's trace with
+    bound overlays, CSV and sidecar.  Returns each run's record and its
+    running-min gap series for the plot, in run order."""
     runs, out_dir = job
-    problems = []
-    for cfg, rule_name, p, (f_star, _) in runs:
-        feasible, f = build_problem(cfg, p)
-        problems.append((feasible, f, x_init_for(feasible, cfg.seed), STEP_RULES[rule_name], f_star))
+    problems = [
+        (feasible, f, x_init_for(feasible, cfg.seed), STEP_RULES[rule_name], f_star)
+        for cfg, rule_name, p, feasible, f, (f_star, _) in runs
+    ]
     horizon = runs[0][0].horizon
     results = []
-    for (cfg, rule_name, p, (_, certificate)), (feasible, f, *_), trace in zip(
-        runs, problems, run_fw_stack(problems, horizon)
-    ):
+    for (cfg, rule_name, p, feasible, f, (_, certificate)), trace in zip(runs, run_fw_stack(problems, horizon)):
         record = write_fw_run(
             trace, feasible, f, certificate, out_dir, f"{cfg.optimum_location}_{rule_name}_p{p:g}"
         )
@@ -292,16 +290,17 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
     default p grid, with one SVG of running-min gaps per location and step
     rule.
 
-    The reference optima come first.  The 30 (location, rule, p) runs share
-    nothing else.  They are cut, in run order, into one contiguous stack per
-    usable CPU (two stacks of 15 on 2 CPUs, one of 30 on 1), and each stack,
-    from its problems to its CSVs and sidecars, runs as one job
-    (:func:`_fig2_stack`, :func:`_map_runs`).  A stack runs its problems in
-    lockstep and groups its rows by set, so each of its iterations makes one
-    stacked LMO call per p.  The plots and then the manifest are written
-    here afterwards, in run order.  Every run's trace equals its
-    :func:`run_fw` trace bit for bit, so no output depends on the number of
-    CPUs, and a manifest exists only once every file does.
+    Each (location, p) problem and its reference optimum are built first,
+    once.  The 30 runs share nothing else.  They are put in (p, location,
+    rule) order, so each p's six runs over one set sit together, and cut
+    into one contiguous stack per usable CPU (two stacks of 15 on 2 CPUs,
+    one of 30 on 1).  Each stack, from its problems to its CSVs and
+    sidecars, runs as one job (:func:`_fig2_stack`, :func:`_map_runs`), in
+    lockstep, with one stacked LMO call per p and iteration.  The plots and
+    then the manifest are written here afterwards, in (location, rule, p)
+    order.  Every run's trace equals its :func:`run_fw` trace bit for bit,
+    so no output depends on the number of CPUs, and a manifest exists only
+    once every file does.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -309,23 +308,29 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
         ExperimentConfig(dim=dim, horizon=horizon, seed=seed, optimum_location=location)
         for location in ("curved", "flat")
     ]
-    runs = []
+    built = {}
     for cfg in cfgs:
-        references = {
-            p: fw_reference(*build_problem(cfg, p), cfg.horizon, cfg.seed, 1e-13) for p in FIG2_P_GRID
-        }
-        runs += [(cfg, rule_name, p, references[p]) for rule_name in STEP_RULES for p in FIG2_P_GRID]
+        for p in FIG2_P_GRID:
+            feasible, f = build_problem(cfg, p)
+            built[cfg.optimum_location, p] = (feasible, f, fw_reference(feasible, f, cfg.horizon, cfg.seed, 1e-13))
+    runs = [
+        (cfg, rule_name, p, *built[cfg.optimum_location, p])
+        for p in FIG2_P_GRID for cfg in cfgs for rule_name in STEP_RULES
+    ]
     n = min(usable_cpus(), len(runs))
     cuts = [len(runs) * s // n for s in range(n + 1)]
     jobs = [(runs[a:b], out_dir) for a, b in zip(cuts, cuts[1:])]
-    results = iter([result for stack in _map_runs(_fig2_stack, jobs) for result in stack])
+    results = {
+        (record["location"], record["rule"], record["p"]): (record, line)
+        for stack in _map_runs(_fig2_stack, jobs) for record, line in stack
+    }
 
     manifest: dict = {"suite": "fig2", "files": [], "runs": []}
     for cfg in cfgs:
         for rule_name in STEP_RULES:
             series = []
             for p in FIG2_P_GRID:
-                record, line = next(results)
+                record, line = results[cfg.optimum_location, rule_name, p]
                 manifest["files"].extend([record["csv"], record["csv"].removesuffix(".csv") + ".json"])
                 manifest["runs"].append(record)
                 series.append(line)

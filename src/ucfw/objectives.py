@@ -74,14 +74,12 @@ class QuadraticObjective:
             raise InvalidParams("diagonal of A must be positive")
         self.A = A
         self.x0 = np.asarray(x0, dtype=float)
+        if self.x0.shape != A.shape:
+            raise InvalidParams(f"x0 must have A's shape {A.shape}, got {self.x0.shape}")
         self.L = float(A.max())
         self.mu_sc = float(A.min())
         self.heb = heb_from_uniform_convexity(self.mu_sc, 2.0)
         self.grad_floor = grad_floor
-
-    @property
-    def lambda_min(self) -> float:
-        return self.mu_sc
 
     @property
     def condition_number(self) -> float:
@@ -123,7 +121,7 @@ def grad_floor_quadratic(f: QuadraticObjective, feasible: FeasibleSet) -> float:
     """Analytic lower bound on inf_{x in C} ||grad f(x)||_* over a norm ball
     C = {||x|| <= radius}.
 
-    ||grad f(x)||_2 >= lambda_min(A) ||x - x0||_2 >= lambda_min * dist_2(x0, C),
+    ||grad f(x)||_2 >= mu_sc ||x - x0||_2 >= mu_sc * dist_2(x0, C),
     then converted to the dual norm.  The distance is bounded through C's
     support function sigma_C(u) = radius ||u||_*: every unit u separates,
     dist_2(x0, C) >= <u, x0> - sigma_C(u), and u = x0 / ||x0||_2 gives
@@ -136,7 +134,7 @@ def grad_floor_quadratic(f: QuadraticObjective, feasible: FeasibleSet) -> float:
     if norm == 0.0:
         return 0.0
     dist = max(0.0, norm - feasible.radius * feasible.dual_norm(f.x0 / norm))
-    return f.lambda_min * dist * feasible.norm_equivalence().dual_floor
+    return f.mu_sc * dist * feasible.norm_equivalence().dual_floor
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ the same loop.
 
 One run is sequential; traces are value-semantic, so independent runs can
 execute concurrently without shared state.  :func:`run_fw_stack` runs many
-problems of one dimension in lockstep, with their rows grouped by set so
-each iteration makes one stacked LMO call per set, and gives each problem
-:func:`run_fw`'s trace bit for bit; fig2 runs one stack per usable CPU.  A
-single run keeps :func:`run_fw`, because the stack's bookkeeping made it
-1.3-1.9x slower at k = 1.
+problems of one dimension in lockstep, one row per problem, with one
+stacked LMO call per run of consecutive problems over equal sets, and
+gives each problem :func:`run_fw`'s trace bit for bit; fig2 runs one stack
+per usable CPU.  A single run keeps :func:`run_fw`, because the stack's
+bookkeeping made it 1.3-1.9x slower at k = 1.
 """
 
 from __future__ import annotations
@@ -226,19 +226,22 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
     problem, in order, equal bit for bit to what :func:`run_fw` returns for
     it: every column, ``best_x``, ``best_value`` and the metadata.
 
-    Each iteration stacks the gradient, the gap, the three step rules and
-    the convex update over the rows that still run.  Rows are grouped by
-    set (equal sets share a group), and each group takes one call of its
-    set's ``lmo``, through the instance, so a wrapper on the set's method
-    sees every call; so do the batched oracles of each row's blocks.  A row
-    stops on its own gap or at T and then freezes; the loop ends when every
-    row has stopped.  A zero gradient, a NaN gap and an iterate that leaves
-    the set take the same course for a row as in :func:`run_fw`, and the
-    first row to fail raises that row's error.
+    Stack row j is problem j.  Each iteration stacks the gradient, the gap,
+    the step rules the stack's problems take and the convex update over all
+    k rows.  Consecutive problems over equal sets share one call of their
+    set's ``lmo`` on their slice of rows, through the instance, so a
+    wrapper on the set's method sees every call; so do the batched oracles
+    of each row's blocks.  Callers that put problems over one set together
+    make the fewest calls.  A row stops on its own gap or at T and then
+    stays where it stopped; what it computes afterwards reaches no trace,
+    guard or error.  The loop ends when every row has stopped.  A zero
+    gradient, a NaN gap and an iterate that leaves the set take the same
+    course for a row as in :func:`run_fw`, and of the rows that fail
+    together, the first problem's raises its error.
 
     Each row's points live in block buffers of at most 64 KiB, as in
     :func:`run_fw`, so memory does not grow with T beyond the traces'
-    scalar columns.  The stack pays its group and rule bookkeeping on every
+    scalar columns.  The stack pays its span and rule bookkeeping on every
     iteration: at k = 1 it ran 1.3-1.9x slower than :func:`run_fw` (solve's
     deterministic lp configs at d = 8, 100 and 1000), so a single run takes
     :func:`run_fw`.
@@ -257,28 +260,16 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
             raise InvalidParams(f"run_fw_stack needs problems of one dimension {dim}")
         _check_start(feasible, x)
     cols = [_Columns(feasible, f, T, f_star) for feasible, f, _, _, f_star in problems]
-
-    # the stack's rows are the problems grouped by set, in order of first
-    # appearance: stack row j is problem order[j]
-    groups: dict = {}
-    for n, (feasible, *_) in enumerate(problems):
-        groups.setdefault(feasible, []).append(n)
-    order = np.array([n for members in groups.values() for n in members])
-    group_of = np.repeat(np.arange(len(groups)), [len(m) for m in groups.values()])
-    sets = [problems[n][0] for n in order]
-    tags = np.array([problems[n][3].tag for n in order])
-    A = np.array([problems[n][1].A for n in order])
-    x0 = np.array([problems[n][1].x0 for n in order])
-    L = np.array([problems[n][1].L for n in order])
-
-    def running(act: np.ndarray) -> tuple:
-        """The constants of stack rows act, their set groups as (start,
-        end, lmo) spans, and their short and exact masks (None if empty)."""
-        cuts = (np.flatnonzero(np.diff(group_of[act])) + 1).tolist()
-        spans = [(s, e, sets[act[s]].lmo) for s, e in zip([0, *cuts], [*cuts, len(act)])]
-        short, exact = tags[act] == "short", tags[act] == "exact"
-        return (x0[act], A[act], L[act], spans,
-                short if short.any() else None, exact if exact.any() else None)
+    sets = [feasible for feasible, *_ in problems]
+    A = np.array([f.A for _, f, *_ in problems])
+    x0 = np.array([f.x0 for _, f, *_ in problems])
+    L = np.array([f.L for _, f, *_ in problems])
+    # runs of consecutive equal sets as (start, end, lmo) spans of rows
+    cuts = [j for j in range(1, k) if sets[j] != sets[j - 1]]
+    spans = [(s, e, sets[s].lmo) for s, e in zip([0, *cuts], [*cuts, k])]
+    tags = np.array([rule.tag for _, _, _, rule, _ in problems])
+    short, exact = tags == "short", tags == "exact"
+    short, exact = short if short.any() else None, exact if exact.any() else None
 
     # block buffers as in run_fw, with the stack rows along the second axis;
     # GAP and GAM hold the block's gaps and steps until its rows settle
@@ -288,35 +279,27 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
     G = np.empty_like(V)
     GAP = np.empty((rows, k))
     GAM = np.empty((rows, k))
-    X[0] = np.array(xs)[order]
+    X[0] = xs
     traces: list = [None] * k
 
     def settle(js, lo: int, hi: int) -> None:
         n = hi - lo
-        for j in sorted(js, key=order.__getitem__):  # a guard raises for the first problem
-            c = cols[order[j]]
+        for j in js:  # in problem order, so a guard raises for the first problem
+            c = cols[j]
             c.gaps[lo:hi] = GAP[:n, j]
             c.gammas[lo:hi] = GAM[:n, j]
             c.settle(X[:, j], V[:, j], G[:, j], lo, hi)
 
-    def finish(js, lo: int, t: int) -> None:
-        GAM[t - lo, js] = 0.0  # the last row takes no step
-        settle(js, lo, t + 1)
-        for j in js:
-            traces[order[j]] = cols[order[j]].trace(problems[order[j]][3], T, stop_gap, t)
-
-    act = np.arange(k)  # the stack rows that still run
-    sel = slice(None)  # act, as an index into the block buffers
-    x0a, Aa, La, spans, short, exact = running(act)
+    live = np.ones(k, dtype=bool)  # the rows that still run
     lo = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # the rule a row does not take may divide 0 by 0
         for t in range(T + 1):
             i = t - lo
-            x = X[i, sel]
-            g = x - x0a
-            g *= Aa
+            x = X[i]
+            g = np.subtract(x, x0, out=G[i])
+            g *= A
             phi = -g
-            v = np.empty_like(g)
+            v = V[i]
             zero = []
             for s, e, lmo in spans:
                 try:
@@ -324,48 +307,47 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
                 except ZeroDirection:
                     # run_fw's zero-gradient branch: v = x and a zero gap
                     nonzero = g[s:e].any(axis=1)
-                    z, live = s + np.flatnonzero(~nonzero), s + np.flatnonzero(nonzero)
+                    z, nz = s + np.flatnonzero(~nonzero), s + np.flatnonzero(nonzero)
                     v[z] = x[z]
-                    if len(live):
-                        v[live] = lmo(phi[live])
+                    if len(nz):
+                        v[nz] = lmo(phi[nz])
                     zero += z.tolist()
             d = x - v
             dots = _row_dots(g, d)
             gap = np.where(dots < 0.0, 0.0, dots)  # max(dot, 0.0), as run_fw clips roundoff
             if zero:
                 gap[zero] = 0.0
-            G[i, sel] = g
-            V[i, sel] = v
-            GAP[i, sel] = gap
+            GAP[i] = gap
 
-            go = gap > stop_gap
-            if t == T or np.count_nonzero(go) < len(act):
-                bad = act[~(gap >= 0.0)]
+            stop = live & ~(gap > stop_gap)
+            if t == T or stop.any():
+                bad = np.flatnonzero(live & ~(gap >= 0.0))
                 if len(bad):
-                    j = min(bad, key=order.__getitem__)
+                    j = bad[0]
                     _check_iterates(sets[j], X[: i + 1, j], lo)
-                    raise _gap_breakdown(float(GAP[i, j]), t)
+                    raise _gap_breakdown(float(gap[j]), t)
                 if t == T:
-                    finish(act, lo, t)
+                    stop = live
+                js = np.flatnonzero(stop)
+                GAM[i, js] = 0.0  # the last row takes no step
+                settle(js, lo, t + 1)
+                for j in js:
+                    traces[j] = cols[j].trace(problems[j][3], T, stop_gap, t)
+                live = live & ~stop
+                if not live.any():
                     break
-                finish(act[~go], lo, t)
-                act = sel = act[go]
-                if not len(act):
-                    break
-                x, g, v, d, gap = x[go], g[go], v[go], d[go], gap[go]
-                x0a, Aa, La, spans, short, exact = running(act)
 
-            gamma = np.full(len(act), 1.0 / (t + 1.0))
+            gamma = np.full(k, 1.0 / (t + 1.0))
             if short is not None:
-                gamma = np.where(short, _short_steps(gap, La, d), gamma)
+                gamma = np.where(short, _short_steps(gap, L, d), gamma)
             if exact is not None:
-                gamma = np.where(exact, _exact_steps(Aa, x, v, g), gamma)
-            GAM[i, sel] = gamma
+                gamma = np.where(exact, _exact_steps(A, x, v, g), gamma)
+            GAM[i] = gamma
             x_next = x * (1.0 - gamma)[:, None]
             x_next += v * gamma[:, None]
-            X[i + 1, sel] = x_next
+            X[i + 1] = np.where(live[:, None], x_next, x)  # a stopped row stays where it stopped
             if i + 1 == rows:
-                settle(act, lo, t + 1)
+                settle(np.flatnonzero(live), lo, t + 1)
                 X[0] = X[rows]
                 lo = t + 1
     return traces

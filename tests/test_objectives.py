@@ -79,6 +79,13 @@ class TestQuadratic:
         with pytest.raises(InvalidParams, match="A must be the 1-D diagonal"):
             QuadraticObjective(A=A, x0=np.zeros(2))
 
+    @pytest.mark.parametrize("x0", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), 0.0])
+    def test_refuses_an_x0_of_another_shape(self, x0):
+        """x0 has A's shape; another one would fail only at the first value,
+        as numpy's broadcasting error."""
+        with pytest.raises(InvalidParams, match="x0 must have A's shape"):
+            QuadraticObjective(A=np.ones(3), x0=x0)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         f = QuadraticObjective(A=rng.uniform(1.0, 6.0, 5), x0=rng.standard_normal(5))
@@ -200,7 +207,7 @@ def enclosing_ball_floor(f, feasible) -> float:
     n, p = feasible.lp_equivalent
     enclosing = feasible.radius * n ** max(0.0, 0.5 - 1.0 / p)
     dist = max(0.0, float(np.linalg.norm(f.x0)) - enclosing)
-    return f.lambda_min * dist * feasible.norm_equivalence().dual_floor
+    return f.mu_sc * dist * feasible.norm_equivalence().dual_floor
 
 
 class TestGradFloor:

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from ucfw import (
     ZeroDirection,
     exact_line_search,
     fw_gap_at,
-    grad_floor_quadratic,
     reference_optimum,
     run_fw,
     run_fw_stack,
@@ -821,6 +821,30 @@ def assert_same_trace(got, want):
     assert got.metadata == want.metadata
 
 
+@dataclass(frozen=True)
+class _Overshooting(LpBall):
+    """An lp ball whose lmo returns its vertices scaled by ``factor``, so
+    outside the ball; with ``nan_back``, a phi whose first entry is negative
+    gets a NaN vertex."""
+
+    factor: float = 2.0
+    nan_back: bool = False
+
+    def lmo(self, phi):
+        v = self.factor * LpBall.lmo(self, phi)
+        return np.where(phi[..., :1] < 0.0, np.nan, v) if self.nan_back else v
+
+
+@dataclass(frozen=True)
+class _ForwardOnly(LpBall):
+    """An lp ball whose lmo refuses a phi with a negative first entry."""
+
+    def lmo(self, phi):
+        if (np.asarray(phi)[..., 0] < 0.0).any():
+            raise UCFWError("phi turned back")
+        return LpBall.lmo(self, phi)
+
+
 class TestRunFwStack:
     """run_fw_stack returns, for each problem, run_fw's trace bit for bit."""
 
@@ -840,14 +864,20 @@ class TestRunFwStack:
             assert len(stops) > 10 and T in stops
 
     def test_one_lmo_call_per_set_and_iteration(self, monkeypatch):
+        """Consecutive problems over equal sets share one call per
+        iteration; problems whose sets alternate take one call each."""
         calls = []
         real = LpBall.lmo
         monkeypatch.setattr(LpBall, "lmo", lambda self, phi: calls.append(len(phi)) or real(self, phi))
-        problems = [(LpBall(p=p, radius=1.0, dim=5), QuadraticObjective(A=np.ones(5), x0=np.full(5, 2.0)),
-                     np.zeros(5), StepRule(rule), None)
-                    for rule in ("deterministic", "short", "exact") for p in (1.5, 3.0)]
-        run_fw_stack(problems, 10, stop_gap=-1.0)
+        f = QuadraticObjective(A=np.ones(5), x0=np.full(5, 2.0))
+        rules = ("deterministic", "short", "exact")
+        by_p = [(LpBall(p=p, radius=1.0, dim=5), f, np.zeros(5), StepRule(rule), None)
+                for p in (1.5, 3.0) for rule in rules]
+        run_fw_stack(by_p, 10, stop_gap=-1.0)
         assert calls == [3, 3] * 11
+        calls.clear()
+        run_fw_stack([by_p[n] for n in (0, 3, 1, 4, 2, 5)], 10, stop_gap=-1.0)
+        assert calls == [1] * 6 * 11
 
     def test_nan_gradient_raises_run_fw_error(self):
         nan = QuadraticObjective(A=np.ones(9), x0=np.full(9, np.nan))
@@ -867,6 +897,38 @@ class TestRunFwStack:
         with pytest.raises(InfeasibleStart) as got:
             run_fw_stack(problems, 50)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("nan_back", [False, True])
+    def test_rows_that_fail_together_raise_the_first_problems_error(self, nan_back):
+        """Two rows whose iterate t = 1 leaves its set by different amounts
+        fail in one block: through the guard at the stop or, with
+        nan_back, through the NaN gaps both reach at t = 1.  Either way, and
+        in either order of the two, the stack raises the first problem's
+        run_fw error."""
+        f = QuadraticObjective(A=np.ones(2), x0=np.zeros(2))
+        problems = [(_Overshooting(p=2.0, radius=1.0, dim=2, factor=factor, nan_back=nan_back), f,
+                     np.array([-1.0, 0.0]), StepRule.deterministic(), None) for factor in (3.0, 2.0)]
+        for first, second in (problems, problems[::-1]):
+            want = _outcome(run_fw, *first[:4], 5, stop_gap=-1.0)
+            assert want[0] is UCFWError and want[1].startswith("iterate t = 1 left the feasible set")
+            assert want != _outcome(run_fw, *second[:4], 5, stop_gap=-1.0)
+            assert _outcome(run_fw_stack, [first, second], 5, stop_gap=-1.0) == want
+
+    def test_a_stopped_row_stays_where_it_stopped(self):
+        """The first row stops at t = 0 while the second runs on.  Had the
+        first taken its step to the vertex (1, 0), its set's lmo would
+        refuse the next phi."""
+        start = np.array([-1.0, 0.0])
+        problems = [
+            (_ForwardOnly(p=2.0, radius=1.0, dim=2), QuadraticObjective(A=np.ones(2), x0=np.zeros(2)),
+             start, StepRule.deterministic(), None),
+            (LpBall(p=2.0, radius=1.0, dim=2), QuadraticObjective(A=np.ones(2), x0=np.array([100.0, 0.0])),
+             start, StepRule.deterministic(), None),
+        ]
+        traces = run_fw_stack(problems, 5, stop_gap=10.0)
+        assert [trace.metadata["stopped_at"] for trace in traces] == [0, 1]
+        for (feasible, f, x_init, rule, f_star), got in zip(problems, traces):
+            assert_same_trace(got, run_fw(feasible, f, x_init, rule, 5, stop_gap=10.0, f_star=f_star))
 
     @pytest.mark.parametrize("objective", ["overridden-gradient"])
     def test_refuses_objectives_it_cannot_stack(self, objective):
