@@ -60,7 +60,6 @@ from .solver import (
     RunTrace,
     StepRule,
     exact_line_search,
-    fw_gap_at,
     reference_optimum,
     run_fw,
     run_fw_stack,

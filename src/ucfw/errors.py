@@ -26,8 +26,8 @@ class InfeasibleStart(UCFWError):
 
 
 class StaleOptimum(UCFWError):
-    """A reference optimum has a vanishing gradient although a positive
-    gradient floor was declared for the problem."""
+    """A reference optimum has a vanishing gradient although the problem's
+    gradient floor over its set is positive."""
 
 
 class ConfigError(UCFWError):

@@ -37,14 +37,13 @@ from .geometry import (
 )
 from .objectives import QuadraticObjective, grad_floor_quadratic, objective_from_json, quadratic_from_descriptor
 from .online import adversarial_stream, run_ftl, stream_from_json
-from .solver import StepRule, fw_gap_at, reference_optimum, run_fw, run_fw_stack
+from .solver import StepRule, reference_optimum, run_fw, run_fw_stack, x_init_for
 from .svg import line_plot_svg
 
 __all__ = [
     "ExperimentConfig",
     "fit_loglog_slope",
     "problem_constants",
-    "fw_reference",
     "write_fw_run",
     "ftl_experiment",
     "run_solve",
@@ -65,8 +64,6 @@ FIG2_COND = 100.0
 FIG2_RADIUS = 5.0
 FIG2_X0_SCALE_FACTOR = 3.0
 STEP_RULES = {"deterministic": StepRule.deterministic(), "short": StepRule.short(), "exact": StepRule.exact()}
-# the Frank-Wolfe reference fallback runs this many times the plotted horizon
-REFERENCE_MULTIPLIER = 50
 
 
 def fit_loglog_slope(t, y, t_min: float, t_max: float) -> float:
@@ -120,32 +117,12 @@ def problem_constants(feasible: FeasibleSet, f: QuadraticObjective) -> dict:
     return consts
 
 
-def x_init_for(feasible: FeasibleSet, seed: int) -> np.ndarray:
-    """Default start: the LMO vertex of a seeded random direction."""
-    rng = np.random.default_rng(seed)
-    return feasible.lmo(rng.standard_normal(feasible.dim))
-
-
-def fw_reference(feasible: FeasibleSet, f: QuadraticObjective, T: int, seed: int, stop_gap: float) -> tuple:
-    """f* and its certificate, the Frank-Wolfe gap at the reference optimum,
-    for a run of horizon T from ``x_init_for(feasible, seed)``: the
-    reference starts there and may take ``REFERENCE_MULTIPLIER * T`` steps.
-    An objective that is not finite there is a :class:`ConfigError`."""
-    x_init = x_init_for(feasible, seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
-        x_star, f_star = reference_optimum(feasible, f, x_init, REFERENCE_MULTIPLIER * T, stop_gap=stop_gap)
-        f_init = f.value(x_init)
-    if not (np.isfinite(f_star) and np.isfinite(f_init)):
-        raise ConfigError("objective is not finite on the set; reduce the objective's x0_scale")
-    return f_star, fw_gap_at(feasible, f, x_star)
-
-
 def write_fw_run(
     trace, feasible: FeasibleSet, f: QuadraticObjective, certificate: float, out_dir: Path, stem: str,
     sidecar: dict | None = None,
 ) -> dict:
     """Write one traced run against a reference optimum whose certificate
-    :func:`fw_reference` gave: its bound overlays as extra columns of
+    :func:`~ucfw.solver.reference_optimum` gave: its bound overlays as extra columns of
     ``<stem>.csv``, and its metadata, the certificate and the ``sidecar``
     keys in ``<stem>.json``.  Returns the run's record: its CSV, rows, stop,
     final running-min Frank-Wolfe gap and the reference's certificate.
@@ -216,7 +193,7 @@ def run_solve(config: dict, out_dir) -> dict:
     if objective.x0.size != feasible.dim:
         raise ConfigError(f"objective dim {objective.x0.size} does not match set dim {feasible.dim}")
 
-    f_star, certificate = fw_reference(feasible, objective, T, seed, min(stop_gap, 1e-12))
+    _, f_star, certificate = reference_optimum(feasible, objective)
     trace = run_fw(
         feasible, objective, x_init_for(feasible, seed), STEP_RULES[rule_name], T, stop_gap=stop_gap, f_star=f_star
     )
@@ -235,11 +212,11 @@ def _fig2_stack(job: tuple) -> list[tuple[dict, tuple]]:
     runs, out_dir = job
     problems = [
         (feasible, f, x_init_for(feasible, cfg.seed), STEP_RULES[rule_name], f_star)
-        for cfg, rule_name, p, feasible, f, (f_star, _) in runs
+        for cfg, rule_name, p, feasible, f, (_, f_star, _) in runs
     ]
     horizon = runs[0][0].horizon
     results = []
-    for (cfg, rule_name, p, feasible, f, (_, certificate)), trace in zip(runs, run_fw_stack(problems, horizon)):
+    for (cfg, rule_name, p, feasible, f, (_, _, certificate)), trace in zip(runs, run_fw_stack(problems, horizon)):
         record = write_fw_run(
             trace, feasible, f, certificate, out_dir, f"{cfg.optimum_location}_{rule_name}_p{p:g}"
         )
@@ -312,7 +289,7 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
     for cfg in cfgs:
         for p in FIG2_P_GRID:
             feasible, f = build_problem(cfg, p)
-            built[cfg.optimum_location, p] = (feasible, f, fw_reference(feasible, f, cfg.horizon, cfg.seed, 1e-13))
+            built[cfg.optimum_location, p] = (feasible, f, reference_optimum(feasible, f))
     runs = [
         (cfg, rule_name, p, *built[cfg.optimum_location, p])
         for p in FIG2_P_GRID for cfg in cfgs for rule_name in STEP_RULES
@@ -471,22 +448,22 @@ def catalog_sets() -> list[tuple[str, FeasibleSet]]:
 def _ball_quadratic(feasible: FeasibleSet) -> QuadraticObjective:
     """1/2 ||x - x0||_2^2 with x0 three times the set's boundary point along
     the ones direction, so ||x0|| = 3 radii in the set's own norm and x0 lies
-    outside it; declares its analytic gradient floor over the set."""
+    outside it."""
     dim = feasible.dim
-    x0 = 3.0 * feasible.boundary_point(np.ones(dim))
-    plain = QuadraticObjective(A=np.ones(dim), x0=x0)
-    return QuadraticObjective(A=plain.A, x0=x0, grad_floor=grad_floor_quadratic(plain, feasible))
+    return QuadraticObjective(A=np.ones(dim), x0=3.0 * feasible.boundary_point(np.ones(dim)))
 
 
 def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerConfig) -> vf.CheckReport:
     """One positive check as ``ucfw verify`` and :func:`run_verify_all` run it.
 
     lemma1, local_scaling and lemma3 take the set's ball quadratic.  The
-    last two measure against a reference optimum from ``x_init_for`` at the
-    sampler seed, with 50 000 exact-line-search steps to a 1e-13 gap (exact
-    for this quadratic over an lp ball); lemma3 reads a 2000-step
-    short-step run with ``uc`` and the quadratic's c and L in the set's
-    norm pair from :func:`problem_constants`.  In every family here the
+    last two measure against its reference optimum
+    (:func:`~ucfw.solver.reference_optimum`, which depends on the set and
+    the quadratic alone).  lemma3 reads a 2000-step short-step run from
+    ``x_init_for`` at the sampler seed, whose primal gaps are taken against
+    f* less its certificate, a lower bound on the true optimum, with ``uc``
+    and the quadratic's c and L in the set's norm pair from
+    :func:`problem_constants`.  In every family here the
     ones vector attains Hoelder's equality <x, x> = ||x|| ||x||_*, so the
     quadratic's x0 gives c > 0 on every set.
     """
@@ -497,11 +474,10 @@ def run_check(check: str, feasible: FeasibleSet, uc: UCParams, cfg: vf.SamplerCo
     f = _ball_quadratic(feasible)
     if check == "lemma1":
         return vf.check_lemma1(feasible, uc, f, cfg)
-    x_init = x_init_for(feasible, cfg.seed)
-    x_star, f_star = reference_optimum(feasible, f, x_init, 50_000, stop_gap=1e-13)
+    x_star, f_star, certificate = reference_optimum(feasible, f)
     if check == "local_scaling":
         return vf.check_local_scaling(feasible, f, x_star, uc.alpha, uc.q, cfg)
-    trace = run_fw(feasible, f, x_init, StepRule.short(), 2000, f_star=f_star)
+    trace = run_fw(feasible, f, x_init_for(feasible, cfg.seed), StepRule.short(), 2000, f_star=f_star - certificate)
     consts = problem_constants(feasible, f)
     return vf.check_lemma3(trace, consts["c"], uc.alpha, uc.q, consts["L"])
 
@@ -540,7 +516,7 @@ def run_verify_all(out_dir, seed: int = 0, n_pairs: int = 1000) -> dict:
     rep.config["control"] = "l1_flat_face_lemma1"
     negatives.append(rep)
 
-    xs_flat, fs_flat = reference_optimum(diamond, f_flat, np.array([1.0, 0.0]), 50_000)
+    xs_flat, fs_flat, _ = reference_optimum(diamond, f_flat)
     rep = vf.check_local_scaling(diamond, f_flat, xs_flat, 0.5, 2.0, neg_cfg)
     rep.config["control"] = "l1_flat_face_local_scaling"
     negatives.append(rep)

@@ -15,7 +15,6 @@ sigma_C(u) = radius ||u||_* (:func:`grad_floor_quadratic`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,14 +58,14 @@ class QuadraticObjective:
     ``A`` is the 1-D diagonal and ``x0`` the unconstrained minimizer.  ``L``
     and ``mu_sc`` are A's largest and least entries, the Euclidean
     smoothness and strong-convexity constants, and ``heb`` the error bound
-    that strong convexity gives.  ``grad_floor`` is a declared lower bound
-    on the dual gradient norm over the feasible set (see
-    :func:`grad_floor_quadratic`), or None.
+    that strong convexity gives.  Its gradient floor over a set is not a
+    property of f alone: :func:`grad_floor_quadratic` computes it from f and
+    the set.
 
     Immutable and pure; safe for concurrent evaluation.
     """
 
-    def __init__(self, A: np.ndarray, x0: np.ndarray, grad_floor: Optional[float] = None):
+    def __init__(self, A: np.ndarray, x0: np.ndarray):
         A = np.asarray(A, dtype=float)
         if A.ndim != 1:
             raise InvalidParams(f"A must be the 1-D diagonal, got {A.ndim} dimensions")
@@ -79,7 +78,6 @@ class QuadraticObjective:
         self.L = float(A.max())
         self.mu_sc = float(A.min())
         self.heb = heb_from_uniform_convexity(self.mu_sc, 2.0)
-        self.grad_floor = grad_floor
 
     @property
     def condition_number(self) -> float:

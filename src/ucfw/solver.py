@@ -11,6 +11,9 @@ stacked LMO call per run of consecutive problems over equal sets, and
 gives each problem :func:`run_fw`'s trace bit for bit; fig2 runs one stack
 per usable CPU.  A single run keeps :func:`run_fw`, because the stack's
 bookkeeping made it 1.3-1.9x slower at k = 1.
+
+:func:`reference_optimum` gives a problem's optimum from the set and the
+objective alone, with the Frank-Wolfe gap that certifies it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleStart, InvalidParams, UCFWError, ZeroDirection
+from .errors import ConfigError, InfeasibleStart, InvalidParams, UCFWError, ZeroDirection
 from .geometry import FeasibleSet, LpBall, _block_rows, _row_dots, _write_csv, _write_json
 from .objectives import QuadraticObjective
 
@@ -32,10 +35,14 @@ __all__ = [
     "run_fw",
     "run_fw_stack",
     "reference_optimum",
-    "fw_gap_at",
+    "x_init_for",
 ]
 
 FEASIBILITY_TOL = 1e-9
+# the reference fallback: exact line search from x_init_for(feasible, 0) for
+# at most this many steps, or until the Frank-Wolfe gap drops to the stop gap
+REFERENCE_HORIZON = 50_000
+REFERENCE_STOP_GAP = 1e-13
 
 
 @dataclass(frozen=True)
@@ -234,7 +241,9 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
     of each row's blocks.  Callers that put problems over one set together
     make the fewest calls.  A row stops on its own gap or at T and then
     stays where it stopped; what it computes afterwards reaches no trace,
-    guard or error.  The loop ends when every row has stopped.  A zero
+    guard or error; a row that stopped on a zero gradient gives its span's
+    lmo a ones row, since its zero phi would make the call raise.  The loop
+    ends when every row has stopped.  A zero
     gradient, a NaN gap and an iterate that leaves the set take the same
     course for a row as in :func:`run_fw`, and of the rows that fail
     together, the first problem's raises its error.
@@ -267,6 +276,7 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
     # runs of consecutive equal sets as (start, end, lmo) spans of rows
     cuts = [j for j in range(1, k) if sets[j] != sets[j - 1]]
     spans = [(s, e, sets[s].lmo) for s, e in zip([0, *cuts], [*cuts, k])]
+    parked = []  # the rows that stopped on a zero gradient
     tags = np.array([rule.tag for _, _, _, rule, _ in problems])
     short, exact = tags == "short", tags == "exact"
     short, exact = short if short.any() else None, exact if exact.any() else None
@@ -299,6 +309,8 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
             g = np.subtract(x, x0, out=G[i])
             g *= A
             phi = -g
+            if parked:  # their zero phi would make the lmo raise; their vertices are never read
+                phi[parked] = 1.0
             v = V[i]
             zero = []
             for s, e, lmo in spans:
@@ -336,6 +348,7 @@ def run_fw_stack(problems, T: int, stop_gap: float = 1e-12) -> list[RunTrace]:
                 live = live & ~stop
                 if not live.any():
                     break
+                parked += [j for j in zero if stop[j]]
 
             gamma = np.full(k, 1.0 / (t + 1.0))
             if short is not None:
@@ -455,28 +468,39 @@ def _check_iterates(feasible: FeasibleSet, X: np.ndarray, lo: int) -> None:
         )
 
 
-def reference_optimum(
-    feasible: FeasibleSet,
-    f: QuadraticObjective,
-    x_init: np.ndarray,
-    horizon: int,
-    stop_gap: float = 0.0,
-) -> tuple[np.ndarray, float]:
-    """High-accuracy solution of min f over the set.
+def x_init_for(feasible: FeasibleSet, seed: int) -> np.ndarray:
+    """Default start: the LMO vertex of a seeded random direction."""
+    rng = np.random.default_rng(seed)
+    return feasible.lmo(rng.standard_normal(feasible.dim))
+
+
+def reference_optimum(feasible: FeasibleSet, f: QuadraticObjective) -> tuple[np.ndarray, float, float]:
+    """The optimum x* of min f over the set, f* = f(x*), and the certificate
+    of f*: the Frank-Wolfe gap at x*, which for a feasible x* bounds
+    f* - min f from above (Jaggi, ICML 2013).
 
     Over an lp ball of finite p the quadratic's minimiser is solved exactly
     from its KKT system (:func:`_lp_ball_quadratic_optimum`).  Every other
     set, the l-infinity ball included, falls back to :func:`run_fw` with
-    exact line search from ``x_init`` for ``horizon`` steps (or until the
-    gap drops to ``stop_gap``), returning the run's first iterate of least
-    value, so its memory does not grow with ``horizon``; a numerical
-    breakdown raises :class:`UCFWError`.  The experiment suites give it 50x
-    the plotted horizon.
+    exact line search from ``x_init_for(feasible, 0)`` for
+    ``REFERENCE_HORIZON`` steps, or until the gap drops to
+    ``REFERENCE_STOP_GAP``, and takes the run's first iterate of least
+    value, so its memory does not grow with the horizon; a numerical
+    breakdown raises :class:`UCFWError`.  An objective that is not finite at
+    x* is a :class:`ConfigError`.
     """
-    if isinstance(feasible, LpBall) and np.isfinite(feasible.p):
-        return _lp_ball_quadratic_optimum(feasible, f)
-    trace = run_fw(feasible, f, x_init, StepRule.exact(), horizon, stop_gap=stop_gap)
-    return trace.best_x, trace.best_value
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        if isinstance(feasible, LpBall) and np.isfinite(feasible.p):
+            x_star, f_star = _lp_ball_quadratic_optimum(feasible, f)
+        else:
+            trace = run_fw(
+                feasible, f, x_init_for(feasible, 0), StepRule.exact(), REFERENCE_HORIZON,
+                stop_gap=REFERENCE_STOP_GAP,
+            )
+            x_star, f_star = trace.best_x, trace.best_value
+    if not np.isfinite(f_star):
+        raise ConfigError("objective is not finite on the set; reduce the objective's x0_scale")
+    return x_star, f_star, _fw_vertex(feasible.lmo, f.gradient(x_star), x_star)[2]
 
 
 def _fw_vertex(lmo, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -489,13 +513,6 @@ def _fw_vertex(lmo, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     d = x - v
     # LMO optimality makes the gap non-negative; clip roundoff only
     return v, d, max(float(np.dot(g, d)), 0.0)
-
-
-def fw_gap_at(feasible: FeasibleSet, f: QuadraticObjective, x: np.ndarray) -> float:
-    """Frank-Wolfe gap max_v <grad f(x), x - v> as the traced runs record
-    it.  For a feasible x it bounds f(x) - min f from above, so at a
-    reference optimum it certifies f_star (Jaggi, ICML 2013)."""
-    return _fw_vertex(feasible.lmo, f.gradient(x), x)[2]
 
 
 _EPS = np.finfo(float).eps

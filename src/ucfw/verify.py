@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds as bnd
 from .errors import InvalidParams, StaleOptimum, UCFWError
 from .geometry import FeasibleSet, UCParams, _row_dots
-from .objectives import QuadraticObjective
+from .objectives import QuadraticObjective, grad_floor_quadratic
 
 __all__ = [
     "SamplerConfig",
@@ -204,14 +204,14 @@ def check_local_scaling(
     cfg: SamplerConfig,
 ) -> CheckReport:
     """Local scaling inequality at a reference optimum:
-    <-grad f(x*), x* - x> >= (alpha/2) ||grad f(x*)||_* ||x* - x||^q."""
+    <-grad f(x*), x* - x> >= (alpha/2) ||grad f(x*)||_* ||x* - x||^q.
+    A vanishing gradient at x* although f's gradient floor over the set
+    (:func:`~ucfw.objectives.grad_floor_quadratic`) is positive means x* is
+    not the optimum: :class:`StaleOptimum`."""
     g_star = f.gradient(x_star)
     gnorm = feasible.dual_norm(g_star)
-    if gnorm <= 1e-10 and (f.grad_floor or 0.0) > 0.0:
-        raise StaleOptimum(
-            f"||grad f(x*)||_* = {gnorm:g} although a gradient floor "
-            f"{f.grad_floor:g} was declared"
-        )
+    if gnorm <= 1e-10 and (floor := grad_floor_quadratic(f, feasible)) > 0.0:
+        raise StaleOptimum(f"||grad f(x*)||_* = {gnorm:g} although the gradient floor over the set is {floor:g}")
     rng = np.random.default_rng(cfg.seed)
     X = sample_feasible(feasible, cfg.n_pairs, rng, cfg.boundary_bias)
     lhs, dist = _local_terms(feasible, g_star, x_star, X)
@@ -225,7 +225,8 @@ def check_local_scaling(
 
 def check_lemma3(trace, c: float, alpha: float, q: float, L: float) -> CheckReport:
     """Iterate-to-vertex distance control past the burn-in:
-    once h_t <= 1, ||x_t - v_t|| <= H h_t^(1/(q(q-1)))."""
+    once h_t <= 1, ||x_t - v_t|| <= H h_t^(1/(q(q-1))).  A primal gap below
+    0, roundoff against an exact f*, reads as 0."""
     if not trace.has_primal_gaps:
         raise InvalidParams("trace has no primal gaps")
     H = bnd.lemma3_distance_constant(c, alpha, q, L)
@@ -236,7 +237,7 @@ def check_lemma3(trace, c: float, alpha: float, q: float, L: float) -> CheckRepo
         start = len(trace.primal_gap)
     else:
         start = config["burn_in"] = int(past[0])
-    h = trace.primal_gap[start:]
+    h = np.maximum(trace.primal_gap[start:], 0.0)
     d = trace.dist_to_vertex[start:]
     rhs = H * h ** (1.0 / (q * (q - 1.0)))
     return _report(

@@ -73,9 +73,8 @@ class TestAcceptance:
     def test_criterion_2_accelerated_rate_envelope(self, capsys):
         start = time.perf_counter()
         ball, f = _l20_problem(3.0)
-        x_init = x_init_for(ball, 0)
-        _, f_star = reference_optimum(ball, f, x_init, 100_000, stop_gap=1e-15)
-        trace = run_fw(ball, f, x_init, StepRule.short(), 10_000, f_star=f_star)
+        _, f_star, _ = reference_optimum(ball, f)
+        trace = run_fw(ball, f, x_init_for(ball, 0), StepRule.short(), 10_000, f_star=f_star)
         consts = problem_constants(ball, f)
         bound = theorem1_bound(
             consts["c"], consts["alpha"], consts["q"], consts["L"],
@@ -103,9 +102,8 @@ class TestAcceptance:
     def test_criterion_3_linear_rate_ratio(self, capsys):
         start = time.perf_counter()
         ball, f = _l20_problem(1.5)
-        x_init = x_init_for(ball, 0)
-        _, f_star = reference_optimum(ball, f, x_init, 100_000, stop_gap=1e-15)
-        trace = run_fw(ball, f, x_init, StepRule.short(), 10_000, f_star=f_star)
+        _, f_star, _ = reference_optimum(ball, f)
+        trace = run_fw(ball, f, x_init_for(ball, 0), StepRule.short(), 10_000, f_star=f_star)
         consts = problem_constants(ball, f)
         bound = theorem1_bound(consts["c"], consts["alpha"], consts["q"], consts["L"], 1.0)
         assert bound.linear_factor is not None

@@ -160,9 +160,8 @@ class TestTheorem3:
 def _l3_trace():
     ball = LpBall(p=3.0, radius=1.0, dim=8)
     f = QuadraticObjective(A=np.ones(8), x0=np.ones(8) * (3.0 / np.sqrt(8)))
-    x_init = x_init_for(ball, 0)
-    x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-15)
-    trace = run_fw(ball, f, x_init, StepRule.short(), 2000, f_star=f_star)
+    _, f_star, _ = reference_optimum(ball, f)
+    trace = run_fw(ball, f, x_init_for(ball, 0), StepRule.short(), 2000, f_star=f_star)
     return ball, f, trace
 
 

@@ -115,6 +115,15 @@ class TestVerifyVerb:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    def test_lemma3_primal_gap_below_zero_reads_zero(self, capsys):
+        """On this ball the exact KKT f* sits above a trace value by
+        roundoff, so h_t was -4.4e-16 and its root NaN (exit 2).  The trace
+        now runs against f* less its certificate, and a gap below 0 reads
+        as 0."""
+        ball = json.dumps({"family": "lp", "p": 1.5, "radius": 1.0, "dim": 3})
+        assert main(["verify", "--set", ball, "--check", "lemma3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     @pytest.mark.parametrize("p, dim", [(10.0, 100), (5.0, 100), (7.0, 30)])
     def test_ball_quadratic_lies_outside_high_p_balls(self, capsys, p, dim):
         """Three radii out in l2 along the ones vector is inside these
@@ -189,6 +198,23 @@ class TestSolveVerb:
         assert "constants" not in sidecar
         assert sidecar["set"] == {"family": "lp", "p": "inf", "radius": 1.0, "dim": 4}
         assert json.loads(capsys.readouterr().out)["stopped_at"] >= 1
+
+    def test_linf_reference_ignores_the_run(self, tmp_path, capsys, monkeypatch):
+        """The Frank-Wolfe reference over the l-infinity ball depends on the
+        problem alone: the run's seed and horizon do not move f* or its
+        certificate."""
+        config = dict(self.CONFIG, rule="exact", set={"family": "lp", "p": "inf", "radius": 1.0, "dim": 4})
+        references = set()
+        for seed in ("0", "3"):
+            for T in (500, 1000):
+                monkeypatch.setenv("UCFW_SEED", seed)
+                out = tmp_path / f"run_{seed}_{T}"
+                assert main(["solve", "--config", json.dumps(dict(config, T=T)), "--out", str(out)]) == EXIT_OK
+                sidecar = json.loads((out / "trace.json").read_text())
+                assert (sidecar["config"]["seed"], sidecar["horizon"]) == (int(seed), T)
+                references.add((sidecar["f_star"], sidecar["f_star_certificate"]))
+        capsys.readouterr()
+        assert len(references) == 1
 
     @pytest.mark.parametrize("rule", ["short", "exact"])
     def test_lp_ball_near_p1_runs(self, tmp_path, capsys, rule):

@@ -129,9 +129,12 @@ class TestQuadratic:
             got = f.batch_gradient(X)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_grad_floor_set_at_construction(self):
-        assert QuadraticObjective(A=np.ones(2), x0=np.zeros(2)).grad_floor is None
-        assert QuadraticObjective(A=np.ones(2), x0=np.zeros(2), grad_floor=0.3).grad_floor == 0.3
+    def test_declares_no_grad_floor(self):
+        """The gradient floor depends on the set as well as on f, so
+        grad_floor_quadratic computes it and f takes no declared one."""
+        assert not hasattr(QuadraticObjective(A=np.ones(2), x0=np.zeros(2)), "grad_floor")
+        with pytest.raises(TypeError):
+            QuadraticObjective(A=np.ones(2), x0=np.zeros(2), grad_floor=0.3)
 
     def test_smoothness_constant(self):
         f = QuadraticObjective(A=np.array([1.0, 3.0]), x0=np.zeros(2))

@@ -1,6 +1,7 @@
 """The Frank-Wolfe loop: step rules, trace invariants, serialization."""
 
 import csv
+import inspect
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucfw import (
+    ConfigError,
     FeasibleSet,
     InfeasibleStart,
     InvalidParams,
@@ -29,7 +31,6 @@ from ucfw import (
     UCFWError,
     ZeroDirection,
     exact_line_search,
-    fw_gap_at,
     reference_optimum,
     run_fw,
     run_fw_stack,
@@ -186,7 +187,7 @@ class TestRunFw:
         consts = problem_constants(ball, f)
         assert consts["c"] > 0.0
         x_init = x_init_for(ball, 0)
-        x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-15)
+        x_star, f_star, _ = reference_optimum(ball, f)
         trace, iterates, _ = run_fw_recording(ball, f, x_init, StepRule.short(), 2000, f_star=f_star)
         lhs = np.array([ball.norm(x - x_star) for x in iterates]) ** consts["q"]
         rhs = (2.0 / (consts["c"] * consts["alpha"])) * trace.primal_gap
@@ -199,7 +200,7 @@ class TestRunFw:
         f = QuadraticObjective(A=np.ones(9), x0=3.0 * np.ones(9))
         x_init = x_init_for(ball, 0)
         assert x_init.shape == (9,)
-        x_star, f_star = reference_optimum(ball, f, x_init, 25_000, stop_gap=1e-13)
+        x_star, f_star, _ = reference_optimum(ball, f)
         trace, iterates, _ = run_fw_recording(ball, f, x_init, StepRule(rule), 500, f_star=f_star)
         assert ball.batch_membership_excess(iterates).max() <= 1e-9
         assert trace.min_fw_gap[-1] < 1e-9 * trace.min_fw_gap[0]
@@ -239,9 +240,20 @@ class TestTraceSerialization:
 class TestReferenceOptimum:
     def test_matches_analytic_projection(self):
         ball, f = _projection_problem()
-        x_star, f_star = reference_optimum(ball, f, np.array([0.0, 1.0]), 10_000)
+        x_star, f_star, certificate = reference_optimum(ball, f)
         assert np.linalg.norm(x_star - [1.0, 0.0]) <= 1e-5
         assert f_star == pytest.approx(0.5, abs=1e-9)
+        assert 0.0 <= certificate <= 1e-12
+
+    def test_depends_on_the_problem_alone(self):
+        """No start, horizon or stop gap: the set and the objective."""
+        assert list(inspect.signature(reference_optimum).parameters) == ["feasible", "f"]
+
+    def test_non_finite_objective_refused(self):
+        ball = LpBall(p=3.0, radius=1.0, dim=2)
+        f = QuadraticObjective(A=np.ones(2), x0=np.array([1e200, 1e200]))
+        with pytest.raises(ConfigError, match="objective is not finite on the set"):
+            reference_optimum(ball, f)
 
 
 def best_iterate_fw(feasible, f, x_init, horizon, stop_gap=0.0):
@@ -283,6 +295,8 @@ class _CoarseValue(QuadraticObjective):
 
 
 def _fallback_cases():
+    """(set, objective, reference horizon) for each case; the smaller
+    horizons keep the run time down."""
     rng = np.random.default_rng(8)
     l1_100 = L1Ball(radius=1.0, dim=100)
     x0_100 = 3.0 * rng.standard_normal(100) / np.sqrt(100)
@@ -290,14 +304,11 @@ def _fallback_cases():
     schatten = SchattenBall(2.5, 3, 3, 1.0)
     return {
         "l1-d2": (L1Ball(radius=1.0, dim=2), QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0])),
-                  np.array([1.0, 0.0]), 50_000, 0.0),
-        "l1-d100": (l1_100, QuadraticObjective(A=np.exp(rng.uniform(0.0, 3.0, 100)), x0=x0_100),
-                    x_init_for(l1_100, 0), 3000, 1e-13),
-        "lp-coarse-value": (ball, _CoarseValue(A=np.linspace(1.0, 5.0, 5), x0=3.0 * rng.standard_normal(5)),
-                            x_init_for(ball, 0), 300, 1e-13),
+                  solver.REFERENCE_HORIZON),
+        "l1-d100": (l1_100, QuadraticObjective(A=np.exp(rng.uniform(0.0, 3.0, 100)), x0=x0_100), 3000),
+        "lp-coarse-value": (ball, _CoarseValue(A=np.linspace(1.0, 5.0, 5), x0=3.0 * rng.standard_normal(5)), 300),
         "schatten-3x3": (schatten, QuadraticObjective(A=np.linspace(1.0, 10.0, 9),
-                                                      x0=2.0 * rng.standard_normal(9)),
-                         x_init_for(schatten, 0), 2000, 0.0),
+                                                      x0=2.0 * rng.standard_normal(9)), 2000),
     }
 
 
@@ -331,19 +342,26 @@ def no_kkt(monkeypatch):
 
 class TestReferenceFallback:
     """Every problem without a KKT solution runs through run_fw and gets what
-    the former best-iterate loop gave, bit for bit.  The lp ball's KKT path
-    is switched off, so its case takes the fallback too."""
+    the former best-iterate loop gave from the fallback's start and stop
+    gap, bit for bit, with the Frank-Wolfe gap there as its certificate.
+    The lp ball's KKT path is switched off, so its case takes the fallback
+    too."""
 
     @pytest.mark.parametrize("name", FALLBACK_CASES)
     def test_matches_best_iterate_loop(self, name, no_kkt, monkeypatch):
-        feasible, f, x_init, horizon, stop_gap = FALLBACK_CASES[name]
+        feasible, f, horizon = FALLBACK_CASES[name]
+        monkeypatch.setattr(solver, "REFERENCE_HORIZON", horizon)
         calls = []
         monkeypatch.setattr(solver, "run_fw", lambda *a, **k: calls.append(1) or run_fw(*a, **k))
-        x_star, f_star = reference_optimum(feasible, f, x_init, horizon, stop_gap=stop_gap)
-        x_old, f_old = best_iterate_fw(feasible, f, x_init, horizon, stop_gap=stop_gap)
+        x_star, f_star, certificate = reference_optimum(feasible, f)
+        x_old, f_old = best_iterate_fw(
+            feasible, f, x_init_for(feasible, 0), horizon, stop_gap=solver.REFERENCE_STOP_GAP
+        )
         assert calls == [1]
         assert x_star.tobytes() == x_old.tobytes()
         assert f_star == f_old and isinstance(f_star, float)
+        g = f.gradient(x_old)
+        assert certificate == max(float(np.dot(g, x_old - feasible.lmo(-g))), 0.0)
 
     def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
         # the run's 2 x 3001 x 100 points alone would take 4.6 MiB
@@ -358,10 +376,10 @@ class TestReferenceFallback:
             return trace
 
         monkeypatch.setattr(solver, "run_fw", counted_run_fw)
-        x_init = x_init_for(ball, 0)
+        monkeypatch.setattr(solver, "REFERENCE_HORIZON", horizon)
         tracemalloc.start()
         try:
-            reference_optimum(ball, f, x_init, horizon, stop_gap=0.0)
+            reference_optimum(ball, f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,7 +389,7 @@ class TestReferenceFallback:
     def test_nan_gradient_raises(self):
         f = _GradientTurnsNaN(A=np.array([1.0, 2.0, 3.0]), x0=np.array([0.5, 3.0, -1.0]))
         with pytest.raises(UCFWError):
-            reference_optimum(L1Ball(radius=2.0, dim=3), f, np.array([2.0, 0.0, 0.0]), 100)
+            reference_optimum(L1Ball(radius=2.0, dim=3), f)
 
 
 def _bisection_optimum(a, x0, p, r):
@@ -412,50 +430,51 @@ class TestKKTReference:
         x0 *= rng.uniform(1.5, 4.0) * r / lp_norm(x0, p)
         ball = LpBall(p=p, radius=r, dim=d)
         f = QuadraticObjective(A=a, x0=x0)
-        x_star, f_star = reference_optimum(ball, f, x_init_for(ball, 0), 10)
+        x_star, f_star, certificate = reference_optimum(ball, f)
         _, f_bis = _bisection_optimum(a, x0, p, r)
         assert abs(f_star - f_bis) <= 1e-12 * f_bis
         assert f_star == f.value(x_star)
         assert ball.membership_excess(x_star) <= 0.0
         assert np.all(x_star[x0 == 0.0] == 0.0)
-        assert fw_gap_at(ball, f, x_star) <= 1e-12 * f_star
+        assert certificate <= 1e-12 * f_star
 
     def test_interior_returns_x0(self):
         ball = LpBall(p=3.0, radius=2.0, dim=3)
         f = QuadraticObjective(A=np.array([1.0, 2.0, 3.0]), x0=np.array([0.5, -1.0, 0.0]))
-        x_star, f_star = reference_optimum(ball, f, np.array([2.0, 0.0, 0.0]), 10)
+        x_star, f_star, certificate = reference_optimum(ball, f)
         np.testing.assert_array_equal(x_star, f.x0)
         assert f_star == 0.0
-        assert fw_gap_at(ball, f, x_star) == 0.0
+        assert certificate == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
     def test_single_axis_closed_form(self, p):
         ball = LpBall(p=p, radius=5.0, dim=4)
         f = QuadraticObjective(A=np.array([2.0, 1.0, 3.0, 4.0]), x0=np.array([0.0, -15.0, 0.0, 0.0]))
-        x_star, f_star = reference_optimum(ball, f, x_init_for(ball, 0), 10)
+        x_star, f_star, certificate = reference_optimum(ball, f)
         np.testing.assert_array_equal(x_star, [0.0, -5.0, 0.0, 0.0])
         assert f_star == 0.5 * 1.0 * 10.0**2
-        assert fw_gap_at(ball, f, x_star) == 0.0
+        assert certificate == 0.0
 
     def test_non_finite_input_refused(self):
         ball = LpBall(p=3.0, radius=1.0, dim=2)
         f = QuadraticObjective(A=np.ones(2), x0=np.array([np.nan, 2.0]))
         with pytest.raises(InvalidParams):
-            reference_optimum(ball, f, np.array([1.0, 0.0]), 10)
+            reference_optimum(ball, f)
 
-    def test_l1_ball_and_full_matrix_use_fw_fallback(self, no_kkt):
+    def test_l1_ball_and_full_matrix_use_fw_fallback(self, no_kkt, monkeypatch):
         """The l1 ball has no KKT path; with the lp ball's switched off, the
         fallback reaches the KKT optimum of the same quadratic."""
+        monkeypatch.setattr(solver, "REFERENCE_HORIZON", 10_000)
         diamond = L1Ball(radius=1.0, dim=2)
         f = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 1.0]))
-        x_star, f_star = reference_optimum(diamond, f, np.array([1.0, 0.0]), 10_000)
+        x_star, f_star, _ = reference_optimum(diamond, f)
         np.testing.assert_allclose(x_star, [1.0, 0.0], atol=1e-9)
         assert f_star == pytest.approx(1.0, abs=1e-9)
 
         ball = LpBall(p=3.0, radius=1.0, dim=3)
         x0 = np.array([2.0, -1.0, 0.5])
         full = QuadraticObjective(A=np.array([1.0, 2.0, 3.0]), x0=x0)
-        _, f_full = reference_optimum(ball, full, x_init_for(ball, 0), 10_000)
+        _, f_full, _ = reference_optimum(ball, full)
         _, f_exact = _bisection_optimum(np.array([1.0, 2.0, 3.0]), x0, 3.0, 1.0)
         assert f_full == pytest.approx(f_exact, rel=1e-6)
 
@@ -929,6 +948,25 @@ class TestRunFwStack:
         assert [trace.metadata["stopped_at"] for trace in traces] == [0, 1]
         for (feasible, f, x_init, rule, f_star), got in zip(problems, traces):
             assert_same_trace(got, run_fw(feasible, f, x_init, rule, 5, stop_gap=10.0, f_star=f_star))
+
+    def test_a_stopped_zero_gradient_row_costs_no_retries(self, monkeypatch):
+        """An interior start at x0 stops at t = 0 on a zero gradient, which
+        costs its span one raising lmo call and a retry without it.  From
+        then on the span makes one call per iteration, with both rows."""
+        calls = []
+        real = LpBall.lmo
+        monkeypatch.setattr(LpBall, "lmo", lambda self, phi: calls.append(np.shape(phi)[0]) or real(self, phi))
+        ball = LpBall(p=3.0, radius=1.0, dim=4)
+        interior = QuadraticObjective(A=np.ones(4), x0=np.full(4, 0.1))
+        far = QuadraticObjective(A=np.ones(4), x0=np.full(4, 2.0))
+        problems = [(ball, interior, interior.x0, StepRule.short(), None),
+                    (ball, far, x_init_for(ball, 0), StepRule.deterministic(), None)]
+        calls.clear()  # x_init_for's own call
+        traces = run_fw_stack(problems, 5, stop_gap=0.0)
+        assert calls == [2, 1] + [2] * 5
+        assert [trace.metadata["stopped_at"] for trace in traces] == [0, 5]
+        for (feasible, f, x_init, rule, f_star), got in zip(problems, traces):
+            assert_same_trace(got, run_fw(feasible, f, x_init, rule, 5, stop_gap=0.0, f_star=f_star))
 
     @pytest.mark.parametrize("objective", ["overridden-gradient"])
     def test_refuses_objectives_it_cannot_stack(self, objective):

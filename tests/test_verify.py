@@ -12,6 +12,7 @@ from ucfw import (
     LevelSet,
     LpBall,
     QuadraticObjective,
+    RunTrace,
     SamplerConfig,
     FeasibleSet,
     SchattenBall,
@@ -25,13 +26,13 @@ from ucfw import (
     check_local_scaling,
     check_trace,
     estimate_local_alpha,
-    grad_floor_quadratic,
     reference_optimum,
     run_fw,
     sample_feasible,
     theorem1_bound,
 )
 from ucfw.experiments import catalog_sets, problem_constants, run_check, x_init_for
+from ucfw import verify as verify_module
 from ucfw.verify import CHECK_TOL, TRACE_TOL
 
 CFG = SamplerConfig(n_pairs=300, seed=0)
@@ -115,11 +116,9 @@ class TestLemma1:
 class TestLocalScaling:
     def _solved_l3(self):
         ball = LpBall(p=3.0, radius=1.0, dim=6)
-        plain = _ball_objective(ball)
-        f = QuadraticObjective(A=plain.A, x0=plain.x0, grad_floor=grad_floor_quadratic(plain, ball))
-        x_init = x_init_for(ball, 0)
-        x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-14)
-        return ball, f, x_init, x_star, f_star
+        f = _ball_objective(ball)
+        x_star, f_star, _ = reference_optimum(ball, f)
+        return ball, f, x_init_for(ball, 0), x_star, f_star
 
     def test_curved_optimum_passes_catalog(self):
         ball, f, _, x_star, _ = self._solved_l3()
@@ -133,16 +132,23 @@ class TestLocalScaling:
         assert report.worst_violation == 0.0
 
     def test_stale_optimum_raises(self):
-        ball = LpBall(p=2.0, radius=5.0, dim=3)
-        # claimed positive floor, but x0 is interior
-        f = QuadraticObjective(A=np.ones(3), x0=np.array([1.0, 0.0, 0.0]), grad_floor=0.3)
-        with pytest.raises(StaleOptimum):
+        # x0 lies 2 outside the ball, so the gradient floor over it is 2 and
+        # x0, where the gradient vanishes, cannot be the optimum
+        ball = LpBall(p=2.0, radius=1.0, dim=3)
+        f = QuadraticObjective(A=np.ones(3), x0=np.array([3.0, 0.0, 0.0]))
+        with pytest.raises(StaleOptimum, match="gradient floor over the set is 2"):
             check_local_scaling(ball, f, f.x0, 0.5, 2.0, CFG)
+
+    def test_interior_optimum_is_not_stale(self):
+        # x0 is interior: the floor is 0, and x0 is the optimum
+        ball = LpBall(p=2.0, radius=5.0, dim=3)
+        f = QuadraticObjective(A=np.ones(3), x0=np.array([1.0, 0.0, 0.0]))
+        assert check_local_scaling(ball, f, f.x0, 0.5, 2.0, CFG).passed
 
     def test_flat_face_negative_control(self):
         diamond = L1Ball(radius=1.0, dim=2)
         f = QuadraticObjective(A=np.ones(2), x0=np.array([2.0, 2.0]))
-        x_star, _ = reference_optimum(diamond, f, np.array([1.0, 0.0]), 50_000)
+        x_star, _, _ = reference_optimum(diamond, f)
         cfg = SamplerConfig(n_pairs=300, seed=0, boundary_bias=1.0)
         assert not check_local_scaling(diamond, f, x_star, 0.5, 2.0, cfg).passed
 
@@ -151,7 +157,7 @@ class TestLocalScaling:
         results = {}
         for tag, direction in (("curved", np.ones(6)), ("flat", np.eye(6)[0])):
             f = QuadraticObjective(A=np.ones(6), x0=3.0 * direction / np.linalg.norm(direction))
-            x_star, _ = reference_optimum(ball, f, x_init_for(ball, 0), 50_000, stop_gap=1e-14)
+            x_star, _, _ = reference_optimum(ball, f)
             # q = 2: an axis point of the l3 ball has vanishing second-order
             # curvature, so its quadratic modulus is strictly smaller
             results[tag] = estimate_local_alpha(ball, f, x_star, q=2.0, cfg=CFG)
@@ -160,9 +166,8 @@ class TestLocalScaling:
 
 class TestLemma3:
     def _trace(self, ball, f, T=1500):
-        x_init = x_init_for(ball, 0)
-        x_star, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-14)
-        return run_fw(ball, f, x_init, StepRule.short(), T, f_star=f_star)
+        _, f_star, _ = reference_optimum(ball, f)
+        return run_fw(ball, f, x_init_for(ball, 0), StepRule.short(), T, f_star=f_star)
 
     def test_l3_distance_control(self):
         ball = LpBall(p=3.0, radius=1.0, dim=6)
@@ -178,6 +183,37 @@ class TestLemma3:
         trace = self._trace(diamond, f)
         report = check_lemma3(trace, c=1.0, alpha=0.25, q=2.0, L=1.0)
         assert not report.passed
+
+    def test_primal_gap_below_zero_reads_zero(self):
+        """A gap of -4.4e-16, roundoff below an exact f*, allows distance 0
+        where its root would be NaN."""
+        n = 3
+        trace = RunTrace(t=np.arange(n), gamma=np.zeros(n), fw_gap=np.zeros(n),
+                         primal_gap=np.array([2.0, 0.25, -4.4e-16]), dist_to_vertex=np.array([1.0, 0.5, 0.0]),
+                         grad_dual_norm=np.ones(n))
+        with np.errstate(invalid="raise"):
+            report = check_lemma3(trace, c=1.0, alpha=0.25, q=2.0, L=1.0)
+        assert report.passed and report.config["burn_in"] == 1
+        trace.dist_to_vertex[2] = 1e-6  # the allowed distance at h = 0 is 0
+        assert check_lemma3(trace, c=1.0, alpha=0.25, q=2.0, L=1.0).witness["t"] == 2
+
+
+def test_local_scaling_reference_ignores_the_sampler_seed(monkeypatch):
+    """run_check's reference optimum depends on the set and its quadratic
+    alone: two sampler seeds see the same x* on the Schatten ball, whose
+    reference is the Frank-Wolfe one."""
+    feasible = SchattenBall(p=2.5, rows=3, cols=3, radius=1.0)
+    seen = []
+    real = verify_module.check_local_scaling
+
+    def recording(feasible, f, x_star, *rest):
+        seen.append(x_star.tobytes())
+        return real(feasible, f, x_star, *rest)
+
+    monkeypatch.setattr(verify_module, "check_local_scaling", recording)
+    for seed in (0, 5):
+        assert run_check("local_scaling", feasible, feasible.uc_params(), SamplerConfig(n_pairs=50, seed=seed)).passed
+    assert len(seen) == 2 and seen[0] == seen[1]
 
 
 class TestLemmaChecksOnNonLpSets:
@@ -209,9 +245,8 @@ def _trace_report(passing):
     shrunk below its gaps."""
     ball = LpBall(p=3.0, radius=1.0, dim=8)
     f = _ball_objective(ball)
-    x_init = x_init_for(ball, 0)
-    _, f_star = reference_optimum(ball, f, x_init, 50_000, stop_gap=1e-15)
-    trace = run_fw(ball, f, x_init, StepRule.short(), 2000, f_star=f_star)
+    _, f_star, _ = reference_optimum(ball, f)
+    trace = run_fw(ball, f, x_init_for(ball, 0), StepRule.short(), 2000, f_star=f_star)
     h0 = float(trace.primal_gap[0])
     if passing:
         k = problem_constants(ball, f)
@@ -226,7 +261,7 @@ def _failing_report(check):
         return check_definition1(LpBall(p=3.0, radius=1.0, dim=5), UCParams(alpha=2.0, q=3.0), CFG)
     if check == "lemma1":
         return check_lemma1(DIAMOND, UCParams(alpha=0.1, q=2.0), F_FLAT, EDGE_CFG)
-    x_star, f_star = reference_optimum(DIAMOND, F_FLAT, np.array([1.0, 0.0]), 50_000)
+    x_star, f_star, _ = reference_optimum(DIAMOND, F_FLAT)
     if check == "local_scaling":
         return check_local_scaling(DIAMOND, F_FLAT, x_star, 0.5, 2.0, EDGE_CFG)
     trace = run_fw(DIAMOND, F_FLAT, np.array([1.0, 0.0]), StepRule.short(), 1500, f_star=f_star)
@@ -385,7 +420,7 @@ class TestBatchedChecksMatchPerSample:
     def test_local_scaling_and_alpha_estimate(self, name, alpha):
         feasible = BATCH_SETS[name]
         f = _quad(feasible)
-        x_star, _ = reference_optimum(feasible, f, feasible.lmo(np.ones(feasible.dim)), 5_000)
+        x_star, _, _ = reference_optimum(feasible, f)
         cfg = SamplerConfig(n_pairs=200, seed=5, boundary_bias=0.5)
         for q in (2.0, 3.0):
             report = check_local_scaling(feasible, f, x_star, alpha, q, cfg)
