@@ -26,8 +26,8 @@ class InfeasibleStart(UCFWError):
 
 
 class StaleOptimum(UCFWError):
-    """A reference optimum has a vanishing gradient although the problem's
-    gradient floor over its set is positive."""
+    """A reference optimum's gradient norm lies below the problem's
+    gradient floor over its set, so it is not the optimum."""
 
 
 class ConfigError(UCFWError):

@@ -6,7 +6,9 @@ Every driver writes CSV traces plus a JSON manifest (written last) into an
 output directory; reruns with the same config and seed are byte-identical.
 Each Frank-Wolfe or FTL run writes its files and returns one record
 (:func:`write_fw_run`, :func:`ftl_experiment`), which the manifest holds as
-written.
+written.  fig2's stacks and the online suite's runs go to one forked child
+per usable CPU (:func:`_map_runs`), which inherits its jobs and sends back
+one pickle of results; no process pool is imported.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import pickle
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import verify as vf
-from .errors import ConfigError
+from .errors import ConfigError, UCFWError
 from .geometry import (
     FeasibleSet,
     L1Ball,
@@ -241,25 +244,89 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_runs(fn, jobs: list) -> list:
-    """``[fn(job) for job in jobs]``, spread over a fork-context process pool
-    sized to the usable CPUs.  With one CPU, without fork, or while other
-    Python threads run (forking them is unsafe), builtin ``map`` runs the
-    jobs here.  A job's exception reaches the caller as raised."""
-    workers = min(usable_cpus(), len(jobs))
-    if workers > 1 and threading.active_count() == 1:
-        # imported here: a pool costs ~1 MiB of modules that nothing else needs
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+def _run_share(fn, jobs: list, first: int, step: int, write_end: int) -> None:
+    """A forked child's whole life: run jobs ``first``, ``first + step``, …,
+    which it inherited through the fork, and send one pickle down
+    ``write_end``: ``(None, results)``, or ``(index, exception)`` for the
+    first job that raised.  It leaves through ``os._exit``, never back into
+    the parent's stack, so it exits without a result if anything here
+    fails."""
+    status = 1
+    try:
+        results, failure = [], None
+        for i in range(first, len(jobs), step):
             try:
-                return list(pool.map(fn, jobs))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return list(map(fn, jobs))
+                results.append(fn(jobs[i]))
+            except Exception as exc:
+                failure = (i, exc)
+                break
+        data = pickle.dumps(failure or (None, results))
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_runs(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, spread over one forked child per usable
+    CPU: child w runs jobs w, w + n, w + 2n, … of n children and sends its
+    results back through its own pipe (:func:`_run_share`).  No job is
+    pickled.  With one CPU, without ``os.fork``, or while other Python
+    threads run (forking them is unsafe), builtin ``map`` runs the jobs
+    here.
+
+    Every child is reaped before this returns or raises.  A job's exception
+    reaches the caller as raised; when several jobs raised, the one with the
+    lowest index wins, as with ``map``.  A child that ended without a
+    result (a signal, ``os._exit``, a pickle that does not load) is a
+    :class:`UCFWError` naming its exit status, raised first, since nothing
+    is known of its jobs."""
+    jobs = list(jobs)
+    workers = min(usable_cpus(), len(jobs))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return list(map(fn, jobs))
+    children: list[tuple[int, int]] = []  # (pid, read end)
+    sent: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _run_share(fn, jobs, w, workers, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as fh:
+                sent.append(fh.read())
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            statuses.append(os.waitpid(pid, 0)[1])
+
+    results: list = [None] * len(jobs)
+    failures = []
+    for w, ((pid, _), data, status) in enumerate(zip(children, sent, statuses)):
+        try:
+            index, value = pickle.loads(data)
+        except Exception:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise UCFWError(f"worker process {pid} ended without a result ({how})") from None
+        if index is None:
+            results[w::workers] = value
+        else:
+            failures.append((index, value))
+    if failures:
+        raise min(failures)[1]  # job indices differ, so no two exceptions are compared
+    return results
 
 
 def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dict:
@@ -272,8 +339,9 @@ def run_fig2(out_dir, seed: int = 0, dim: int = 100, horizon: int = 1000) -> dic
     rule) order, so each p's six runs over one set sit together, and cut
     into one contiguous stack per usable CPU (two stacks of 15 on 2 CPUs,
     one of 30 on 1).  Each stack, from its problems to its CSVs and
-    sidecars, runs as one job (:func:`_fig2_stack`, :func:`_map_runs`), in
-    lockstep, with one stacked LMO call per p and iteration.  The plots and
+    sidecars, runs as one job on its own forked child (:func:`_fig2_stack`,
+    :func:`_map_runs`), which inherits the built problems, in lockstep,
+    with one stacked LMO call per p and iteration.  The plots and
     then the manifest are written here afterwards, in (location, rule, p)
     order.  Every run's trace equals its :func:`run_fw` trace bit for bit,
     so no output depends on the number of CPUs, and a manifest exists only
@@ -348,13 +416,12 @@ def ftl_experiment(feasible: FeasibleSet, stream, T: int, out_dir: Path, csv_nam
 
 
 def _online_run(job: tuple) -> dict:
-    """One p of the online suite: FTL on the unit lp ball against the
+    """One p of the online suite: FTL on its unit lp ball against the
     adversarial stream, its Theorem-4 bound and its CSV.  Returns the run's
     record."""
-    p, dim, T, seed, out_dir = job
-    base = np.zeros(dim)
+    p, feasible, T, seed, out_dir = job
+    base = np.zeros(feasible.dim)
     base[0] = 1.0
-    feasible = LpBall(p=p, radius=1.0, dim=dim)
     stream = adversarial_stream(base, flip_scale=0.5, seed=seed)
     record = ftl_experiment(feasible, stream, T, out_dir, f"online_p{p:g}.csv")
     uc = feasible.uc
@@ -367,14 +434,26 @@ def run_online_suite(
     """FTL regret sweep over lp balls with an adversarial stream whose
     running gradient average stays bounded below.
 
-    The p runs share nothing, so each one, from its ball and stream to its
-    CSV, runs in a worker process (:func:`_map_runs`).  The manifest is
-    written here afterwards, in p order, so no output depends on the number
-    of CPUs.  Its ``pass`` is false if any run's regret leaves its bound.
+    Each p's unit ball is built here first.  A p whose ball has no (alpha,
+    q), and so no Theorem-4 bound, or two p that would write one CSV, are a
+    :class:`ConfigError` before any run starts.  The p runs share nothing
+    else, so each one, from its stream to its CSV, runs as one job on a
+    forked child (:func:`_map_runs`).  The manifest is written here
+    afterwards, in p order, so no output depends on the number of CPUs.
+    Its ``pass`` is false if any run's regret leaves its bound.
     """
     out_dir = Path(out_dir)
+    jobs, csvs = [], set()
+    for p in p_grid:
+        feasible = LpBall(p=p, radius=1.0, dim=dim)
+        if feasible.uc is None:
+            raise ConfigError(f"the p = {p:g} ball has no (alpha, q), so its run would have no Theorem-4 bound")
+        if (csv := f"online_p{p:g}.csv") in csvs:
+            raise ConfigError(f"p_grid repeats p = {p:g}: two runs would write {csv}")
+        csvs.add(csv)
+        jobs.append((p, feasible, T, seed, out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = _map_runs(_online_run, [(p, dim, T, seed, out_dir) for p in p_grid])
+    runs = _map_runs(_online_run, jobs)
     manifest = {
         "suite": "online",
         "files": [run["csv"] for run in runs],

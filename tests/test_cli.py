@@ -124,6 +124,15 @@ class TestVerifyVerb:
         assert main(["verify", "--set", ball, "--check", "lemma3"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    @pytest.mark.parametrize("radius", [1e-12, 1e-150])
+    def test_local_scaling_at_a_tiny_radius(self, capsys, radius):
+        """The gradient at x* scales with the radius.  An absolute zero test
+        (||grad f(x*)||_* <= 1e-10) called these optima stale (exit 2); the
+        test against the gradient floor is relative."""
+        ball = json.dumps({"family": "lp", "p": 3.0, "radius": radius, "dim": 4})
+        assert main(["verify", "--set", ball, "--check", "local_scaling"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     @pytest.mark.parametrize("p, dim", [(10.0, 100), (5.0, 100), (7.0, 30)])
     def test_ball_quadratic_lies_outside_high_p_balls(self, capsys, p, dim):
         """Three radii out in l2 along the ones vector is inside these

@@ -1,10 +1,13 @@
-"""The suites' process pool: outputs, cleanup and error paths; fig2's
-bound overlays."""
+"""The suites' forked children: outputs, cleanup and error paths; the
+online suite's refused p grids; fig2's bound overlays."""
 
 import json
-import multiprocessing
+import math
 import os
+import re
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from ucfw import bounds as bnd
 from ucfw import experiments
 from ucfw.cli import EXIT_ERROR, main
-from ucfw.errors import StaleOptimum, UCFWError
+from ucfw.errors import ConfigError, StaleOptimum, UCFWError
 from ucfw.experiments import FIG2_P_GRID, ExperimentConfig, build_problem, run_fig2, run_online_suite
 from ucfw.solver import RunTrace, run_fw
 from ucfw.verify import check_trace
@@ -25,6 +28,23 @@ def tree(root):
 
 def worker_pid(_job):
     return os.getpid()
+
+
+def job_and_pid(job):
+    return job, os.getpid()
+
+
+class Unloadable(Exception):
+    """Pickles as (type, args) but cannot be rebuilt from its args."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+def assert_no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class SuitePool:
@@ -40,11 +60,15 @@ class SuitePool:
     n_files: int
     worker_call: str
 
-    def _fail_in_workers(self, monkeypatch):
+    def _fail_in_workers(self, monkeypatch, fail=None):
+        """Make each worker's call ``fail()``: by default it raises
+        StaleOptimum("raised in a worker")."""
         parent, real = os.getpid(), getattr(experiments, self.worker_call)
 
         def failing(*args, **kwargs):
             if os.getpid() != parent:
+                if fail is not None:
+                    fail()
                 raise StaleOptimum("raised in a worker")
             return real(*args, **kwargs)
 
@@ -59,7 +83,7 @@ class SuitePool:
         for cpus in (1, 2, 3):
             monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
             manifest = self.run(tmp_path / str(cpus))
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             trees.append(tree(tmp_path / str(cpus)))
         assert len(manifest["runs"]) == self.n_runs
         assert len(trees[0]) == self.n_files
@@ -72,14 +96,32 @@ class SuitePool:
         with pytest.raises(UCFWError, match="raised in a worker") as info:
             self.run(tmp_path)
         assert type(info.value) is StaleOptimum
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert not (tmp_path / "manifest.json").exists()
 
     def test_worker_error_exits_2(self, monkeypatch, tmp_path, capsys):
         self._fail_in_workers(monkeypatch)
         assert main(["suite", self.suite, "--out", str(tmp_path)]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: raised in a worker\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_worker_without_a_result_is_an_error(self, monkeypatch, tmp_path):
+        self._fail_in_workers(monkeypatch, lambda: os._exit(3))
+        start = time.monotonic()
+        with pytest.raises(UCFWError, match=r"ended without a result \(exit status 3\)$") as info:
+            self.run(tmp_path)
+        assert time.monotonic() - start < 20.0
+        assert type(info.value) is UCFWError
+        assert_no_child_left()
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_worker_without_a_result_exits_2(self, monkeypatch, tmp_path, capsys):
+        self._fail_in_workers(monkeypatch, lambda: os._exit(3))
+        assert main(["suite", self.suite, "--out", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: worker process \d+ ended without a result \(exit status 3\)\n", err), err
+        assert_no_child_left()
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestFig2Pool(SuitePool):
@@ -108,7 +150,7 @@ class TestFig2Pool(SuitePool):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
         pids = experiments._map_runs(worker_pid, range(6))
         assert (set(pids) == {os.getpid()}) is in_parent
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_map_runs_stays_here_while_threads_run(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
@@ -144,6 +186,71 @@ class TestOnlinePool(SuitePool):
 
     def run(self, out_dir) -> dict:
         return run_online_suite(out_dir, seed=0, T=300, dim=4)
+
+    @pytest.mark.parametrize("p_grid, message", [
+        ((2.0, 3.0, 2.0), r"p_grid repeats p = 2: two runs would write online_p2\.csv"),
+        ((2.0, math.inf), r"the p = inf ball has no \(alpha, q\)"),
+    ])
+    def test_bad_p_grid_refused_before_any_run(self, monkeypatch, tmp_path, p_grid, message):
+        def no_runs(fn, jobs):
+            raise AssertionError("runs started")
+
+        monkeypatch.setattr(experiments, "_map_runs", no_runs)
+        with pytest.raises(ConfigError, match=message):
+            run_online_suite(tmp_path / "out", T=300, p_grid=p_grid, dim=4)
+        assert not (tmp_path / "out").exists()
+
+
+def fail_on(failing):
+    def job(i):
+        if i in failing:
+            raise ValueError(f"job {i}")
+        return i
+
+    return job
+
+
+class TestMapRuns:
+    """:func:`experiments._map_runs` on bare jobs: child w of n runs jobs
+    w, w + n, ..., and every child is reaped whatever happens."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_results_come_back_in_job_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+        results = experiments._map_runs(job_and_pid, range(5))
+        assert [job for job, _ in results] == list(range(5))
+        pids = [pid for _, pid in results]
+        assert len(set(pids)) == cpus and os.getpid() not in pids
+        assert pids == [pids[i % cpus] for i in range(5)]
+        assert_no_child_left()
+
+    # at 2 CPUs even jobs run in child 0 and odd jobs in child 1
+    @pytest.mark.parametrize("failing, first", [((3, 4), 3), ((2, 5), 2)])
+    def test_the_lowest_failing_job_is_raised(self, monkeypatch, failing, first):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match=f"^job {first}$"):
+            experiments._map_runs(fail_on(failing), range(6))
+        assert_no_child_left()
+
+    def test_a_result_that_does_not_load_is_an_error(self, monkeypatch):
+        def unloadable(job):
+            raise Unloadable("sent but not rebuilt", job)
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with pytest.raises(UCFWError, match=r"ended without a result \(exit status 0\)$"):
+            experiments._map_runs(unloadable, range(2))
+        assert_no_child_left()
+
+    def test_a_killed_child_names_its_signal(self, monkeypatch):
+        def killed(job):
+            if job == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return job
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with pytest.raises(UCFWError, match=rf"ended without a result \(killed by signal {int(signal.SIGKILL)}\)$"):
+            experiments._map_runs(killed, range(4))
+        assert_no_child_left()
 
 
 @pytest.fixture(scope="module")

@@ -139,6 +139,23 @@ class TestLocalScaling:
         with pytest.raises(StaleOptimum, match="gradient floor over the set is 2"):
             check_local_scaling(ball, f, f.x0, 0.5, 2.0, CFG)
 
+    def test_gradient_below_the_floor_raises(self):
+        # x* = (2.5, 0, 0) has gradient norm 0.5, below the floor 2
+        ball = LpBall(p=2.0, radius=1.0, dim=3)
+        f = QuadraticObjective(A=np.ones(3), x0=np.array([3.0, 0.0, 0.0]))
+        with pytest.raises(StaleOptimum, match="= 0.5 although the gradient floor over the set is 2"):
+            check_local_scaling(ball, f, np.array([2.5, 0.0, 0.0]), 0.5, 2.0, CFG)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-150])
+    def test_staleness_is_relative(self, scale):
+        """A ball and quadratic shrunk together: the optimum's gradient
+        shrinks with them and stays on the floor, and x0 stays stale."""
+        ball = LpBall(p=2.0, radius=scale, dim=3)
+        f = QuadraticObjective(A=np.ones(3), x0=np.array([3.0 * scale, 0.0, 0.0]))
+        assert check_local_scaling(ball, f, np.array([scale, 0.0, 0.0]), 0.5 / scale, 2.0, CFG).passed
+        with pytest.raises(StaleOptimum):
+            check_local_scaling(ball, f, f.x0, 0.5 / scale, 2.0, CFG)
+
     def test_interior_optimum_is_not_stale(self):
         # x0 is interior: the floor is 0, and x0 is the optimum
         ball = LpBall(p=2.0, radius=5.0, dim=3)
